@@ -14,8 +14,8 @@ tabulates per scheduler:
 
 Everything is derived from the simulated clock, so the report is
 wall-clock-free: the same seed produces a byte-identical table — and
-:meth:`SloReport.report_hash` — on every backend × batching
-combination (the determinism contract ``bench smoke`` gates on).
+:meth:`SloReport.report_hash` — on every run and host (the determinism
+contract ``bench smoke`` gates on).
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class SloReport:
         """SHA-256 over every row's canonical signature line.
 
         Contains only simulated-clock quantities, so it is identical
-        for the same seed across event-queue backends, batching modes
-        and hosts.
+        for the same seed across runs and hosts.
         """
         digest = hashlib.sha256()
         digest.update(f"seed={self.seed}:duration={self.duration!r}\n".encode())
@@ -173,7 +172,6 @@ def run_latency_slo(
     seed: int = 0,
     duration: float = 30.0,
     schedulers: Optional[Sequence[str]] = None,
-    queue_backend: str = "heap",
     with_churn: bool = True,
     deadline_budgets: Optional[Mapping[str, float]] = None,
 ) -> SloReport:
@@ -208,7 +206,6 @@ def run_latency_slo(
             with_churn=with_churn,
             scheduler_factory=factory,
             deadline_budgets=budgets,
-            queue_backend=queue_backend,
         )
         lateness: List[float] = []
         run.engine.on_deadline_miss(

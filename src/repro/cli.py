@@ -51,7 +51,6 @@ from .obs import (
 )
 from .obs.selftest import run_selftest
 from .perf import (
-    DEFAULT_CONFIGS,
     DEFAULT_FLEET_DEVICES,
     DEFAULT_FLEET_WORKERS,
     DEFAULT_FLOW_COUNTS,
@@ -76,7 +75,6 @@ from .perf import (
     validate_bench_document,
     write_bench_document,
 )
-from .sim.events import QUEUE_BACKENDS
 from .trace import WORKLOAD_KINDS, DeviceWorkload
 from .recovery import (
     RecoverableScenarioRun,
@@ -360,7 +358,6 @@ def cmd_audit(args: argparse.Namespace) -> None:
         seed=args.seed,
         duration=args.duration,
         with_churn=not args.no_churn,
-        queue_backend=args.backend,
         with_auditor=True,
         audit_period=args.period,
     )
@@ -413,37 +410,30 @@ def cmd_audit(args: argparse.Namespace) -> None:
 def cmd_slo(args: argparse.Namespace) -> None:
     """Run the latency-SLO report across the scheduler family.
 
-    With ``--check-determinism`` the report is recomputed on the other
-    event-queue backend and the command exits 2 unless both hashes are
-    byte-identical — the family-wide decision-determinism gate.
+    With ``--check-determinism`` the report is recomputed from the same
+    seed and the command exits 2 unless both hashes are byte-identical
+    — the family-wide decision-determinism gate.
     """
-    schedulers = args.schedulers if args.schedulers else None
-    report = run_latency_slo(
-        seed=args.seed,
-        duration=args.duration,
-        schedulers=schedulers,
-        queue_backend=args.backend,
-        with_churn=not args.no_churn,
-    )
-    _print(report.to_text())
+
+    def report():
+        return run_latency_slo(
+            seed=args.seed,
+            duration=args.duration,
+            schedulers=args.schedulers if args.schedulers else None,
+            with_churn=not args.no_churn,
+        )
+
+    first = report()
+    _print(first.to_text())
     if not args.check_determinism:
         return
-    other = "calendar" if args.backend == "heap" else "heap"
-    twin = run_latency_slo(
-        seed=args.seed,
-        duration=args.duration,
-        schedulers=schedulers,
-        queue_backend=other,
-        with_churn=not args.no_churn,
-    )
-    if twin.report_hash() != report.report_hash():
+    if report().report_hash() != first.report_hash():
         print(
-            f"error: SLO report hash diverges between {args.backend} and "
-            f"{other} backends",
+            "error: SLO report hash diverges between two runs of the same seed",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    print(f"SLO report hash identical on {args.backend} and {other} backends")
+    print("SLO report hash identical on a re-run of the same seed")
 
 
 def _parse_counts(text: str, option: str) -> List[int]:
@@ -456,32 +446,13 @@ def _parse_counts(text: str, option: str) -> List[int]:
     return counts
 
 
-def _parse_bench_configs(args: argparse.Namespace) -> List[tuple]:
-    """The (backend, batching) sweep requested by --backend/--batching."""
-    backends = list(QUEUE_BACKENDS) if args.backend == "all" else [args.backend]
-    modes = {
-        "off": [False],
-        "on": [True],
-        "auto": ["auto"],
-        "both": [False, True],
-    }[args.batching]
-    return [(backend, mode) for backend in backends for mode in modes]
-
-
 def cmd_bench_core(args: argparse.Namespace) -> None:
     """Run the seeded hot-path macro-benchmark and write BENCH_core.json.
 
     The workload (event/packet/decision counts) is deterministic per
-    seed; only wall-clock rates vary between machines. ``--backend`` /
-    ``--batching`` narrow the per-cell configuration sweep; the default
-    covers the full heap/calendar × batching on/off matrix, and
-    ``--batching auto`` takes the per-cell calibrated choice (recorded
-    under ``auto_batching``). ``--fleet-devices`` / ``--fleet-workers``
-    size the devices × workers fleet scaling section (``--no-fleet``
-    drops it). ``--pypy`` re-runs the same grid under ``pypy3`` (when
-    installed) into a sibling document; the lane's outcome — ran,
-    failed, or skipped and why — is recorded under the main document's
-    ``pypy`` key either way.
+    seed; only wall-clock rates vary between machines.
+    ``--fleet-devices`` / ``--fleet-workers`` size the devices × workers
+    fleet scaling section (``--no-fleet`` drops it).
     """
     document = run_core_bench(
         flow_counts=_parse_counts(args.flows, "--flows"),
@@ -489,7 +460,6 @@ def cmd_bench_core(args: argparse.Namespace) -> None:
         seed=args.seed,
         target_packets=args.target_packets,
         progress=lambda message: print(message, file=sys.stderr),
-        configs=_parse_bench_configs(args),
         fleet_device_counts=(
             () if args.no_fleet else _parse_counts(args.fleet_devices, "--fleet-devices")
         ),
@@ -498,67 +468,20 @@ def cmd_bench_core(args: argparse.Namespace) -> None:
         ),
     )
     _print(render_bench_table(document))
-    if args.pypy:
-        document["pypy"] = _run_pypy_lane(args)
     write_bench_document(document, args.out)
     print(f"wrote {args.out}")
-
-
-def _run_pypy_lane(args: argparse.Namespace) -> Dict[str, object]:
-    """Optional PyPy comparison lane for ``bench core --pypy``.
-
-    Runs the identical grid under ``pypy3`` into ``<out>.pypy.json``.
-    The lane is advisory: a missing interpreter or a failed run prints
-    a note instead of failing the command. Either way the returned
-    status dict lands in the main document's ``pypy`` key, so the
-    committed trajectory distinguishes "not run (and why)" from "ran
-    and did not regress".
-    """
-    import shutil
-    import subprocess
-
-    pypy = shutil.which("pypy3")
-    if pypy is None:
-        print("pypy3 not found on PATH; skipping the PyPy lane", file=sys.stderr)
-        return {"status": "skipped", "reason": "pypy3 not found on PATH"}
-    out = f"{args.out}.pypy.json"
-    command = [
-        pypy,
-        "-m",
-        "repro.cli",
-        "bench",
-        "core",
-        "--seed", str(args.seed),
-        "--flows", args.flows,
-        "--interfaces", args.interfaces,
-        "--target-packets", str(args.target_packets),
-        "--backend", args.backend,
-        "--batching", args.batching,
-        "--no-fleet",
-        "--out", out,
-    ]
-    print(f"running PyPy lane -> {out} ...", file=sys.stderr)
-    completed = subprocess.run(command)
-    if completed.returncode != 0:
-        print(
-            f"PyPy lane failed with exit code {completed.returncode}",
-            file=sys.stderr,
-        )
-        return {"status": "failed", "exit_code": completed.returncode, "out": out}
-    return {"status": "ran", "out": out}
 
 
 def cmd_bench_smoke(args: argparse.Namespace) -> None:
     """Fast bench sanity: a miniature grid plus an optional perf gate.
 
-    Always runs a small grid through the full sweep and validates the
-    document shape (seconds of wall time). With ``--check-regression``
-    it additionally measures the committed baseline's gated cell
-    (F=1000, I=8 by default) and exits 2 if packets/sec fell more than
-    20% below ``BENCH_core.json`` — unless the
-    ``MIDRR_SKIP_BENCH_REGRESSION`` environment variable is set (CI
-    machines with unpredictable load can opt out without editing the
-    test suite).
+    Always runs a small grid and validates the document shape (seconds
+    of wall time). With ``--check-regression`` it additionally measures
+    the committed baseline's gated cell (F=1000, I=8 by default) and
+    exits 2 if packets/sec fell more than 20% below ``BENCH_core.json``
+    — unless the ``MIDRR_SKIP_BENCH_REGRESSION`` environment variable
+    is set (CI machines with unpredictable load can opt out without
+    editing the test suite).
     """
     import os
 
@@ -567,7 +490,6 @@ def cmd_bench_smoke(args: argparse.Namespace) -> None:
         interface_counts=[2],
         seed=args.seed,
         target_packets=400,
-        configs=DEFAULT_CONFIGS,
     )
     problems = validate_bench_document(document)
     if problems:
@@ -576,23 +498,20 @@ def cmd_bench_smoke(args: argparse.Namespace) -> None:
         raise SystemExit(2)
     print("bench smoke: miniature grid ok")
     # Family-wide decision determinism: the latency-SLO report hashes
-    # every scheduler's deadline/fairness outcome, so one short run per
-    # backend proves the whole family makes identical decisions on both
-    # event-queue implementations.
-    family_hashes = {
-        backend: run_latency_slo(
-            seed=args.seed, duration=20.0, queue_backend=backend
-        ).report_hash()
-        for backend in ("heap", "calendar")
-    }
-    if len(set(family_hashes.values())) != 1:
+    # every scheduler's deadline/fairness outcome, so two short runs of
+    # the same seed prove the whole family decides reproducibly.
+    family_hashes = [
+        run_latency_slo(seed=args.seed, duration=20.0).report_hash()
+        for _ in range(2)
+    ]
+    if len(set(family_hashes)) != 1:
         print(
-            "bench smoke: scheduler-family SLO hash diverges across "
-            f"backends: {family_hashes}",
+            "bench smoke: scheduler-family SLO hash diverges between two "
+            f"runs of the same seed: {family_hashes}",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    print("bench smoke: scheduler-family decisions identical on both backends")
+    print("bench smoke: scheduler-family decisions identical on a re-run")
     if not args.check_regression:
         return
     if os.environ.get("MIDRR_SKIP_BENCH_REGRESSION"):
@@ -639,48 +558,37 @@ def cmd_bench_smoke(args: argparse.Namespace) -> None:
                 "at baseline time; floors scaled accordingly",
                 file=sys.stderr,
             )
-    gated = []
-    for backend, batching in DEFAULT_CONFIGS:
-        print(
-            f"bench smoke: gating F={args.gate_flows} I={args.gate_interfaces} "
-            f"{backend}{'+batch' if batching else ''} ...",
-            file=sys.stderr,
+    print(
+        f"bench smoke: gating F={args.gate_flows} I={args.gate_interfaces} ...",
+        file=sys.stderr,
+    )
+    base = find_cell(baseline, args.gate_flows, args.gate_interfaces)
+    floor = (
+        float(base["packets_per_sec"]) * (1.0 - REGRESSION_THRESHOLD) / load_factor
+        if base is not None
+        else 0.0
+    )
+    # Best of three, at 4x the baseline packet count: the gate measures
+    # the machine's capability, not its instantaneous load. Longer runs
+    # average over the sub-second load windows shared hosts exhibit
+    # (and amortize warmup, which only adds safe headroom over a
+    # baseline measured on short runs); the cell counts as regressed
+    # only when no attempt clears the floor.
+    best = None
+    for _attempt in range(3):
+        cell = run_cell(
+            args.gate_flows,
+            args.gate_interfaces,
+            seed=baseline.get("seed", 0),
+            target_packets=4
+            * baseline.get("target_packets", DEFAULT_TARGET_PACKETS),
         )
-        base = find_cell(
-            baseline, args.gate_flows, args.gate_interfaces, backend, batching
-        )
-        floor = (
-            float(base["packets_per_sec"])
-            * (1.0 - REGRESSION_THRESHOLD)
-            / load_factor
-            if base is not None
-            else 0.0
-        )
-        # Best of three, at 4x the baseline packet count: the gate
-        # measures the machine's capability, not its instantaneous
-        # load. Longer runs average over the sub-second load windows
-        # shared hosts exhibit (and amortize warmup, which only adds
-        # safe headroom over a baseline measured on short runs); a
-        # config counts as regressed only when no attempt clears the
-        # floor.
-        best = None
-        for _attempt in range(3):
-            cell = run_cell(
-                args.gate_flows,
-                args.gate_interfaces,
-                seed=baseline.get("seed", 0),
-                target_packets=4
-                * baseline.get("target_packets", DEFAULT_TARGET_PACKETS),
-                backend=backend,
-                batching=batching,
-            )
-            if best is None or cell["packets_per_sec"] > best["packets_per_sec"]:
-                best = cell
-            if best["packets_per_sec"] >= floor:
-                break
-        gated.append(best)
+        if best is None or cell["packets_per_sec"] > best["packets_per_sec"]:
+            best = cell
+        if best["packets_per_sec"] >= floor:
+            break
     failures = check_regression(
-        {"grid": gated},
+        {"grid": [best]},
         baseline,
         flows=args.gate_flows,
         interfaces=args.gate_interfaces,
@@ -859,7 +767,6 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         num_interfaces=args.interfaces,
         num_flows=args.flows,
     )
-    batching = {"off": False, "on": True, "auto": "auto"}[args.batching]
     report = run_fleet(
         args.devices,
         workload,
@@ -867,8 +774,6 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         workers=args.workers,
         shards=args.shards,
         executor=args.executor,
-        backend=args.backend,
-        batching=batching,
         report_path=args.report,
         shard_log_path=args.shard_log,
         progress=lambda done, total: print(
@@ -884,7 +789,6 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         ["executor", run_info["executor"]],
         ["workers", run_info["workers"]],
         ["shards", run_info["shards"]],
-        ["batching", "on" if report["fleet"]["batching"] else "off"],
         ["packets", f"{totals['packets']:,}"],
         ["drops", f"{totals['drops']:,}"],
         ["flows done", f"{totals['flows_completed']:,}/{totals['flows']:,}"],
@@ -1103,12 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--period", type=float, default=1.0, help="audit tick period (s)"
     )
-    p.add_argument(
-        "--backend",
-        choices=sorted(QUEUE_BACKENDS),
-        default="heap",
-        help="event-queue backend (default: heap)",
-    )
     p.add_argument("--no-churn", action="store_true")
     p.add_argument(
         "--strict", action="store_true",
@@ -1122,12 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument(
-        "--backend",
-        choices=sorted(QUEUE_BACKENDS),
-        default="heap",
-        help="event-queue backend (default: heap)",
-    )
-    p.add_argument(
         "--scheduler",
         dest="schedulers",
         action="append",
@@ -1140,8 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-determinism",
         action="store_true",
-        help="re-run on the other backend and exit 2 unless the report "
-        "hashes are byte-identical",
+        help="re-run the same seed and exit 2 unless the report hashes "
+        "are byte-identical",
     )
     p.set_defaults(func=cmd_slo)
 
@@ -1164,25 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     core.add_argument(
         "--target-packets", type=int, default=DEFAULT_TARGET_PACKETS
-    )
-    core.add_argument(
-        "--backend",
-        choices=list(QUEUE_BACKENDS) + ["auto", "all"],
-        default="all",
-        help="event-queue backend sweep; 'auto' microbenchmarks and "
-        "picks one, 'all' sweeps both (default: all)",
-    )
-    core.add_argument(
-        "--batching",
-        choices=["off", "on", "auto", "both"],
-        default="both",
-        help="fused service quanta sweep; 'auto' calibrates per cell "
-        "and records the choice (default: both)",
-    )
-    core.add_argument(
-        "--pypy", action="store_true",
-        help="also run the grid under pypy3 (outcome recorded in the "
-        "document's 'pypy' key, including skips)",
     )
     core.add_argument(
         "--fleet-devices",
@@ -1267,14 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--flows", type=int, default=8,
         help="flows per device (bulk workload only)",
-    )
-    p.add_argument(
-        "--backend", choices=list(QUEUE_BACKENDS) + ["auto"], default="heap"
-    )
-    p.add_argument(
-        "--batching", choices=["off", "on", "auto"], default="off",
-        help="'auto' calibrates once at the coordinator and applies the "
-        "same choice to every device",
     )
     p.set_defaults(func=cmd_fleet)
 

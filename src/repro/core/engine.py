@@ -50,19 +50,9 @@ class SchedulingEngine:
         sim: Simulator,
         scheduler: MultiInterfaceScheduler,
         stats: Optional[StatsCollector] = None,
-        batching: bool = False,
     ) -> None:
         self._sim = sim
         self._scheduler = scheduler
-        # Batched service quanta (opt-in): after each successful
-        # decision, ask the scheduler how many follow-up decisions are
-        # already forced and fuse their transmissions into one event.
-        # Requires a scheduler exposing the plan_batch/forced_resume
-        # contract (miDRR); silently off otherwise.
-        self._plan_fn = getattr(scheduler, "plan_batch", None)
-        self._batching = bool(batching) and self._plan_fn is not None
-        if self._batching:
-            sim.add_drain_hook(self._drain_batches)
         self._interfaces: Dict[str, Interface] = {}
         self._flows: Dict[str, Flow] = {}
         self._sources: Dict[str, ExhaustibleSource] = {}
@@ -116,11 +106,6 @@ class SchedulingEngine:
     def sim(self) -> Simulator:
         """The simulator this engine schedules on (telemetry access)."""
         return self._sim
-
-    @property
-    def batching(self) -> bool:
-        """``True`` when fused service quanta are enabled."""
-        return self._batching
 
     @property
     def interfaces(self) -> Dict[str, Interface]:
@@ -177,19 +162,16 @@ class SchedulingEngine:
             )
         self._interfaces[interface.interface_id] = interface
         # Distinct per-interface event priority for the transmission
-        # chain: ties between simultaneous completions on different
-        # interfaces then resolve by registration order — a property of
-        # the scenario, not of event-creation history — which keeps
-        # dispatch order identical whether or not service quanta are
-        # batched into fused events. Non-chain events keep priority 0
-        # and fire first at a tied instant in every configuration.
+        # chain: simultaneous completions on different interfaces
+        # resolve by registration order — a property of the scenario,
+        # not of event-creation history. Events outside the chain keep
+        # priority 0 and fire first at a tied instant.
         interface.tx_priority = len(self._interfaces)
         self._topology_version += 1
         self._scheduler.register_interface(interface.interface_id)
         interface.attach_source(self._supply_packet)
         interface.on_sent(self._packet_sent)
         interface.on_state_change(self._interface_state_changed)
-        interface.bind_batch_registry(self._scheduler.batched_flows)
         # Capacity-aware schedulers (EDF admission control, QAware
         # steering) read live interface rates through this optional
         # hook; schedulers without it stay capacity-blind.
@@ -216,7 +198,6 @@ class SchedulingEngine:
             self._sources[flow.flow_id] = source
         flow.on_arrival(self._packet_arrived)
         flow.on_drop(self._packet_dropped)
-        flow.on_prefs_change(self._prefs_changed)
         # Fired as soon as the flow is registered — before the
         # quarantine/admission branches — so topology-tracking
         # listeners (the fairness auditor) see every flow the engine
@@ -247,14 +228,6 @@ class SchedulingEngine:
 
     def remove_flow(self, flow_id: str) -> None:
         """Deregister a flow (policy change or completion)."""
-        # Abort any fused window first, while the flow still resolves in
-        # the engine tables — the materialized completions run through
-        # _packet_sent, which must still find the flow.
-        batched = self._scheduler.batched_flows
-        if batched:
-            owner = batched.get(flow_id)
-            if owner is not None:
-                owner.abort_batch()
         flow = self._flows.pop(flow_id, None)
         self._sources.pop(flow_id, None)
         self._quarantined.pop(flow_id, None)
@@ -453,65 +426,8 @@ class SchedulingEngine:
             self._probe_countdown -= 1
             if self._probe_countdown <= 0:
                 self._probe_countdown = self._probe_stride
-                packet = self._decision_probe(interface)
-            else:
-                packet = self._scheduler.select(interface.interface_id)
-        else:
-            packet = self._scheduler.select(interface.interface_id)
-        if self._batching and packet is not None and not self._sim.replaying:
-            self._plan_batch(interface, packet)
-        return packet
-
-    def _plan_batch(self, interface: Interface, packet: Packet) -> None:
-        """Stage a fused window when the scheduler proves one forced.
-
-        Declines flows with a byte cap: with pulls deferred, the
-        batched run's queue is longer than the unbatched run's at
-        arrival instants, so cap-dependent accept/drop decisions would
-        diverge. (Tracing/egress-filter fallback lives in the
-        interface, which owns those.)
-        """
-        plan = self._plan_fn(interface.interface_id)
-        if plan is None:
-            return
-        flow, extra = plan
-        if flow.flow_id != packet.flow_id or flow.queue.max_bytes is not None:
-            return
-        interface.stage_batch(flow, extra, self._forced_decision)
-
-    def _forced_decision(self, interface: Interface) -> Optional[Packet]:
-        """Replay one planned decision during batch materialization.
-
-        With a decision probe installed, the full supply path runs —
-        probe strides, select's resumed-turn path, trace recorders all
-        see exactly the decision stream of an unbatched run. Without
-        one, the scheduler's forced_resume fast path applies the same
-        state transitions without re-deriving what the plan proved.
-        """
-        if self._decision_probe is not None:
-            return self._supply_packet(interface)
-        return self._scheduler.forced_resume(interface.interface_id)
-
-    def _prefs_changed(self, flow: Flow) -> None:
-        # A live Π edit invalidates any proof that this flow's coming
-        # decisions are forced; fall back to per-packet events before
-        # anything observes the new preference set.
-        batched = self._scheduler.batched_flows
-        if batched:
-            owner = batched.get(flow.flow_id)
-            if owner is not None:
-                owner.abort_batch()
-
-    def _drain_batches(self) -> None:
-        """Materialize every in-progress batch (run-exit drain hook).
-
-        Runs after the event loop returns and the clock has settled on
-        the horizon, so counters, traces and stats are exact at ``now``
-        — identical to an unbatched run stopping at the same instant.
-        """
-        batched = self._scheduler.batched_flows
-        while batched:
-            next(iter(batched.values())).abort_batch()
+                return self._decision_probe(interface)
+        return self._scheduler.select(interface.interface_id)
 
     def _packet_arrived(self, flow: Flow, packet: Packet) -> None:
         if flow.flow_id not in self._flows:
@@ -594,13 +510,7 @@ class SchedulingEngine:
         snapshotted per flow by the checkpoint layer. Interfaces are
         likewise snapshotted separately — the engine records run
         membership, not substrate state.
-
-        In-progress transmission batches are aborted first: aborting is
-        observationally identical to never having batched, so neither
-        the scheduler nor the event-queue snapshot ever contains batch
-        state and restores replay per-packet from the checkpoint on.
         """
-        self._drain_batches()
         return {
             "flow_order": list(self._flows),
             "quarantined": list(self._quarantined),

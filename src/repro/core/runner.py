@@ -189,8 +189,6 @@ def run_scenario(
     scheduler_factory: SchedulerFactory,
     max_events: Optional[int] = None,
     on_engine: Optional[Callable[[Simulator, SchedulingEngine], None]] = None,
-    queue_backend: str = "heap",
-    batching: object = False,
 ) -> ExperimentResult:
     """Run *scenario* under a scheduler built by *scheduler_factory*.
 
@@ -198,33 +196,11 @@ def run_scenario(
     topology and flows are wired but before the first kick — the hook
     observability and health layers use to attach instrumentation or
     watchdogs to a scenario run without rebuilding the harness.
-
-    *queue_backend* selects the event-queue implementation (``"heap"``,
-    ``"calendar"`` or ``"auto"``); *batching* opts in to fused service
-    quanta — pass ``True``, ``False``, or ``"auto"`` to take the
-    per-shape calibrated choice (see
-    :func:`repro.perf.core_bench.auto_select_batching`). Every backend
-    × batching combination is decision- and trace-preserving: it
-    produces byte-identical scheduling decisions for the same scenario
-    and seed (only *event counts* differ under batching, which is why
-    determinism-critical callers like the fleet resolve ``"auto"``
-    once and pass the concrete bool).
     """
-    if batching == "auto":
-        # Imported lazily: repro.perf imports this module at load time.
-        from ..perf.core_bench import auto_select_batching
-
-        batching = auto_select_batching(
-            max(len(scenario.flows), 1), len(scenario.interfaces)
-        )
-    elif not isinstance(batching, bool):
-        raise ConfigurationError(
-            f"batching must be a bool or 'auto', got {batching!r}"
-        )
-    sim = Simulator(queue_backend=queue_backend)
+    sim = Simulator()
     streams = RandomStreams(scenario.seed)
     scheduler = scheduler_factory()
-    engine = SchedulingEngine(sim, scheduler, batching=batching)
+    engine = SchedulingEngine(sim, scheduler)
     result = ExperimentResult(
         scenario=scenario, stats=engine.stats, sim=sim, engine=engine
     )

@@ -221,9 +221,7 @@ class ChaosRun:
     the miDRR invariant checker is only attached when the scheduler is
     actually miDRR. *deadline_budgets* assigns per-packet latency SLOs
     (seconds) to named flows, feeding the engine's deadline-miss
-    accounting. *queue_backend* selects the event-queue implementation,
-    which must be decision-preserving — the SLO report pins its hash
-    across backends on exactly that contract.
+    accounting.
     """
 
     def __init__(
@@ -233,7 +231,6 @@ class ChaosRun:
         with_churn: bool = True,
         scheduler_factory: Optional[Callable[[], object]] = None,
         deadline_budgets: Optional[Mapping[str, float]] = None,
-        queue_backend: str = "heap",
         with_auditor: bool = False,
         audit_period: float = 1.0,
     ) -> None:
@@ -242,7 +239,7 @@ class ChaosRun:
             raise FaultError(f"chaos duration must be >= 20s, got {duration:g}")
         self.seed = seed
         self.duration = duration
-        self.sim = Simulator(queue_backend=queue_backend)
+        self.sim = Simulator()
         self.streams = RandomStreams(seed)
         self.timeline = FaultTimeline()
         budgets = dict(deadline_budgets) if deadline_budgets else {}

@@ -105,8 +105,6 @@ def run_crash_equivalence(
     scheduler_factory,
     kill_indices: Sequence[int],
     extras=None,
-    queue_backend: str = "heap",
-    batching: bool = False,
 ) -> EquivalenceReport:
     """Kill/restore/replay at each event index; compare decision traces.
 
@@ -121,24 +119,13 @@ def run_crash_equivalence(
     4. require ``prefix + suffix == reference``: the killed run's trace
        must equal the reference trace up to the kill point, and the
        restored run's trace must equal the remainder exactly.
-
-    ``queue_backend`` and ``batching`` apply to the reference and every
-    kill/restore run alike, so the protocol can be exercised against the
-    calendar queue and fused service quanta. Checkpoints themselves stay
-    backend- and batching-agnostic (batches drain before a snapshot).
     """
     # Imported here: repro.recovery imports this module for the
     # supervisor's crash types, so the top level must stay acyclic.
     from ..recovery.checkpoint import unwrap_state, wrap_state
     from ..recovery.runner import RecoverableScenarioRun
 
-    reference = RecoverableScenarioRun(
-        scenario,
-        scheduler_factory,
-        extras=extras,
-        queue_backend=queue_backend,
-        batching=batching,
-    )
+    reference = RecoverableScenarioRun(scenario, scheduler_factory, extras=extras)
     reference.run_to_completion()
     reference_trace = list(reference.trace.entries)
 
@@ -146,13 +133,7 @@ def run_crash_equivalence(
         scenario_name=scenario.name, total_decisions=len(reference_trace)
     )
     for kill_index in kill_indices:
-        run = RecoverableScenarioRun(
-            scenario,
-            scheduler_factory,
-            extras=extras,
-            queue_backend=queue_backend,
-            batching=batching,
-        )
+        run = RecoverableScenarioRun(scenario, scheduler_factory, extras=extras)
         for _ in range(kill_index):
             # Never step past the horizon: events beyond the scenario
             # duration belong to no run (run_to_completion stops there).
@@ -161,11 +142,7 @@ def run_crash_equivalence(
         state = unwrap_state(json.loads(json.dumps(wrap_state(run.checkpoint()))))
         prefix = list(run.trace.entries)
         restored = RecoverableScenarioRun.restore(
-            state,
-            scheduler_factory,
-            extras=extras,
-            queue_backend=queue_backend,
-            batching=batching,
+            state, scheduler_factory, extras=extras
         )
         restored.run_to_completion()
         suffix = list(restored.trace.entries)

@@ -6,21 +6,15 @@
    depends only on N (see :mod:`repro.fleet.plan` for why that makes
    the merged report workers-invariant), deriving every device's seed
    from ``(fleet_seed, device_id)``.
-2. **Resolve** — collapse ``batching="auto"`` to a concrete bool
-   *once*, here, via the perf layer's calibration micro-benchmark.
-   The resolution is wall-clock-dependent, so letting each worker (or
-   a standalone replay) re-run it would break byte-identical
-   reproducibility; the resolved value is recorded in the report and
-   shipped to every shard.
-3. **Dispatch** — run shards on the serial in-process executor or a
+2. **Dispatch** — run shards on the serial in-process executor or a
    ``ProcessPoolExecutor`` (fork context when available). Workers
    stream compact payloads back as they finish.
-4. **Merge** — fold shard registries into one fleet registry **in
+3. **Merge** — fold shard registries into one fleet registry **in
    shard-id order** (float merge order must not depend on completion
    order), chain-hash the per-device trace fingerprints in canonical
    device order, and derive fleet-level percentiles, utilization and
    the Jain fairness proxy from the merged state.
-5. **Report** — one JSON document, plus an optional per-shard JSONL
+4. **Report** — one JSON document, plus an optional per-shard JSONL
    stream. ``report_hash`` covers exactly the deterministic subset
    (config, totals, percentiles, merged registry, device chain) and
    excludes wall-clock and executor/worker facts, so equal hashes
@@ -35,7 +29,7 @@ import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry, QuantileSketch
@@ -60,7 +54,7 @@ from .plan import ShardPlan, plan_shards
 from .worker import run_shard
 
 #: Version of the fleet report document.
-FLEET_REPORT_SCHEMA_VERSION = 1
+FLEET_REPORT_SCHEMA_VERSION = 2
 
 #: Executor kinds understood by :func:`run_fleet`.
 EXECUTORS = ("serial", "process")
@@ -86,25 +80,6 @@ def compute_report_hash(report: Dict[str, object]) -> str:
     subset = {key: report[key] for key in REPORT_HASH_FIELDS}
     canonical = json.dumps(subset, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _resolve_batching(
-    batching: Union[bool, str], workload: DeviceWorkload, backend: str
-) -> bool:
-    if isinstance(batching, bool):
-        return batching
-    if batching == "auto":
-        # Imported lazily: repro.perf imports repro.core at module
-        # load, so a top-level import here would be circular.
-        from ..perf.core_bench import auto_select_batching
-
-        flows = workload.num_flows if workload.kind == "bulk" else 10
-        return auto_select_batching(
-            flows, workload.num_interfaces, backend=backend
-        )
-    raise ConfigurationError(
-        f"batching must be a bool or 'auto', got {batching!r}"
-    )
 
 
 def _counter_value(registry: MetricsRegistry, name: str) -> float:
@@ -153,8 +128,6 @@ def run_fleet(
     workers: int = 1,
     shards: int = 0,
     executor: str = "process",
-    backend: str = "heap",
-    batching: Union[bool, str] = False,
     report_path: Optional[str] = None,
     shard_log_path: Optional[str] = None,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -174,8 +147,6 @@ def run_fleet(
         )
     if workers < 1:
         raise ConfigurationError(f"workers must be ≥ 1, got {workers}")
-    batching_requested = batching
-    resolved_batching = _resolve_batching(batching, workload, backend)
     plan: ShardPlan = plan_shards(devices, shards)
     tasks = [
         {
@@ -183,8 +154,6 @@ def run_fleet(
             "device_ids": list(shard.device_ids),
             "fleet_seed": fleet_seed,
             "workload": workload.to_dict(),
-            "backend": backend,
-            "batching": resolved_batching,
         }
         for shard in plan.shards
     ]
@@ -281,14 +250,11 @@ def run_fleet(
             "devices": devices,
             "fleet_seed": fleet_seed,
             "workload": workload.to_dict(),
-            "backend": backend,
-            "batching": resolved_batching,
         },
         "run": {
             "executor": executor,
             "workers": workers if executor == "process" else 1,
             "shards": len(plan.shards),
-            "batching_requested": batching_requested,
             "wall_seconds": wall_seconds,
             "packets_per_sec": totals["packets"] / wall_seconds
             if wall_seconds > 0

@@ -15,10 +15,9 @@ it under miDRR, and distil the result into
   coordinator.
 
 Everything here runs on the virtual clock: no wall-clock value enters
-the payload, so the same ``(device_id, seed, workload, backend,
-batching)`` tuple produces a byte-identical payload on every run and
-every machine. That is the property the fleet's standalone-replay
-test pins.
+the payload, so the same ``(device_id, seed, workload)`` tuple
+produces a byte-identical payload on every run and every machine.
+That is the property the fleet's standalone-replay test pins.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import json
 from typing import Callable, Dict, Optional
 
 from ..core.runner import run_scenario
-from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..schedulers.base import MultiInterfaceScheduler
 from ..schedulers.midrr import MiDrrScheduler
@@ -83,29 +81,13 @@ def run_device(
     device_id: str,
     seed: int,
     workload: DeviceWorkload,
-    backend: str = "heap",
-    batching: bool = False,
     scheduler_factory: Optional[Callable[[], MultiInterfaceScheduler]] = None,
 ) -> Dict[str, object]:
-    """Simulate one device; return its summary + registry payload.
-
-    *batching* must already be a concrete bool: the ``"auto"``
-    calibration is wall-clock-dependent, so the coordinator resolves
-    it exactly once and every device — fleet-run or standalone replay
-    — receives the same resolved value. Accepting ``"auto"`` here
-    would let two replays of the same device disagree on event counts.
-    """
-    if not isinstance(batching, bool):
-        raise ConfigurationError(
-            f"run_device needs a resolved bool batching, got {batching!r}; "
-            f"the coordinator resolves 'auto' before devices run"
-        )
+    """Simulate one device; return its summary + registry payload."""
     scenario = build_device_scenario(workload, device_id, seed)
     result = run_scenario(
         scenario,
         scheduler_factory if scheduler_factory is not None else MiDrrScheduler,
-        queue_backend=backend,
-        batching=batching,
     )
     stats = result.stats
     samples = stats.samples

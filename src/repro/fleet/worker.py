@@ -25,35 +25,22 @@ from .device import run_device
 from .plan import device_seed
 
 #: Required keys of a shard task dict (built by the coordinator).
-_TASK_KEYS = ("shard_id", "device_ids", "fleet_seed", "workload", "backend", "batching")
+_TASK_KEYS = ("shard_id", "device_ids", "fleet_seed", "workload")
 
 
 def run_shard(task: Dict[str, object]) -> Dict[str, object]:
-    """Simulate every device in one shard; return the shard payload.
-
-    ``task['batching']`` must be a resolved bool (see
-    :func:`repro.fleet.device.run_device` for why ``"auto"`` is
-    rejected below the coordinator).
-    """
+    """Simulate every device in one shard; return the shard payload."""
     missing = [key for key in _TASK_KEYS if key not in task]
     if missing:
         raise ConfigurationError(f"shard task missing keys {missing}")
     workload = DeviceWorkload.from_dict(dict(task["workload"]))
     fleet_seed = task["fleet_seed"]
-    backend = task["backend"]
-    batching = task["batching"]
 
     started = perf_counter()
     registry = MetricsRegistry()
     summaries: List[Dict[str, object]] = []
     for device_id in task["device_ids"]:
-        payload = run_device(
-            device_id,
-            device_seed(fleet_seed, device_id),
-            workload,
-            backend=backend,
-            batching=batching,
-        )
+        payload = run_device(device_id, device_seed(fleet_seed, device_id), workload)
         registry.merge_state(payload.pop("registry"))
         summaries.append(payload)
     return {

@@ -120,10 +120,9 @@ class Flow:
     def on_prefs_change(self, listener: Callable[["Flow"], None]) -> None:
         """Register a callback fired after :meth:`restrict_to`.
 
-        The engine uses this to abort any in-progress transmission
-        batch for the flow: a preference change can alter scheduling
-        decisions, so fused quanta must fall back to per-packet events
-        at that instant.
+        Schedulers that keep per-interface copies of the flow (the
+        per-interface baselines) use this to resync it after its Π-set
+        changes.
         """
         self._prefs_listeners.append(listener)
 

@@ -34,36 +34,15 @@ Egress filters support fault injection: each completed transmission is
 offered to the registered filters in order, and any filter returning
 ``False`` consumes the packet (loss/corruption discard) — the sent
 listeners never see it, so it counts as transmitted but not delivered.
-
-Batched service quanta
-----------------------
-When the engine proves ahead of time that the next ``M`` transmissions
-on this interface will serve the *same* flow with per-packet decisions
-that are forced (see ``core/engine.py`` and the miDRR ``plan_batch``
-contract), it stages the batch here and :meth:`_transmit` fuses the
-``M`` per-packet event round-trips into a single event at ``T_{M-1}``.
-The per-packet effects — counters, sent listeners, trace decisions,
-the forced pull of the next packet — are *replayed* at their original
-timestamps (clock rewound via ``Simulator.begin_replay``) when the
-batch materializes, so every observer sees byte-identical history. The
-final packet's completion is scheduled as a real event from ``T_{M-1}``
-with delay ``d_M``, which recreates the unbatched run's event ordering
-at the batch boundary. Any interaction that could invalidate the plan
-(rate change, outage, preference change, a foreign scheduling decision
-touching the flow, a checkpoint) calls :meth:`abort_batch`, which
-materializes the already-elapsed steps and falls back to a plain
-completion event for the packet in flight — decision-for-decision
-identical to never having batched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import ConfigurationError, SimulationError
 from ..units import transmission_time
-from .flow import Flow
 from .packet import Packet
 from ..sim.simulator import Simulator
 from ..sim.tracing import TraceLog
@@ -98,27 +77,6 @@ class CapacityStep:
             raise ConfigurationError(
                 f"capacity step rate must be positive, got {self.rate_bps}"
             )
-
-
-class _BatchState:
-    """Bookkeeping for one in-progress fused transmission window.
-
-    ``times[k-1]`` is ``T_k``, the completion instant of the k-th packet
-    (1-based); ``durations[k-1]`` its serialization time. ``next_step``
-    is the next completion to replay; ``inflight`` the packet occupying
-    the link during ``(T_{next_step-1}, T_{next_step}]``.
-    """
-
-    __slots__ = ("flow", "durations", "times", "next_step", "inflight", "event", "forced_source")
-
-    def __init__(self, flow, durations, times, inflight, event, forced_source) -> None:
-        self.flow = flow
-        self.durations = durations
-        self.times = times
-        self.next_step = 1
-        self.inflight = inflight
-        self.event = event
-        self.forced_source = forced_source
 
 
 class Interface:
@@ -156,24 +114,12 @@ class Interface:
         self.busy_time = 0.0
         self.down_count = 0
         self.down_time = 0.0
-        # Batched-quanta state: a plan staged by the engine for the
-        # packet about to transmit, the in-progress batch, and the
-        # shared flow_id -> Interface registry the scheduler consults
-        # to abort batches on foreign interactions.
-        self._staged_batch: Optional[tuple] = None
-        self._batch: Optional[_BatchState] = None
-        self._batch_registry: Optional[Dict[str, "Interface"]] = None
-        self.batches_started = 0
-        self.batches_aborted = 0
-        self.packets_batched = 0
-        # Event priority for this interface's transmission chain. Two
-        # interfaces completing packets at the exact same instant must
-        # dispatch in an order that does not depend on *when* their
-        # completion events were created — batching replaces M per-packet
-        # events with one fused event created much earlier, which would
-        # otherwise flip seq-based tie-breaks. The engine assigns each
-        # interface a distinct priority (registration order) so tied
-        # completions resolve identically with batching on or off.
+        # Event priority for this interface's transmission chain. The
+        # engine assigns each interface a distinct priority above the
+        # default (registration order), so completions that tie at the
+        # same instant dispatch after every other event at that instant
+        # and then in interface registration order, not in the order
+        # their events happened to be created.
         self.tx_priority = 0
 
     # ------------------------------------------------------------------
@@ -210,149 +156,6 @@ class Interface:
         self._egress_filters.append(egress_filter)
 
     # ------------------------------------------------------------------
-    # Batched service quanta
-    # ------------------------------------------------------------------
-    def bind_batch_registry(self, registry: Dict[str, "Interface"]) -> None:
-        """Share the scheduler's ``flow_id -> Interface`` batch registry.
-
-        The engine wires every interface to the one registry owned by
-        the scheduler, which checks it (cheaply — an empty dict is
-        falsy) before any decision that could touch a batched flow.
-        """
-        self._batch_registry = registry
-
-    def stage_batch(
-        self,
-        flow: Flow,
-        extra: int,
-        forced_source: Callable[["Interface"], Optional[Packet]],
-    ) -> None:
-        """Stage a fused window for the packet the source just returned.
-
-        *extra* is the number of additional head-of-line packets of
-        *flow* (beyond the one being returned) whose service decisions
-        the scheduler has proven forced; *forced_source* replays one
-        such decision during materialization. Consumed (or silently
-        dropped, when tracing/egress filters demand per-packet events)
-        by the very next :meth:`_transmit`.
-        """
-        self._staged_batch = (flow, extra, forced_source)
-
-    def abort_batch(self) -> None:
-        """Fall back from a fused window to per-packet events. Idempotent.
-
-        Replays every step whose completion time has already passed,
-        cancels the fused event, and schedules a plain completion for
-        the packet currently on the link. The remaining planned packets
-        stay queued; whoever aborted may then reschedule them freely —
-        the observable history is identical to an unbatched run.
-        """
-        batch = self._batch
-        if batch is None:
-            return
-        self._batch = None
-        if self._batch_registry is not None:
-            self._batch_registry.pop(batch.flow.flow_id, None)
-        self.batches_aborted += 1
-        self._replay_through(batch, self._sim.now)
-        self._sim.cancel(batch.event)
-        self._sim.schedule(
-            batch.times[batch.next_step - 1],
-            self._complete,
-            batch.inflight,
-            priority=self.tx_priority,
-        )
-
-    def _begin_batch(self, first: Packet, flow: Flow, extra: int, forced_source) -> None:
-        rate = self._rate_bps
-        sizes = [first.size_bytes]
-        for packet in flow.queue:
-            if len(sizes) > extra:
-                break
-            sizes.append(packet.size_bytes)
-        if len(sizes) != extra + 1:
-            raise SimulationError(
-                f"interface {self.interface_id!r}: batch planned {extra} extra "
-                f"packets but flow {flow.flow_id!r} queues only {len(sizes) - 1}"
-            )
-        durations = [transmission_time(size, rate) for size in sizes]
-        times = []
-        t = self._sim.now
-        for duration in durations:
-            t += duration
-            times.append(t)
-        self._busy = True
-        self.busy_time += durations[0]
-        # One event at T_{M-1}; _batch_complete schedules the real
-        # _complete(P_M) from there so the final completion event is
-        # created at the same instant — and thus fires in the same
-        # tie-order — as in the unbatched run. The fused event stands in
-        # for the (M-1)-th per-packet completion, so it carries the same
-        # transmission-chain priority.
-        event = self._sim.schedule(
-            times[-2], self._batch_complete, priority=self.tx_priority
-        )
-        self._batch = _BatchState(flow, durations, times, first, event, forced_source)
-        if self._batch_registry is not None:
-            self._batch_registry[flow.flow_id] = self
-        self.batches_started += 1
-        self.packets_batched += len(sizes)
-
-    def _replay_through(self, batch: _BatchState, tau: float) -> None:
-        """Materialize every batched completion with ``T_k <= tau``.
-
-        Each step runs at its original timestamp under the simulator's
-        replay guard: counters, sent listeners and the forced pull of
-        the next packet all observe the clock the unbatched run would
-        have shown them. Scheduling inside a step would be a causality
-        bug — the plan predicate rules it out, and the simulator raises
-        if it ever happens anyway.
-        """
-        sim = self._sim
-        times = batch.times
-        durations = batch.durations
-        last_step = len(times) - 1
-        sim.begin_replay()
-        try:
-            while batch.next_step <= last_step and times[batch.next_step - 1] <= tau:
-                step = batch.next_step
-                sim.replay_at(times[step - 1])
-                packet = batch.inflight
-                self.bytes_sent += packet.size_bytes
-                self.packets_sent += 1
-                for listener in self._sent_listeners:
-                    listener(self, packet)
-                nxt = batch.forced_source(self)
-                if nxt is None:
-                    raise SimulationError(
-                        f"interface {self.interface_id!r}: forced decision for "
-                        f"flow {batch.flow.flow_id!r} step {step} returned no packet"
-                    )
-                batch.inflight = nxt
-                self.busy_time += durations[step]
-                batch.next_step = step + 1
-        finally:
-            sim.end_replay()
-
-    def _batch_complete(self) -> None:
-        """The fused event at ``T_{M-1}``: materialize, then hand off."""
-        batch = self._batch
-        self._batch = None
-        if batch is None:  # pragma: no cover - abort cancels the event
-            return
-        if self._batch_registry is not None:
-            self._batch_registry.pop(batch.flow.flow_id, None)
-        self._replay_through(batch, self._sim.now)
-        # The replay's final step pulled P_M and accounted its busy
-        # time; its completion becomes a real event again.
-        self._sim.call_later(
-            batch.durations[-1],
-            self._complete,
-            batch.inflight,
-            priority=self.tx_priority,
-        )
-
-    # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------
     @property
@@ -371,10 +174,6 @@ class Interface:
             raise ConfigurationError(
                 f"interface {self.interface_id!r}: rate must be positive, got {rate_bps}"
             )
-        # A fused window pre-computed its timings at the old rate; the
-        # packet on the link keeps them (in-flight packets complete at
-        # the rate they started with), later packets must not.
-        self.abort_batch()
         self._rate_bps = float(rate_bps)
         if self._trace is not None:
             self._trace.emit(
@@ -410,7 +209,6 @@ class Interface:
         """
         if not self._up:
             return
-        self.abort_batch()
         self._up = False
         self.down_count += 1
         self._down_since = self._sim.now
@@ -466,16 +264,6 @@ class Interface:
         self._transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
-        staged = self._staged_batch
-        if staged is not None:
-            self._staged_batch = None
-            # Tracing and egress filters need the per-packet event
-            # stream; a staged plan is simply declined when either is
-            # active (the engine already avoids staging in that case).
-            if self._trace is None and not self._egress_filters:
-                flow, extra, forced_source = staged
-                self._begin_batch(packet, flow, extra, forced_source)
-                return
         duration = transmission_time(packet.size_bytes, self._rate_bps)
         self._busy = True
         self.busy_time += duration
@@ -527,12 +315,8 @@ class Interface:
         ``_pulling`` is a within-event re-entrance guard and is always
         ``False`` at event boundaries, so it is not recorded. A ``busy``
         interface has a pending ``_complete`` event, restored by the
-        event-queue codec. An in-progress batch is aborted first —
-        aborting is observationally identical to never having batched,
-        so checkpoints never serialize batch state and restore works
-        the same on either event-queue backend.
+        event-queue codec.
         """
-        self.abort_batch()
         return {
             "interface_id": self.interface_id,
             "rate_bps": self._rate_bps,
@@ -559,15 +343,6 @@ class Interface:
                 f"snapshot is for interface {state['interface_id']!r}, "
                 f"not {self.interface_id!r}"
             )
-        # Any batch staged or started during construction belongs to the
-        # pre-restore history being discarded wholesale (its fused event
-        # is dropped with the rebuilt queue); snapshots themselves never
-        # contain batch state.
-        self._staged_batch = None
-        if self._batch is not None:
-            if self._batch_registry is not None:
-                self._batch_registry.pop(self._batch.flow.flow_id, None)
-            self._batch = None
         self._rate_bps = state["rate_bps"]
         self._busy = state["busy"]
         self._up = state["up"]

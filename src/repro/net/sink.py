@@ -152,14 +152,7 @@ class StatsCollector:
         )
 
     def _flush(self) -> None:
-        """Ingest every pending raw record into the query indexes.
-
-        Per-key sample order is completion order even under batched
-        quanta (a batch always materializes before any cross-interface
-        service of the same flow); the flat log may interleave keys
-        slightly out of global time order in that case, which the
-        per-key indexes tolerate by construction.
-        """
+        """Ingest every pending raw record into the query indexes."""
         pending = self._pending
         if not pending:
             return
@@ -219,9 +212,7 @@ class StatsCollector:
 
         Samples serialize as compact parallel records; the per-key
         indexes are derived data, rebuilt on restore by replaying the
-        log through the normal ingestion path (per-key time order is
-        guaranteed; the flat log may interleave keys under batching,
-        which ingestion tolerates).
+        log through the normal ingestion path.
         """
         self._flush()
         return {

@@ -136,9 +136,9 @@ class EngineInstrumentation:
             "Packets discarded by flow backlogs (queue overflow)",
             fn=lambda: sum(stats.drops_by_flow().values()),
         )
-        # Event-engine telemetry: backend identity, queue depth, lazy-
-        # cancel compactions and fused-quanta counters. All callback
-        # gauges over counters the hot path already maintains.
+        # Event-engine telemetry: queue depth and lazy-cancel
+        # compactions. Callback gauges over counters the hot path
+        # already maintains.
         sim = engine.sim
         registry.gauge(
             "sim.events_processed_total",
@@ -146,43 +146,14 @@ class EngineInstrumentation:
             fn=lambda: sim.events_processed,
         )
         registry.gauge(
-            f"sim.queue.{sim.queue_backend}.pending",
+            "sim.queue.heap.pending",
             "Events still queued (including lazily-cancelled ones)",
             fn=lambda: sim.pending_events,
         )
         registry.gauge(
-            f"sim.queue.{sim.queue_backend}.compactions_total",
+            "sim.queue.heap.compactions_total",
             "Event-queue compaction passes (lazy-cancel GC)",
             fn=lambda: sim.queue.compactions_total,
-        )
-        registry.gauge(
-            "engine.batching_enabled",
-            "1 while fused service quanta are active",
-            fn=lambda: 1.0 if engine.batching else 0.0,
-        )
-        registry.gauge(
-            "engine.batches_started_total",
-            "Fused transmission windows begun",
-            fn=lambda: sum(
-                interface.batches_started
-                for interface in engine.interfaces.values()
-            ),
-        )
-        registry.gauge(
-            "engine.batches_aborted_total",
-            "Fused windows that fell back to per-packet events",
-            fn=lambda: sum(
-                interface.batches_aborted
-                for interface in engine.interfaces.values()
-            ),
-        )
-        registry.gauge(
-            "engine.packets_batched_total",
-            "Packets whose service ran inside a fused window",
-            fn=lambda: sum(
-                interface.packets_batched
-                for interface in engine.interfaces.values()
-            ),
         )
         # Deadline-SLO and admission telemetry: counters the engine's
         # send-completion path already maintains, plus a miss-latency

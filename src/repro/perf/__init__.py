@@ -11,12 +11,10 @@ every PR can compare against the previous baseline.
 
 from .core_bench import (
     BENCH_SCHEMA_VERSION,
-    DEFAULT_CONFIGS,
     DEFAULT_FLOW_COUNTS,
     DEFAULT_INTERFACE_COUNTS,
     DEFAULT_TARGET_PACKETS,
     REGRESSION_THRESHOLD,
-    auto_select_batching,
     build_core_scenario,
     calibrate,
     check_regression,
@@ -50,7 +48,6 @@ from .obs_bench import (
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_CONFIGS",
     "DEFAULT_FLEET_DEVICES",
     "DEFAULT_FLEET_WORKERS",
     "DEFAULT_FLEET_WORKLOAD",
@@ -62,7 +59,6 @@ __all__ = [
     "OVERHEAD_BUDGET",
     "OVERHEAD_NOISE_CEILING",
     "REGRESSION_THRESHOLD",
-    "auto_select_batching",
     "build_core_scenario",
     "calibrate",
     "check_fleet_regression",

@@ -34,34 +34,19 @@ from ..core.runner import run_scenario
 from ..core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from ..errors import ConfigurationError
 from ..schedulers.midrr import MiDrrScheduler
-from ..sim.events import (
-    QUEUE_BACKENDS,
-    auto_select_backend,
-    benchmark_backends,
-)
+from ..sim.events import EventQueue
 from ..sim.randomness import RandomStreams
 from ..units import mbps
 
-#: Version stamp for the BENCH_core.json schema. Version 2 added the
-#: ``backend`` / ``batching`` cell dimensions (event-queue backend ×
-#: fused service quanta) and the top-level ``auto_backend`` field.
-#: Version 3 added the ``fleet`` section (devices × workers scaling
-#: cells, see :mod:`repro.perf.fleet_bench`), the ``auto_batching``
-#: record of per-cell calibration choices, and the ``pypy`` lane
-#: status; documents from versions ≤ 2 remain valid.
-BENCH_SCHEMA_VERSION = 3
+#: Version stamp for the BENCH_core.json schema: one cell per (flows,
+#: interfaces) coordinate plus the ``fleet`` section (devices × workers
+#: scaling cells, see :mod:`repro.perf.fleet_bench`). The validator
+#: accepts only this version.
+BENCH_SCHEMA_VERSION = 4
 
 #: The default grid: flow counts × interface counts.
 DEFAULT_FLOW_COUNTS = (10, 100, 1000)
 DEFAULT_INTERFACE_COUNTS = (2, 4, 8)
-
-#: The default configuration sweep: (queue backend, batching) pairs.
-DEFAULT_CONFIGS = (
-    ("heap", False),
-    ("heap", True),
-    ("calendar", False),
-    ("calendar", True),
-)
 
 #: Fractional packets/sec loss that fails a regression check.
 REGRESSION_THRESHOLD = 0.20
@@ -77,8 +62,6 @@ CELL_KEYS = frozenset(
     {
         "flows",
         "interfaces",
-        "backend",
-        "batching",
         "virtual_seconds",
         "events",
         "packets",
@@ -99,8 +82,6 @@ DOCUMENT_KEYS = frozenset(
         "quantum_base",
         "packet_size",
         "target_packets",
-        "auto_backend",
-        "auto_batching",
         "calibration_seconds",
         "platform",
         "grid",
@@ -119,10 +100,31 @@ def calibrate() -> float:
     regression gate must divide out before blaming the code. Best-of-3
     with the minimum: CPU-bound timing noise is one-sided.
     """
-    return min(
-        benchmark_backends(churn=32768, pending=512)["heap"]
-        for _ in range(3)
-    )
+    return min(_churn_seconds() for _ in range(3))
+
+
+def _noop() -> None:
+    """Callback body for the churn micro-benchmark."""
+
+
+def _churn_seconds(churn: int = 32768, pending: int = 512) -> float:
+    """Time a deterministic hold-and-churn workload on the event queue.
+
+    Keeps *pending* events queued and performs *churn* pop-push cycles
+    with slightly jittered (but deterministic) inter-event gaps — the
+    stationary regime of a packet simulation.
+    """
+    queue = EventQueue()
+    started = time.perf_counter()
+    now = 0.0
+    for i in range(pending):
+        queue.push(now + (i % 7) * 1.3e-4 + i * 1e-3, _noop)
+    for i in range(churn):
+        now = queue.pop().time
+        queue.push(now + pending * 1e-3 + (i % 11) * 7e-5, _noop)
+    while queue:
+        queue.pop()
+    return time.perf_counter() - started
 
 
 def build_core_scenario(
@@ -188,8 +190,6 @@ def run_cell(
     packet_size: int = 1500,
     quantum_base: int = 1500,
     instrument: bool = False,
-    backend: str = "heap",
-    batching: object = False,
 ) -> Dict[str, object]:
     """Run one grid cell and return its measurement row.
 
@@ -200,27 +200,7 @@ def run_cell(
     must not perturb scheduling: packet and decision counts are
     identical to the uninstrumented cell (the obs smoke test asserts
     this); only event counts grow by the snapshot ticks.
-
-    *backend* selects the event-queue implementation and *batching*
-    fuses forced service quanta into single events. Packet and decision
-    counts are invariant across all four combinations (scheduling
-    decisions are byte-identical — the equivalence tests pin this);
-    event counts shrink under batching because that is the whole point.
-
-    ``batching="auto"`` resolves per cell via
-    :func:`auto_select_batching`; the cell then records the resolved
-    bool plus ``"batching_auto": true`` so bench output distinguishes a
-    calibrated choice from an explicit flag.
     """
-    batching_was_auto = batching == "auto"
-    if batching_was_auto:
-        batching = auto_select_batching(
-            num_flows, num_interfaces, backend=backend, seed=seed
-        )
-    elif not isinstance(batching, bool):
-        raise ConfigurationError(
-            f"batching must be a bool or 'auto', got {batching!r}"
-        )
     scenario = build_core_scenario(
         num_flows,
         num_interfaces,
@@ -252,8 +232,6 @@ def run_cell(
         scenario,
         lambda: MiDrrScheduler(quantum_base=quantum_base),
         on_engine=on_engine,
-        queue_backend=backend,
-        batching=batching,
     )
     wall = time.perf_counter() - started
     packets = sum(
@@ -266,8 +244,6 @@ def run_cell(
     cell = {
         "flows": num_flows,
         "interfaces": num_interfaces,
-        "backend": result.sim.queue_backend,
-        "batching": batching,
         "virtual_seconds": round(scenario.duration, 6),
         "events": events,
         "packets": packets,
@@ -281,65 +257,7 @@ def run_cell(
         cell["telemetry_seconds"] = round(
             captured["snapshots"].telemetry_seconds, 6
         )
-    if batching_was_auto:
-        cell["batching_auto"] = True
     return cell
-
-
-#: Per-(flows, interfaces, backend) cache of calibrated batching
-#: choices — the calibration is wall-clock (two timed micro-cells), so
-#: one process must resolve each coordinate exactly once and reuse the
-#: answer. Mirrors ``repro.sim.events._AUTO_BACKEND``.
-_AUTO_BATCHING: Dict[tuple, bool] = {}
-
-#: Packets per timed micro-cell during batching calibration: small
-#: enough to stay under ~100 ms per probe, large enough that the
-#: batched/unbatched gap dominates startup noise.
-AUTO_BATCHING_TARGET_PACKETS = 1000
-
-
-def auto_select_batching(
-    num_flows: int,
-    num_interfaces: int,
-    backend: str = "heap",
-    seed: int = 0,
-    target_packets: int = AUTO_BATCHING_TARGET_PACKETS,
-) -> bool:
-    """Calibrate whether batching wins for this cell shape, per process.
-
-    The committed baselines show batching is *not* universally faster
-    (F=10, I=2 heap loses ~20% packets/s batched), so a global flag is
-    the wrong default. This probe times one small unbatched and one
-    batched cell (best of two each, minimum — CPU timing noise is
-    one-sided) for the given ``(flows, interfaces, backend)`` shape and
-    returns the winner, caching the choice for the process lifetime.
-
-    Callers that need cross-process or cross-run determinism (the
-    fleet coordinator) must resolve this once and pass the concrete
-    bool downstream: the choice depends on wall-clock measurement and
-    may legitimately differ between hosts or runs.
-    """
-    key = (num_flows, num_interfaces, backend)
-    cached = _AUTO_BATCHING.get(key)
-    if cached is not None:
-        return cached
-    timings = {}
-    for batching in (False, True):
-        best = float("inf")
-        for _ in range(2):
-            cell = run_cell(
-                num_flows,
-                num_interfaces,
-                seed=seed,
-                target_packets=target_packets,
-                backend=backend,
-                batching=batching,
-            )
-            best = min(best, float(cell["wall_seconds"]))
-        timings[batching] = best
-    choice = timings[True] < timings[False]
-    _AUTO_BATCHING[key] = choice
-    return choice
 
 
 def run_core_bench(
@@ -350,20 +268,10 @@ def run_core_bench(
     packet_size: int = 1500,
     quantum_base: int = 1500,
     progress: Optional[callable] = None,
-    configs: Sequence = DEFAULT_CONFIGS,
     fleet_device_counts: Sequence[int] = (),
     fleet_worker_counts: Sequence[int] = (),
 ) -> Dict[str, object]:
     """Run the full grid and return the BENCH_core document.
-
-    *configs* is the (backend, batching) sweep each (F, I) cell runs
-    under — :data:`DEFAULT_CONFIGS` covers the full 2×2 matrix so the
-    committed baseline lets any configuration be compared against any
-    other; a config may use ``batching="auto"`` to take the calibrated
-    per-cell choice. ``auto_backend`` records what the push/pop
-    microbenchmark (:func:`repro.sim.events.auto_select_backend`)
-    picks on this machine; ``auto_batching`` records every calibrated
-    batching resolution made while building the document.
 
     When both *fleet_device_counts* and *fleet_worker_counts* are
     non-empty, the document's ``fleet`` section carries the devices ×
@@ -372,31 +280,18 @@ def run_core_bench(
     grid: List[Dict[str, object]] = []
     for num_flows in flow_counts:
         for num_interfaces in interface_counts:
-            for backend, batching in configs:
-                if progress is not None:
-                    progress(
-                        f"bench core: F={num_flows} I={num_interfaces} "
-                        f"{backend}{'+batch' if batching else ''} ..."
-                    )
-                grid.append(
-                    run_cell(
-                        num_flows,
-                        num_interfaces,
-                        seed=seed,
-                        target_packets=target_packets,
-                        packet_size=packet_size,
-                        quantum_base=quantum_base,
-                        backend=backend,
-                        batching=batching,
-                    )
+            if progress is not None:
+                progress(f"bench core: F={num_flows} I={num_interfaces} ...")
+            grid.append(
+                run_cell(
+                    num_flows,
+                    num_interfaces,
+                    seed=seed,
+                    target_packets=target_packets,
+                    packet_size=packet_size,
+                    quantum_base=quantum_base,
                 )
-    auto_batching = {
-        f"F{cell['flows']}xI{cell['interfaces']}:{cell['backend']}": cell[
-            "batching"
-        ]
-        for cell in grid
-        if cell.get("batching_auto")
-    }
+            )
     fleet: List[Dict[str, object]] = []
     if fleet_device_counts and fleet_worker_counts:
         # Imported lazily: the fleet bench pulls in the whole fleet
@@ -416,8 +311,6 @@ def run_core_bench(
         "quantum_base": quantum_base,
         "packet_size": packet_size,
         "target_packets": target_packets,
-        "auto_backend": auto_select_backend(),
-        "auto_batching": auto_batching,
         "calibration_seconds": round(calibrate(), 6),
         "platform": {
             "python": platform.python_version(),
@@ -439,22 +332,14 @@ def validate_bench_document(document: Dict[str, object]) -> List[str]:
     problems: List[str] = []
     if not isinstance(document, dict):
         return ["document is not a JSON object"]
-    # Older schemas stay valid: schema 1 predates the backend/batching
-    # dimensions (its documents read as an implicit (heap, unbatched)
-    # sweep); schemas ≤ 2 predate the fleet section and the
-    # auto-batching record.
-    version = document.get("schema_version")
-    legacy = version == 1
-    pre_fleet = isinstance(version, int) and version <= 2
-    required_doc = DOCUMENT_KEYS - (
-        {"auto_backend", "calibration_seconds"} if legacy else set()
-    )
-    if pre_fleet:
-        required_doc = required_doc - {"auto_batching", "fleet"}
-    required_cell = CELL_KEYS - ({"backend", "batching"} if legacy else set())
-    missing = required_doc - set(document)
+    missing = DOCUMENT_KEYS - set(document)
     if missing:
         problems.append(f"missing top-level keys: {sorted(missing)}")
+    version = document.get("schema_version")
+    if version != BENCH_SCHEMA_VERSION:
+        problems.append(
+            f"schema_version must be {BENCH_SCHEMA_VERSION}, got {version!r}"
+        )
     if not isinstance(document.get("seed"), int):
         problems.append("seed must be an integer")
     if document.get("name") != "core":
@@ -472,16 +357,10 @@ def validate_bench_document(document: Dict[str, object]) -> List[str]:
         if not isinstance(cell, dict):
             problems.append(f"grid[{index}] is not an object")
             continue
-        missing = required_cell - set(cell)
+        missing = CELL_KEYS - set(cell)
         if missing:
             problems.append(f"grid[{index}] missing keys: {sorted(missing)}")
             continue
-        if cell.get("backend", "heap") not in QUEUE_BACKENDS:
-            problems.append(
-                f"grid[{index}] has unknown backend {cell.get('backend')!r}"
-            )
-        if not isinstance(cell.get("batching", False), bool):
-            problems.append(f"grid[{index}] batching must be a boolean")
         if cell["packets"] <= 0:
             problems.append(f"grid[{index}] transmitted no packets")
         if cell["packets_per_sec"] <= 0 or cell["events_per_sec"] <= 0:
@@ -500,21 +379,16 @@ def find_cell(
     document: Dict[str, object],
     flows: int,
     interfaces: int,
-    backend: str = "heap",
-    batching: bool = False,
 ) -> Optional[Dict[str, object]]:
-    """The grid cell matching the given coordinates, or ``None``.
-
-    Schema-1 documents carry no backend/batching fields; their cells
-    match only the ``("heap", False)`` coordinate (that is what they
-    measured).
-    """
-    for cell in document.get("grid", ()):
+    """The grid cell matching the given coordinates, or ``None``."""
+    grid = document.get("grid")
+    if not isinstance(grid, list):
+        return None
+    for cell in grid:
         if (
-            cell.get("flows") == flows
+            isinstance(cell, dict)
+            and cell.get("flows") == flows
             and cell.get("interfaces") == interfaces
-            and cell.get("backend", "heap") == backend
-            and bool(cell.get("batching", False)) == batching
         ):
             return cell
     return None
@@ -530,11 +404,8 @@ def check_regression(
 ) -> List[str]:
     """Compare like-for-like packets/sec against a committed baseline.
 
-    Returns a list of human-readable failures; empty means no cell
-    regressed more than *threshold* (fractional). Only coordinates
-    present in **both** documents are compared — a schema-1 baseline
-    therefore gates the ``(heap, unbatched)`` configuration only, so
-    the check stays meaningful across the schema bump. Wall-clock
+    Returns a list of human-readable failures; empty means the cell
+    did not regress more than *threshold* (fractional). Wall-clock
     numbers are machine-dependent: this is a tripwire against gross
     hot-path regressions, not a precision benchmark, hence the generous
     threshold and the single (largest) gated cell.
@@ -546,33 +417,25 @@ def check_regression(
     away still fails it — hence the env-var escape documented on
     ``bench smoke``.
     """
-    problems: List[str] = []
-    compared = 0
     load_factor = max(load_factor, 1.0)
-    for backend in QUEUE_BACKENDS:
-        for batching in (False, True):
-            base = find_cell(baseline, flows, interfaces, backend, batching)
-            cur = find_cell(current, flows, interfaces, backend, batching)
-            if base is None or cur is None:
-                continue
-            compared += 1
-            base_pps = float(base["packets_per_sec"])
-            cur_pps = float(cur["packets_per_sec"])
-            floor = base_pps * (1.0 - threshold) / load_factor
-            if cur_pps < floor:
-                problems.append(
-                    f"F={flows} I={interfaces} {backend}"
-                    f"{'+batch' if batching else ''}: "
-                    f"{cur_pps:,.1f} packets/s is below the floor "
-                    f"{floor:,.1f} (baseline {base_pps:,.1f}, threshold "
-                    f"{threshold:.0%}, load factor {load_factor:.2f})"
-                )
-    if not compared:
-        problems.append(
+    base = find_cell(baseline, flows, interfaces)
+    cur = find_cell(current, flows, interfaces)
+    if base is None or cur is None:
+        return [
             f"no comparable F={flows} I={interfaces} cells between the "
             "current run and the baseline document"
-        )
-    return problems
+        ]
+    base_pps = float(base["packets_per_sec"])
+    cur_pps = float(cur["packets_per_sec"])
+    floor = base_pps * (1.0 - threshold) / load_factor
+    if cur_pps < floor:
+        return [
+            f"F={flows} I={interfaces}: "
+            f"{cur_pps:,.1f} packets/s is below the floor "
+            f"{floor:,.1f} (baseline {base_pps:,.1f}, threshold "
+            f"{threshold:.0%}, load factor {load_factor:.2f})"
+        ]
+    return []
 
 
 def write_bench_document(document: Dict[str, object], path: str) -> None:
@@ -595,8 +458,6 @@ def render_bench_table(document: Dict[str, object]) -> str:
         [
             cell["flows"],
             cell["interfaces"],
-            cell.get("backend", "heap"),
-            "on" if cell.get("batching", False) else "off",
             cell["packets"],
             f"{cell['wall_seconds']:.3f}",
             f"{cell['events_per_sec']:,.0f}",
@@ -609,8 +470,6 @@ def render_bench_table(document: Dict[str, object]) -> str:
         [
             "flows",
             "ifaces",
-            "backend",
-            "batch",
             "packets",
             "wall s",
             "events/s",

@@ -61,8 +61,6 @@ def run_fleet_cell(
     seed: int = 0,
     workload: Optional[DeviceWorkload] = None,
     executor: str = "process",
-    backend: str = "heap",
-    batching: bool = False,
 ) -> Dict[str, object]:
     """Run one devices × workers cell and return its measurement row."""
     report = run_fleet(
@@ -71,8 +69,6 @@ def run_fleet_cell(
         fleet_seed=seed,
         workers=workers,
         executor=executor,
-        backend=backend,
-        batching=batching,
     )
     wall = max(float(report["run"]["wall_seconds"]), 1e-9)
     return {

@@ -30,7 +30,7 @@ import gc
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from .core_bench import run_cell
+from .core_bench import find_cell, run_cell
 
 #: Default cell for the overhead comparison — the scale PR 2 unlocked.
 DEFAULT_OVERHEAD_FLOWS = 1000
@@ -161,25 +161,8 @@ def run_metrics_overhead(
 def committed_baseline_cell(
     document: Dict[str, object], num_flows: int, num_interfaces: int
 ) -> Optional[Dict[str, object]]:
-    """The matching grid cell from a committed BENCH_core document.
-
-    The overhead bench runs bare (heap backend, no batching), so only
-    that configuration's cell is comparable; schema-1 documents carry
-    no backend/batching fields and match implicitly.
-    """
-    grid = document.get("grid")
-    if not isinstance(grid, list):
-        return None
-    for cell in grid:
-        if (
-            isinstance(cell, dict)
-            and cell.get("flows") == num_flows
-            and cell.get("interfaces") == num_interfaces
-            and cell.get("backend", "heap") == "heap"
-            and not cell.get("batching", False)
-        ):
-            return cell
-    return None
+    """The matching grid cell from a committed BENCH_core document."""
+    return find_cell(document, num_flows, num_interfaces)
 
 
 def render_overhead_table(

@@ -83,16 +83,12 @@ class RecoverableScenarioRun:
         scenario: Scenario,
         scheduler_factory: SchedulerFactory,
         extras: Optional[Callable[["RecoverableScenarioRun"], None]] = None,
-        queue_backend: str = "heap",
-        batching: bool = False,
     ) -> None:
         self.scenario = scenario
-        self.queue_backend = queue_backend
-        self.batching = batching
-        self.sim = Simulator(queue_backend=queue_backend)
+        self.sim = Simulator()
         self.streams = RandomStreams(scenario.seed)
         self.scheduler = scheduler_factory()
-        self.engine = SchedulingEngine(self.sim, self.scheduler, batching=batching)
+        self.engine = SchedulingEngine(self.sim, self.scheduler)
         self.context = CheckpointContext()
         self.completions: Dict[str, float] = {}
         self.trace = DecisionTraceRecorder(self.engine)
@@ -279,8 +275,6 @@ class RecoverableScenarioRun:
         state: Dict[str, Any],
         scheduler_factory: SchedulerFactory,
         extras: Optional[Callable[["RecoverableScenarioRun"], None]] = None,
-        queue_backend: str = "heap",
-        batching: bool = False,
     ) -> "RecoverableScenarioRun":
         """Rebuild a run from a :meth:`checkpoint` snapshot.
 
@@ -294,17 +288,7 @@ class RecoverableScenarioRun:
         """
         try:
             scenario = Scenario.from_dict(state["scenario"])
-            # Checkpoints are backend- and batching-agnostic (batches
-            # are aborted before every snapshot), so the restored run
-            # may use any combination — including a different one than
-            # the process that wrote the snapshot.
-            run = cls(
-                scenario,
-                scheduler_factory,
-                extras=extras,
-                queue_backend=queue_backend,
-                batching=batching,
-            )
+            run = cls(scenario, scheduler_factory, extras=extras)
             restore_packet_seq(state["packet_seq"])
             run.streams.restore_state(state["streams"])
             run.sim.restore_clock(

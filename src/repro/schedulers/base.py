@@ -149,13 +149,6 @@ class MultiInterfaceScheduler(ABC):
         # notification — can never serve a stale set.
         self._topology_version = 0
         self._willing_cache: Dict[str, Tuple[Tuple[int, int], Tuple[str, ...]]] = {}
-        # Batched-quanta registry: flow_id -> the Interface currently
-        # holding a fused transmission window for that flow. Shared by
-        # reference with every interface (the engine wires it up), so
-        # scheduler decision paths can abort a batch the instant a
-        # foreign interaction would read state the batch defers. Empty
-        # — and one falsy test per decision — when batching is off.
-        self.batched_flows: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -217,13 +210,6 @@ class MultiInterfaceScheduler(ABC):
 
     def remove_flow(self, flow_id: str) -> None:
         """Stop scheduling *flow_id*."""
-        # Backstop for callers that bypass the engine: a removed flow
-        # must not keep a fused transmission window (the engine aborts
-        # earlier, while its own tables still resolve the flow).
-        if self.batched_flows:
-            owner = self.batched_flows.get(flow_id)
-            if owner is not None:
-                owner.abort_batch()
         flow = self._flows.pop(flow_id, None)
         if flow is not None:
             self._willing_cache.pop(flow_id, None)

@@ -259,12 +259,6 @@ class EdfScheduler(MultiInterfaceScheduler):
         self.decision_flows_examined.append(examined)
         if best_flow is None:
             return None
-        # A foreign fused window defers this flow's pulls; materialize
-        # it before reading the queue (no-op when batching is off).
-        if self.batched_flows:
-            owner = self.batched_flows.get(best_flow.flow_id)
-            if owner is not None and owner.interface_id != interface_id:
-                owner.abort_batch()
         packet = best_flow.pull()
         if not best_flow.backlogged:
             self._deactivate(best_flow.flow_id)

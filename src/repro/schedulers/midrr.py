@@ -353,16 +353,6 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         # resumed flow was served immediately, so a decision that found
         # it drained and moved on under-counted by one.)
         examined = 1 if state.turn_open else 0
-        # A resumed turn may read (and pull from) a flow whose future
-        # service is fused into a batch on another interface; the batch
-        # must fall back to per-packet history first so this decision
-        # sees the queue and deficit state the unbatched run would.
-        # (batched_flows is empty — and the check one falsy test —
-        # whenever batching is off.)
-        if self.batched_flows and state.turn_open and state.current is not None:
-            owner = self.batched_flows.get(state.current)
-            if owner is not None and owner.interface_id != interface_id:
-                owner.abort_batch()
         deficits = self._deficit
         # Outer loop: service turns. Each iteration either transmits a
         # packet or closes a turn; deficits grow monotonically across
@@ -422,79 +412,6 @@ class MiDrrScheduler(MultiInterfaceScheduler):
             # Quantum spent: the turn ends, deficit carries over.
             state.current = None
             state.turn_open = False
-
-    # ------------------------------------------------------------------
-    # Batched service quanta
-    # ------------------------------------------------------------------
-    def plan_batch(self, interface_id: str) -> Optional[Tuple[Flow, int]]:
-        """How much of the just-served flow's turn is already decided?
-
-        Called by the engine immediately after :meth:`select` returned
-        a packet for *interface_id*. Returns ``(flow, extra)`` when the
-        next *extra* head-of-line packets of the still-open turn are
-        **forced**: select would serve them unconditionally, because a
-        resumed turn only checks liveness, willingness and the deficit
-        — never service flags — and every interaction that could change
-        those inputs (preference change, rate change, outage, a foreign
-        decision touching the flow, flow removal, checkpoint) aborts
-        the batch first. Returns ``None`` when nothing is provably
-        forced.
-
-        The plan stops one packet short of the backlog (``extra <=
-        len(queue) - 1``) so the queue never empties while the batch
-        replays: refill sources then never trigger an empty->backlogged
-        activation — the only packet-arrival path that schedules — at
-        a rewound clock. ``flag_on="packet"`` is excluded because each
-        replayed packet would mutate foreign-visible flags with
-        tie-orderings a fused event cannot reproduce; ``"turn"`` sets
-        flags only at the grant, which has already happened.
-        """
-        if self._flag_on != "turn":
-            return None
-        state = self._states.get(interface_id)
-        if state is None or not state.turn_open or state.current is None:
-            return None
-        flow = self._flows.get(state.current)
-        if flow is None or not flow.backlogged:
-            return None
-        budget = self._deficit.get(self._deficit_key(flow.flow_id, interface_id), 0.0)
-        limit = len(flow.queue) - 1
-        if limit < 1:
-            return None
-        extra = 0
-        for packet in flow.queue:
-            size = packet.size_bytes
-            if extra >= limit or size > budget:
-                break
-            # Mirror select's float arithmetic exactly: the replayed
-            # deficit subtractions must reproduce these comparisons.
-            budget -= size
-            extra += 1
-        if extra < 1:
-            return None
-        return flow, extra
-
-    def forced_resume(self, interface_id: str) -> Optional[Packet]:
-        """Replay one planned resumed-turn decision without the scan.
-
-        Semantically identical to :meth:`select` on the resumed-turn
-        serve path for a decision :meth:`plan_batch` proved forced —
-        one flow considered, deficit decremented by the head size, head
-        pulled — minus the checks the plan already discharged. The
-        engine substitutes :meth:`select` itself whenever a decision
-        probe is installed, so traces and instrumentation always see
-        the full path.
-        """
-        state = self._states[interface_id]
-        flow = self._flows[state.current]
-        key = self._deficit_key(flow.flow_id, interface_id)
-        head_size = flow.queue.head_size()
-        self._deficit[key] -= head_size
-        packet = flow.pull()
-        if not flow.backlogged:
-            self._deactivate(flow.flow_id, interface_id)
-        self.decision_flows_examined.append(1)
-        return packet
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -606,14 +523,5 @@ class MiDrrScheduler(MultiInterfaceScheduler):
                     self._pending_flags_count -= 1
                 self.flags_cleared_total += 1
                 continue
-            # About to hand this flow the turn: if its future service is
-            # batched on another interface, materialize that history
-            # first (the skip path above needs no abort — rule-1 flags
-            # are set at turn grant, before any batch starts, so the
-            # flag state a skip reads is already batch-independent).
-            if self.batched_flows:
-                owner = self.batched_flows.get(flow_id)
-                if owner is not None and owner.interface_id != interface_id:
-                    owner.abort_batch()
             return flow_id, examined
         return None, examined

@@ -155,7 +155,7 @@ class QAwareScheduler(MultiInterfaceScheduler):
                 continue
             examined += 1
             self.decision_flows_examined.append(examined)
-            return self._serve(flow, interface_id)
+            return self._serve(flow)
         # Own line empty: steal the first willing backlogged flow
         # assigned to another interface (work conservation).
         for flow_id, assigned_to in list(self._assignment.items()):
@@ -172,17 +172,11 @@ class QAwareScheduler(MultiInterfaceScheduler):
             line[flow_id] = None
             self.steals_total += 1
             self.decision_flows_examined.append(examined)
-            return self._serve(flow, interface_id)
+            return self._serve(flow)
         self.decision_flows_examined.append(examined)
         return None
 
-    def _serve(self, flow: Flow, interface_id: str) -> Packet:
-        # A foreign fused window defers this flow's pulls; materialize
-        # it before reading the queue (no-op when batching is off).
-        if self.batched_flows:
-            owner = self.batched_flows.get(flow.flow_id)
-            if owner is not None and owner.interface_id != interface_id:
-                owner.abort_batch()
+    def _serve(self, flow: Flow) -> Packet:
         packet = flow.pull()
         if not flow.backlogged:
             self._unassign(flow.flow_id)

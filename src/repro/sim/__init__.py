@@ -4,25 +4,12 @@ Public surface:
 
 * :class:`Simulator` — virtual clock + event loop
 * :class:`Event`, :class:`EventQueue` — scheduling primitives
-* :class:`CalendarEventQueue`, :func:`make_event_queue` — alternative
-  queue backend and the backend factory (``"heap"``/``"calendar"``/
-  ``"auto"``)
 * :class:`Timer`, :class:`PeriodicProcess` — common patterns
 * :class:`RandomStreams` — named, seeded RNG streams
 * :class:`TraceLog`, :class:`TraceRecord` — structured tracing
 """
 
-from .events import (
-    DEFAULT_PRIORITY,
-    QUEUE_BACKENDS,
-    CalendarEventQueue,
-    Event,
-    EventQueue,
-    HeapEventQueue,
-    auto_select_backend,
-    benchmark_backends,
-    make_event_queue,
-)
+from .events import DEFAULT_PRIORITY, Event, EventQueue
 from .process import PeriodicProcess, Timer
 from .randomness import RandomStreams, derive_seed
 from .simulator import Simulator
@@ -30,14 +17,8 @@ from .tracing import TraceLog, TraceRecord
 
 __all__ = [
     "DEFAULT_PRIORITY",
-    "QUEUE_BACKENDS",
-    "CalendarEventQueue",
     "Event",
     "EventQueue",
-    "HeapEventQueue",
-    "auto_select_backend",
-    "benchmark_backends",
-    "make_event_queue",
     "PeriodicProcess",
     "RandomStreams",
     "Simulator",

@@ -1,20 +1,9 @@
 """Event and event-queue primitives for the discrete-event simulator.
 
-Two interchangeable queue backends implement one contract (the
-``EventQueue`` API): a binary heap ordered by ``(time, priority,
-sequence)`` — the reference implementation — and a calendar (bucket)
-queue that exploits the near-uniform timestamp distributions a DES
-produces for O(1) amortized push/pop. The monotonically increasing
-sequence number guarantees FIFO order for events scheduled at the same
-instant with the same priority, which makes simulations deterministic
-regardless of backend-internal ordering, and both backends produce the
-identical pop sequence for the identical push/cancel sequence.
-
-Backends are chosen by name through :func:`make_event_queue`
-(``"heap"``, ``"calendar"``, or ``"auto"``, which picks the winner of a
-small deterministic churn micro-benchmark on this host, cached per
-process). ``bench core`` sweeps the same dimension so the committed
-baselines record how each backend behaves on real workloads.
+The :class:`EventQueue` is a binary heap ordered by ``(time, priority,
+sequence)``. The monotonically increasing sequence number guarantees
+FIFO order for events scheduled at the same instant with the same
+priority, which makes simulations deterministic.
 
 Hot-path notes
 --------------
@@ -27,7 +16,7 @@ a single scan over cancelled heads.
 
 Cancelled events are *lazily* discarded when they surface during a pop
 or peek; ``cancel`` additionally counts live cancellations and compacts
-the backend in O(n) once more than half of it is dead, so a workload
+the heap in O(n) once more than half of it is dead, so a workload
 that cancels most of what it schedules (e.g. transport timeouts that
 almost never fire) cannot grow the queue without bound. Queue-counted
 cancellations are flagged on the event (``qcancelled``) so the lazy
@@ -40,20 +29,16 @@ triggers spurious O(n) compactions (the accounting bug pinned by
 from __future__ import annotations
 
 import heapq
-import time as _time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 
 #: Default event priority. Lower numbers fire first at equal timestamps.
 DEFAULT_PRIORITY = 0
 
-#: Compaction threshold: rebuild the backend when it holds more than
+#: Compaction threshold: rebuild the heap when it holds more than
 #: this many queue-cancelled events *and* they outnumber the live ones.
 _COMPACTION_MIN = 64
-
-#: Backend names accepted by :func:`make_event_queue`.
-QUEUE_BACKENDS = ("heap", "calendar")
 
 
 class Event:
@@ -109,7 +94,7 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when popped.
 
-        Cancellation is O(1); the event stays in the backend until its
+        Cancellation is O(1); the event stays in the heap until its
         timestamp is reached and is then discarded. Prefer
         :meth:`EventQueue.cancel` when the owning queue is at hand —
         it additionally lets the queue compact away dead entries.
@@ -122,16 +107,9 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic min-heap of :class:`Event` objects.
-
-    The reference backend: O(log n) push/pop, unconditionally correct
-    for any timestamp distribution. ``backend_name`` identifies it in
-    bench documents and telemetry.
-    """
+    """Deterministic min-heap of :class:`Event` objects."""
 
     __slots__ = ("_heap", "_seq", "_cancelled_count", "compactions_total")
-
-    backend_name = "heap"
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
@@ -284,346 +262,3 @@ class EventQueue:
         heapq.heapify(self._heap)
         self._seq = next_seq
         self._cancelled_count = 0
-
-
-#: The heap backend under its explicit name (``EventQueue`` remains the
-#: historical alias most call sites construct directly).
-HeapEventQueue = EventQueue
-
-
-class CalendarEventQueue:
-    """A calendar (bucket) queue with dynamic bucket-width resizing.
-
-    Timestamps hash into ``nbuckets`` circular day-buckets of ``width``
-    virtual seconds each; a cursor walks the current "year" so a pop
-    inspects O(1) buckets when the width matches the event density.
-    The width and bucket count are re-derived from the live population
-    whenever it doubles or quarters (the classic Brown policy:
-    ``width ≈ 3 × span / n``, ``nbuckets ≈ n``), so the structure
-    adapts as a run grows or drains.
-
-    Ordering is the same ``(time, priority, seq)`` total order as the
-    heap backend — within a bucket the minimum is selected by the full
-    triple, and equal-time events always share a bucket — so the two
-    backends are pop-for-pop interchangeable. Cancelled entries are
-    discarded lazily when their bucket is scanned, with the same
-    counted-cancellation + compaction semantics as the heap.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_nbuckets",
-        "_width",
-        "_cur",
-        "_size",
-        "_seq",
-        "_cancelled_count",
-        "compactions_total",
-    )
-
-    backend_name = "calendar"
-
-    _MIN_BUCKETS = 8
-
-    def __init__(self, width: float = 1e-3, nbuckets: int = _MIN_BUCKETS) -> None:
-        if width <= 0:
-            raise ConfigurationError(f"bucket width must be positive, got {width}")
-        if nbuckets < 1:
-            raise ConfigurationError(f"nbuckets must be positive, got {nbuckets}")
-        self._nbuckets = nbuckets
-        self._width = width
-        self._buckets: List[List[Event]] = [[] for _ in range(nbuckets)]
-        # Virtual (unwrapped) bucket number of the current pop frontier.
-        self._cur = 0
-        # Total entries across buckets, including not-yet-discarded
-        # cancelled ones (mirrors len(heap) for the heap backend).
-        self._size = 0
-        self._seq = 0
-        self._cancelled_count = 0
-        self.compactions_total = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _insert(self, event: Event) -> None:
-        vbucket = int(event.time / self._width)
-        if vbucket < self._cur:
-            # An insert behind the pop frontier (possible only through
-            # direct queue use — the simulator never schedules into the
-            # past): rewind the cursor so the scan revisits it.
-            self._cur = vbucket
-        self._buckets[vbucket % self._nbuckets].append(event)
-        self._size += 1
-
-    def _prune(self, bucket: List[Event]) -> None:
-        """Discard cancelled entries from one bucket in place."""
-        live = [event for event in bucket if not event.cancelled]
-        removed = len(bucket) - len(live)
-        if removed:
-            for event in bucket:
-                if event.qcancelled:
-                    event.qcancelled = False
-                    self._cancelled_count -= 1
-            self._size -= removed
-            bucket[:] = live
-
-    def _resize(self, nbuckets: int) -> None:
-        events = [e for bucket in self._buckets for e in bucket if not e.cancelled]
-        self._size = len(events)
-        self._cancelled_count = 0
-        self._nbuckets = max(self._MIN_BUCKETS, nbuckets)
-        if len(events) >= 2:
-            low = min(event.time for event in events)
-            high = max(event.time for event in events)
-            span = high - low
-            if span > 0:
-                # Brown's rule of thumb: a bucket should hold ~1/3 of
-                # the local event density so a pop scans O(1) entries.
-                self._width = 3.0 * span / len(events)
-        self._buckets = [[] for _ in range(self._nbuckets)]
-        if events:
-            frontier = min(int(event.time / self._width) for event in events)
-            self._cur = min(self._cur, frontier)
-        for event in events:
-            self._buckets[int(event.time / self._width) % self._nbuckets].append(event)
-
-    def _locate_min(self) -> Optional[Event]:
-        """The minimum live event (left in place), pruning as it scans.
-
-        Advances the cursor to the found event's virtual bucket. All
-        queued events sit at or after the cursor's bucket (pops move it
-        forward only past drained buckets; inserts rewind it), so one
-        year of buckets plus a global fallback finds the minimum.
-        """
-        while True:
-            if self._size == 0:
-                return None
-            nbuckets = self._nbuckets
-            width = self._width
-            cur = self._cur
-            for step in range(nbuckets):
-                vbucket = cur + step
-                bucket = self._buckets[vbucket % nbuckets]
-                if not bucket:
-                    continue
-                self._prune(bucket)
-                if not bucket:
-                    continue
-                # An event belongs to this scan position iff its home
-                # virtual bucket — int(time / width), the exact mapping
-                # _insert and _resize use — equals vbucket. Comparing
-                # against a recomputed boundary ((vbucket + 1) * width)
-                # is NOT equivalent under floats: time / width can
-                # round below vbucket + 1 while (vbucket + 1) * width
-                # rounds to <= time, silently deferring the event a
-                # full year and breaking total pop order.
-                best: Optional[Event] = None
-                for event in bucket:
-                    if int(event.time / width) == vbucket and (
-                        best is None or event < best
-                    ):
-                        best = event
-                if best is not None:
-                    self._cur = vbucket
-                    return best
-            # Nothing within a year of the cursor: the population is
-            # sparse relative to the year span. Fall back to a global
-            # scan and jump the cursor to the true frontier.
-            best = None
-            for bucket in self._buckets:
-                self._prune(bucket)
-                for event in bucket:
-                    if best is None or event < best:
-                        best = event
-            if best is None:
-                # Everything scanned away as cancelled; loop re-checks.
-                continue
-            self._cur = int(best.time / width)
-            return best
-
-    def _remove(self, event: Event) -> None:
-        bucket = self._buckets[int(event.time / self._width) % self._nbuckets]
-        bucket.remove(event)
-        self._size -= 1
-        if self._size < self._nbuckets // 2 and self._nbuckets > self._MIN_BUCKETS:
-            self._resize(self._nbuckets // 2)
-
-    # ------------------------------------------------------------------
-    # EventQueue contract
-    # ------------------------------------------------------------------
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = DEFAULT_PRIORITY,
-    ) -> Event:
-        """Schedule *callback* at absolute *time* and return the event."""
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args)
-        self._insert(event)
-        if self._size > 2 * self._nbuckets:
-            self._resize(2 * self._nbuckets)
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel *event*; compact once dead entries dominate.
-
-        Same precondition as the heap backend: *event* must still be
-        pending, never already popped.
-        """
-        if event.cancelled:
-            return
-        event.cancelled = True
-        event.qcancelled = True
-        self._cancelled_count += 1
-        if (
-            self._cancelled_count >= _COMPACTION_MIN
-            and self._cancelled_count * 2 > self._size
-        ):
-            self.compact()
-
-    def compact(self) -> int:
-        """Drop every cancelled event; returns the count removed."""
-        before = self._size
-        for bucket in self._buckets:
-            self._prune(bucket)
-        removed = before - self._size
-        # _prune only decrements the counter for queue-cancelled
-        # entries; direct Event.cancel() discards bring it to zero too.
-        self._cancelled_count = 0
-        self.compactions_total += 1
-        return removed
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if empty."""
-        event = self._locate_min()
-        return None if event is None else event.time
-
-    def pop(self) -> Event:
-        """Remove and return the next live event."""
-        event = self._locate_min()
-        if event is None:
-            raise SimulationError("pop() from an empty event queue")
-        self._remove(event)
-        return event
-
-    def pop_ready(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the next live event with ``time <= until`` in one pass."""
-        event = self._locate_min()
-        if event is None:
-            return None
-        if until is not None and event.time > until:
-            return None
-        self._remove(event)
-        return event
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._buckets = [[] for _ in range(self._nbuckets)]
-        self._size = 0
-        self._cancelled_count = 0
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next :meth:`push` will assign."""
-        return self._seq
-
-    def live_events(self) -> List[Event]:
-        """Pending non-cancelled events in firing order."""
-        return sorted(
-            event
-            for bucket in self._buckets
-            for event in bucket
-            if not event.cancelled
-        )
-
-    def restore(self, events: List[Event], next_seq: int) -> None:
-        """Replace the queue contents with pre-built events.
-
-        Bucket geometry is re-derived from the restored population; the
-        events keep their original ``(time, priority, seq)`` triples so
-        the pop order — and every future tie-break via *next_seq* — is
-        byte-identical to the snapshotted run on either backend.
-        """
-        self._buckets = [[] for _ in range(self._nbuckets)]
-        self._size = 0
-        self._cancelled_count = 0
-        self._seq = next_seq
-        self._cur = 0
-        if events:
-            self._cur = min(int(event.time / self._width) for event in events)
-        for event in events:
-            self._insert(event)
-        if self._size > 2 * self._nbuckets:
-            self._resize(2 * self._nbuckets)
-
-
-def _bench_noop() -> None:
-    """Callback body for the backend micro-benchmark."""
-
-
-def benchmark_backends(churn: int = 4096, pending: int = 256) -> Dict[str, float]:
-    """Time a deterministic hold-and-churn workload on each backend.
-
-    The workload keeps *pending* events queued and performs *churn*
-    pop-push cycles with slightly jittered (but deterministic) inter-
-    event gaps — the stationary regime of a packet simulation. Returns
-    ``{backend_name: seconds}``.
-    """
-    results: Dict[str, float] = {}
-    for name in QUEUE_BACKENDS:
-        queue = make_event_queue(name)
-        started = _time.perf_counter()
-        now = 0.0
-        for i in range(pending):
-            queue.push(now + (i % 7) * 1.3e-4 + i * 1e-3, _bench_noop)
-        for i in range(churn):
-            event = queue.pop()
-            now = event.time
-            queue.push(now + pending * 1e-3 + (i % 11) * 7e-5, _bench_noop)
-        while queue:
-            queue.pop()
-        results[name] = _time.perf_counter() - started
-    return results
-
-
-_AUTO_BACKEND: Optional[str] = None
-
-
-def auto_select_backend() -> str:
-    """The churn-benchmark winner on this host (cached per process)."""
-    global _AUTO_BACKEND
-    if _AUTO_BACKEND is None:
-        timings = benchmark_backends()
-        _AUTO_BACKEND = min(timings, key=timings.get)
-    return _AUTO_BACKEND
-
-
-def make_event_queue(backend: str = "heap"):
-    """Build an event queue by backend name.
-
-    ``"heap"`` and ``"calendar"`` name the two implementations;
-    ``"auto"`` runs :func:`benchmark_backends` once per process and
-    uses the faster one.
-    """
-    if backend == "auto":
-        backend = auto_select_backend()
-    if backend == "heap":
-        return HeapEventQueue()
-    if backend == "calendar":
-        return CalendarEventQueue()
-    raise ConfigurationError(
-        f"unknown event-queue backend {backend!r}; "
-        f"expected one of {QUEUE_BACKENDS + ('auto',)}"
-    )

@@ -12,25 +12,16 @@ Design notes
 * ``run(until=...)`` stops *after* processing every event with
   ``time <= until`` and then sets the clock to ``until``, so rate
   measurements over ``[0, until]`` are well defined.
-* The event queue is pluggable (``queue_backend=``): the binary heap is
-  the reference; the calendar queue trades worst-case bounds for O(1)
-  amortized operations on DES-shaped timestamp distributions. Both
-  dispatch events in the identical order.
-* *Replay mode* supports batched service quanta: while a component
-  replays the per-packet effects of an already-simulated batch, the
-  clock is rewound step by step so listeners observe the original
-  timestamps — and scheduling is forbidden, loudly, because an event
-  created at a rewound instant would fire out of causal order.
 * The simulator is deliberately single-threaded. Determinism — given a
   seed — is a core requirement for reproducing the paper's experiments.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from .events import DEFAULT_PRIORITY, Event, make_event_queue
+from .events import DEFAULT_PRIORITY, Event, EventQueue
 
 
 class Simulator:
@@ -42,20 +33,14 @@ class Simulator:
         "_running",
         "_stopped",
         "_events_processed",
-        "_replaying",
-        "_replay_resume",
-        "_drain_hooks",
     )
 
-    def __init__(self, queue_backend: str = "heap") -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue = make_event_queue(queue_backend)
+        self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self._events_processed = 0
-        self._replaying = False
-        self._replay_resume = 0.0
-        self._drain_hooks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -80,16 +65,6 @@ class Simulator:
         """The underlying event queue (checkpoint codec access)."""
         return self._queue
 
-    @property
-    def queue_backend(self) -> str:
-        """Name of the active event-queue backend."""
-        return self._queue.backend_name
-
-    @property
-    def replaying(self) -> bool:
-        """``True`` while a batch replay is rewinding the clock."""
-        return self._replaying
-
     def restore_clock(self, now: float, events_processed: int) -> None:
         """Set the clock and dispatch counter (checkpoint restore).
 
@@ -112,8 +87,6 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Schedule *callback(*args)* at absolute virtual *time*."""
-        if self._replaying:
-            raise SimulationError("cannot schedule events while replaying a batch")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
@@ -128,8 +101,6 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Schedule *callback(*args)* after a relative *delay* seconds."""
-        if self._replaying:
-            raise SimulationError("cannot schedule events while replaying a batch")
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self._queue.push(self._now + delay, callback, args, priority)
@@ -146,69 +117,17 @@ class Simulator:
         this is the standard trick for breaking deep recursion between
         interacting components (e.g. interface -> scheduler -> interface).
         """
-        if self._replaying:
-            raise SimulationError("cannot schedule events while replaying a batch")
         return self._queue.push(self._now, callback, args, priority)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event through the queue.
 
         Prefer this over ``event.cancel()``: the queue counts the
-        cancellation and compacts the backend once dead events
+        cancellation and compacts the heap once dead events
         dominate, so cancel-heavy workloads (timeouts that rarely fire)
         keep the queue — and every subsequent push/pop — small.
         """
         self._queue.cancel(event)
-
-    # ------------------------------------------------------------------
-    # Batch replay
-    # ------------------------------------------------------------------
-    def begin_replay(self) -> None:
-        """Enter replay mode: the clock may be rewound, scheduling raises.
-
-        Used by the quantum batcher when it materializes the per-packet
-        effects of a fused transmission window: each replayed step runs
-        its listeners at the *original* timestamp. The batch predicate
-        guarantees no listener schedules during replay; the guard in
-        :meth:`schedule` / :meth:`call_later` / :meth:`call_now` turns
-        any violation into an immediate, diagnosable failure instead of
-        a silent causality break.
-        """
-        if self._replaying:
-            raise SimulationError("begin_replay() is not re-entrant")
-        self._replaying = True
-        self._replay_resume = self._now
-
-    def replay_at(self, time: float) -> None:
-        """Rewind the clock to a replayed step's timestamp."""
-        if not self._replaying:
-            raise SimulationError("replay_at() outside begin_replay()")
-        if time > self._replay_resume:
-            raise SimulationError(
-                f"replay step at t={time:.9f} is after the resume point "
-                f"t={self._replay_resume:.9f}"
-            )
-        self._now = time
-
-    def end_replay(self) -> None:
-        """Leave replay mode and restore the pre-replay clock."""
-        if not self._replaying:
-            raise SimulationError("end_replay() without begin_replay()")
-        self._now = self._replay_resume
-        self._replaying = False
-
-    # ------------------------------------------------------------------
-    # Drain hooks
-    # ------------------------------------------------------------------
-    def add_drain_hook(self, hook: Callable[[], None]) -> None:
-        """Register *hook* to run when :meth:`run` returns normally.
-
-        Hooks fire after the final clock fixup (so ``now`` equals the
-        horizon on an ``until`` exit) and may schedule future events.
-        The engine uses this to materialize any in-progress transmission
-        batches so counters and traces are exact at the horizon.
-        """
-        self._drain_hooks.append(hook)
 
     # ------------------------------------------------------------------
     # Execution
@@ -267,8 +186,6 @@ class Simulator:
             self._running = False
         if until is not None and not self._stopped:
             self._now = max(self._now, until)
-        for hook in self._drain_hooks:
-            hook()
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event finishes."""

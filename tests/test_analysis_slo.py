@@ -120,28 +120,24 @@ class TestReportShape:
 
 @pytest.mark.slo
 class TestSloSmoke:
-    """Tier-1 smoke: a short two-scheduler sweep, hashed on both
-    backends (the acceptance determinism contract)."""
+    """Tier-1 smoke: a short two-scheduler sweep, hashed twice from
+    the same seed (the acceptance determinism contract)."""
 
-    def test_report_deterministic_across_backends(self):
-        reports = {
-            backend: run_latency_slo(
-                seed=5,
-                duration=20.0,
-                schedulers=["edf", "qaware"],
-                queue_backend=backend,
+    def test_report_deterministic_across_runs(self):
+        def report():
+            return run_latency_slo(
+                seed=5, duration=20.0, schedulers=["edf", "qaware"]
             )
-            for backend in ("heap", "calendar")
-        }
-        heap_report = reports["heap"]
-        assert [row.scheduler for row in heap_report.rows] == ["edf", "qaware"]
-        for row in heap_report.rows:
+
+        first = report()
+        assert [row.scheduler for row in first.rows] == ["edf", "qaware"]
+        for row in first.rows:
             assert row.deadline_packets > 0
             assert row.bytes_total > 0
             assert 0.0 < row.jain_fairness <= 1.0
-        assert (
-            heap_report.report_hash() == reports["calendar"].report_hash()
-        ), "SLO report must be byte-identical across event-queue backends"
-        text = heap_report.to_text()
-        assert heap_report.report_hash() in text
+        assert first.report_hash() == report().report_hash(), (
+            "SLO report must be byte-identical across runs of one seed"
+        )
+        text = first.to_text()
+        assert first.report_hash() in text
         assert "edf" in text and "qaware" in text

@@ -105,10 +105,6 @@ class TestRunDevice:
         b = run_device("d0", 2, PHONE)
         assert a["trace_sha256"] != b["trace_sha256"]
 
-    def test_rejects_unresolved_batching(self):
-        with pytest.raises(ConfigurationError, match="resolved bool"):
-            run_device("d0", 0, BULK, batching="auto")
-
 
 def shard_payload(device_count=2, shard_id=0):
     plan = plan_shards(device_count, 1)
@@ -118,8 +114,6 @@ def shard_payload(device_count=2, shard_id=0):
             "device_ids": list(plan.shards[0].device_ids),
             "fleet_seed": 0,
             "workload": BULK.to_dict(),
-            "backend": "heap",
-            "batching": False,
         }
     )
 
@@ -245,8 +239,6 @@ class TestFleetSmoke:
             run_fleet(2, BULK, executor="threads")
         with pytest.raises(ConfigurationError, match="workers"):
             run_fleet(2, BULK, workers=0)
-        with pytest.raises(ConfigurationError, match="batching"):
-            run_fleet(2, BULK, executor="serial", batching="sometimes")
 
 
 class TestFleetCli:

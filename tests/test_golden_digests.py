@@ -1,0 +1,186 @@
+"""Golden digests: the simulated decisions are pinned byte for byte.
+
+Each test runs one workload and compares a SHA-256 digest of what it
+decided against a literal. The literals pin the per-interface decision
+streams (observed through the engine's decision probe, the tap the
+figure traces use), the service samples and counters, the latency-SLO
+report hash, a crash-equivalence decision trace and the simulated part
+of a fleet report. A change that alters any tie-break — event order,
+interface registration order, the DRR turn — moves a digest; a
+refactor that claims "same behaviour" must leave every one of them
+unchanged.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+from repro.analysis.slo import run_latency_slo
+from repro.core.runner import run_scenario
+from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
+from repro.experiments import fig1, fig6
+from repro.faults.crashes import run_crash_equivalence
+from repro.fleet import run_fleet
+from repro.fleet.coordinator import REPORT_HASH_FIELDS
+from repro.perf import build_core_scenario
+from repro.recovery import RecoverableScenarioRun
+from repro.schedulers.midrr import MiDrrScheduler
+from repro.units import mbps
+
+
+class ProbeRecorder:
+    """Record the per-interface decision stream through the probe tap."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.streams = {}
+
+    def __call__(self, interface):
+        packet = self.engine.scheduler.select(interface.interface_id)
+        self.streams.setdefault(interface.interface_id, []).append(
+            None if packet is None else (packet.flow_id, packet.size_bytes)
+        )
+        return packet
+
+
+def fingerprint(result):
+    """Everything a run decided, in a comparable, ordered form."""
+    scheduler = result.engine.scheduler
+    return {
+        "samples": sorted(
+            (s.time, s.flow_id, s.interface_id, s.size_bytes, s.delay)
+            for s in result.stats.samples
+        ),
+        "bytes": {
+            flow_id: result.stats.bytes_sent(flow_id)
+            for flow_id in result.stats.flow_ids()
+        },
+        "completions": result.completions,
+        "interfaces": {
+            interface_id: (
+                interface.packets_sent,
+                round(interface.busy_time, 9),
+            )
+            for interface_id, interface in result.engine.interfaces.items()
+        },
+        "turns": scheduler.turns_taken,
+        "flags": (scheduler.flags_set_total, scheduler.flags_cleared_total),
+        "examined_multiset": Counter(scheduler.decision_flows_examined),
+        "examined_len": len(scheduler.decision_flows_examined),
+    }
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+def scenario_digest(scenario) -> str:
+    """Digest of ``(fingerprint, decision streams)`` for a miDRR run."""
+    box = {}
+
+    def attach(sim, engine):
+        box["probe"] = ProbeRecorder(engine)
+        engine.set_decision_probe(box["probe"], every=1)
+
+    result = run_scenario(scenario, MiDrrScheduler, on_engine=attach)
+    return digest((fingerprint(result), box["probe"].streams))
+
+
+def fig7_workload():
+    """A Figure 7-style stochastic mix: poisson and on/off flows."""
+    return Scenario(
+        name="fig7-workload",
+        interfaces=(
+            InterfaceSpec("wifi", mbps(4)),
+            InterfaceSpec("lte", mbps(2)),
+        ),
+        flows=(
+            FlowSpec("web", traffic=TrafficSpec("poisson", rate_bps=mbps(1.5))),
+            FlowSpec(
+                "sync",
+                weight=2.0,
+                interfaces=("wifi",),
+                traffic=TrafficSpec(
+                    "onoff", rate_bps=mbps(3), mean_on=0.5, mean_off=0.8
+                ),
+            ),
+            FlowSpec(
+                "stream",
+                start_time=1.5,
+                traffic=TrafficSpec("cbr", rate_bps=mbps(0.8)),
+            ),
+        ),
+        duration=8.0,
+        seed=11,
+    )
+
+
+class TestScenarioDigests:
+    def test_fig1a(self):
+        scenario = fig1.ALL_SCENARIOS["fig1a"]()
+        assert scenario_digest(scenario) == (
+            "300a7dd8bfce9243476b500003b9013d8ec3bbc6b8df374586214dff81e35366"
+        )
+
+    def test_fig6_first_phase(self):
+        scenario = dataclasses.replace(fig6.scenario(), duration=12.0)
+        assert scenario_digest(scenario) == (
+            "3778e5d9dfd2ab197615cd632266ed48a1b4e0fdf03c546b6ea3da2ab7a18a01"
+        )
+
+    @pytest.mark.parametrize(
+        "flows,interfaces,packets,expected",
+        [
+            (100, 4, 2000, "d5bc40949afdc2a79a01e4186940374620e5c72c92936a2801d3ba12d1167f49"),
+            # Capacity-ratio rates make completions on different
+            # interfaces collide at the same instant: this cell pins
+            # the interfaces' tx_priority tie-break.
+            (200, 8, 2000, "f2e6b05438ad4a22189cdd42336a815bba5bb69844baf16e97cd7e8c209218a3"),
+            (20, 4, 500, "7a04be2a63de2c7f7c5f171bed0ec0b6323fd9ed00d416d12a7228c17bbb905e"),
+        ],
+        ids=["100x4", "200x8", "20x4"],
+    )
+    def test_core_cell(self, flows, interfaces, packets, expected):
+        scenario = build_core_scenario(
+            flows, interfaces, seed=0, target_packets=packets
+        )
+        assert scenario_digest(scenario) == expected
+
+
+class TestReportDigests:
+    def test_latency_slo_report_hash(self):
+        report = run_latency_slo(seed=0, duration=20.0)
+        assert report.report_hash() == (
+            "205dcd591ae51c0415a20b789e4aa13309b4fc2112183536ac14ae621fdee9a3"
+        )
+
+    def test_fig7_crash_equivalence_trace(self):
+        reference = RecoverableScenarioRun(fig7_workload(), MiDrrScheduler)
+        reference.run_to_completion()
+        assert digest(list(reference.trace.entries)) == (
+            "9c879911738b57401ea05043090276c9842147ce893aeeea2739171cdb08a574"
+        )
+        report = run_crash_equivalence(
+            fig7_workload(), MiDrrScheduler, (150, 1200, 3500)
+        )
+        assert report.total_decisions == len(reference.trace.entries)
+        assert report.equivalent
+
+    def test_fleet_simulation_digest(self):
+        """Everything the fleet simulated, without the report's schema
+        version and config echo (which later schemas may reshape)."""
+        report = run_fleet(32, executor="serial")
+        simulated = {
+            key: report[key]
+            for key in REPORT_HASH_FIELDS
+            if key not in ("schema_version", "fleet")
+        }
+        canonical = json.dumps(simulated, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
+            "b8ed9eb1246e22b62f2cae848d360472eaae6cb596ed13bd5744239761bbb08e"
+        )

@@ -9,6 +9,7 @@ deselects — benchmarks measure wall-clock and have no place gating CI.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -18,13 +19,11 @@ from repro.perf import (
     BENCH_SCHEMA_VERSION,
     OVERHEAD_BUDGET,
     OVERHEAD_NOISE_CEILING,
-    auto_select_batching,
     build_core_scenario,
     check_fleet_regression,
     committed_baseline_cell,
     render_bench_table,
     render_overhead_table,
-    run_cell,
     run_core_bench,
     run_fleet_cell,
     run_metrics_overhead,
@@ -75,37 +74,18 @@ class TestSmokeBench:
         assert document["seed"] == 0
 
     def test_cell_throughput_nonzero(self, document):
-        # One (F, I) coordinate swept across the 2×2 backend × batching
-        # configuration matrix.
-        assert len(document["grid"]) == 4
+        # One cell per (F, I) coordinate.
+        assert len(document["grid"]) == 1
         for cell in document["grid"]:
             assert cell["packets"] > 0
             assert cell["packets_per_sec"] > 0
             assert cell["events_per_sec"] > 0
             assert cell["decisions"] >= cell["packets"]
 
-    def test_workload_invariant_across_configs(self, document):
-        """Backend and batching must not change *what* is simulated:
-        packet and decision counts are identical in every cell; only
-        the event count shrinks when quanta are fused."""
-        cells = document["grid"]
-        assert len({cell["packets"] for cell in cells}) == 1
-        assert len({cell["decisions"] for cell in cells}) == 1
-        for cell in cells:
-            baseline = next(
-                c for c in cells
-                if c["backend"] == cell["backend"] and not c["batching"]
-            )
-            if cell["batching"]:
-                assert cell["events"] <= baseline["events"]
-
     def test_counts_are_seed_deterministic(self, document):
         again = run_core_bench(seed=0, **SMOKE_KWARGS)
         for first, second in zip(document["grid"], again["grid"]):
-            for key in (
-                "backend", "batching", "events", "packets", "decisions",
-                "virtual_seconds",
-            ):
+            for key in ("events", "packets", "decisions", "virtual_seconds"):
                 assert first[key] == second[key]
 
     def test_write_and_render(self, document, tmp_path):
@@ -132,6 +112,17 @@ class TestValidation:
         problems = validate_bench_document(document)
         assert any("seed" in problem for problem in problems)
         assert any("packets" in problem for problem in problems)
+
+    def test_rejects_other_schema_versions(self):
+        document = run_core_bench(seed=0, **SMOKE_KWARGS)
+        document["schema_version"] = BENCH_SCHEMA_VERSION - 1
+        problems = validate_bench_document(document)
+        assert any("schema_version" in problem for problem in problems)
+
+    def test_committed_document_is_valid(self):
+        path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_core.json"
+        document = json.loads(path.read_text())
+        assert validate_bench_document(document) == []
 
 
 class TestCli:
@@ -208,23 +199,6 @@ class TestMetricsOverhead:
         assert "bench obs" in capsys.readouterr().out
 
 
-class TestAutoBatching:
-    def test_auto_batching_cell_records_resolution(self):
-        """``batching="auto"`` lands in the cell as the resolved bool
-        plus the ``batching_auto`` flag, and the calibration is cached
-        per (flows, interfaces, backend) so replays stay stable."""
-        cell = run_cell(3, 2, target_packets=200, batching="auto")
-        assert isinstance(cell["batching"], bool)
-        assert cell["batching_auto"] is True
-        assert auto_select_batching(3, 2) == cell["batching"]
-        plain = run_cell(3, 2, target_packets=200, batching=False)
-        assert "batching_auto" not in plain
-
-    def test_run_cell_rejects_bad_batching(self):
-        with pytest.raises(ConfigurationError, match="batching"):
-            run_cell(3, 2, target_packets=200, batching="maybe")
-
-
 class TestFleetBench:
     @pytest.fixture(scope="class")
     def workload(self):
@@ -280,8 +254,8 @@ def test_full_default_grid():
     """The committed BENCH_core.json workload, end to end (slow)."""
     document = run_core_bench(seed=0)
     assert validate_bench_document(document) == []
-    # 3 flow counts × 3 interface counts × the 2×2 config matrix.
-    assert len(document["grid"]) == 36
+    # 3 flow counts × 3 interface counts.
+    assert len(document["grid"]) == 9
 
 
 @pytest.mark.bench

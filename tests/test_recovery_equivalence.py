@@ -137,131 +137,6 @@ class TestChaosSeedEquivalence:
         assert_equivalent(report)
 
 
-def first_mid_batch_kill_index(scenario, queue_backend="calendar"):
-    """Event index of the first step at which a fused batch is live.
-
-    Found by probing a batched run: ``scheduler.batched_flows`` is the
-    engine-shared registry of flows currently inside a fused window, so
-    a kill at this index lands mid-batch by construction.
-    """
-    from repro.recovery import RecoverableScenarioRun
-
-    probe = RecoverableScenarioRun(
-        scenario,
-        MiDrrScheduler,
-        queue_backend=queue_backend,
-        batching=True,
-    )
-    steps = 0
-    while not probe.finished and probe.step():
-        steps += 1
-        if probe.scheduler.batched_flows:
-            return steps
-    pytest.fail(f"{scenario.name}: no fused batch ever formed")
-
-
-@pytest.mark.recovery
-class TestCalendarAndBatchingEquivalence:
-    """ISSUE 7 acceptance: the crash protocol holds with the calendar
-    event-queue backend and fused service quanta — including a kill
-    point chosen to land mid-batch (snapshots drain live batches, so
-    only plain per-packet completions are ever encoded)."""
-
-    def test_fig6_calendar_batched_equivalence(self):
-        scenario = dataclasses.replace(fig6.scenario(), duration=12.0)
-        mid_batch = first_mid_batch_kill_index(scenario)
-        report = run_crash_equivalence(
-            scenario,
-            MiDrrScheduler,
-            (mid_batch,) + KILL_POINTS,
-            queue_backend="calendar",
-            batching=True,
-        )
-        assert_equivalent(report)
-
-    def test_fig7_calendar_batched_equivalence(self):
-        report = run_crash_equivalence(
-            fig7_workload(),
-            MiDrrScheduler,
-            KILL_POINTS,
-            queue_backend="calendar",
-            batching=True,
-        )
-        assert_equivalent(report)
-
-    def test_checkpoints_are_config_agnostic(self):
-        """A checkpoint taken under (calendar, batching) restores into a
-        (heap, unbatched) run — and vice versa — stitching the exact
-        reference trace: snapshots carry no backend or batch state."""
-        import json
-
-        from repro.recovery import (
-            RecoverableScenarioRun,
-            unwrap_state,
-            wrap_state,
-        )
-
-        scenario = fig7_workload()
-        reference = RecoverableScenarioRun(scenario, MiDrrScheduler)
-        reference.run_to_completion()
-        reference_trace = list(reference.trace.entries)
-
-        for source_config, target_config in (
-            (("calendar", True), ("heap", False)),
-            (("heap", False), ("calendar", True)),
-        ):
-            run = RecoverableScenarioRun(
-                scenario,
-                MiDrrScheduler,
-                queue_backend=source_config[0],
-                batching=source_config[1],
-            )
-            for _ in range(900):
-                if run.finished or not run.step():
-                    break
-            state = unwrap_state(
-                json.loads(json.dumps(wrap_state(run.checkpoint())))
-            )
-            restored = RecoverableScenarioRun.restore(
-                state,
-                MiDrrScheduler,
-                queue_backend=target_config[0],
-                batching=target_config[1],
-            )
-            restored.run_to_completion()
-            stitched = list(run.trace.entries) + list(restored.trace.entries)
-            assert stitched == reference_trace, (
-                f"restore {source_config} -> {target_config} diverged"
-            )
-
-    def test_mid_batch_checkpoint_fixpoint(self):
-        """restore(checkpoint()) is a fixpoint when the snapshot is
-        taken while a fused window is live on the calendar backend."""
-        import json
-
-        from repro.recovery import RecoverableScenarioRun
-        from repro.recovery.checkpoint import canonical_state_json
-
-        scenario = dataclasses.replace(fig6.scenario(), duration=12.0)
-        mid_batch = first_mid_batch_kill_index(scenario)
-        run = RecoverableScenarioRun(
-            scenario,
-            MiDrrScheduler,
-            queue_backend="calendar",
-            batching=True,
-        )
-        for _ in range(mid_batch):
-            if run.finished or not run.step():
-                break
-        assert run.scheduler.batched_flows  # snapshot lands mid-batch
-        first = json.loads(json.dumps(run.checkpoint()))
-        restored = RecoverableScenarioRun.restore(
-            first, MiDrrScheduler, queue_backend="calendar", batching=True
-        )
-        second = json.loads(json.dumps(restored.checkpoint()))
-        assert canonical_state_json(first) == canonical_state_json(second)
-
-
 def deadline_workload():
     """The fig7 mix with per-packet deadlines on the latency flows.
 
@@ -284,27 +159,15 @@ def deadline_workload():
 
 @pytest.mark.recovery
 class TestDeadlineFamilyEquivalence:
-    """ISSUE 9 acceptance: EDF and QAware hold crash equivalence on both
-    event-queue backends, batching on and off."""
+    """EDF and QAware hold crash equivalence too."""
 
     @pytest.mark.parametrize(
         "factory",
         [EdfScheduler, QAwareScheduler],
         ids=["edf", "qaware"],
     )
-    @pytest.mark.parametrize(
-        "queue_backend,batching",
-        [("heap", False), ("calendar", True)],
-        ids=["heap", "calendar+batch"],
-    )
-    def test_family_equivalence(self, factory, queue_backend, batching):
-        report = run_crash_equivalence(
-            deadline_workload(),
-            factory,
-            (200, 2500),
-            queue_backend=queue_backend,
-            batching=batching,
-        )
+    def test_family_equivalence(self, factory):
+        report = run_crash_equivalence(deadline_workload(), factory, (200, 2500))
         assert_equivalent(report)
 
     @pytest.mark.parametrize(

@@ -317,132 +317,3 @@ def test_event_driven_activation_matches_rescan(data):
     assert (
         subject.decision_flows_examined == reference.decision_flows_examined
     )
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_forced_resume_matches_rescan_select(data):
-    """``plan_batch`` + ``forced_resume`` ≡ per-decision rescan select.
-
-    Extends the rescan-equivalence property to the batcher: whenever
-    the subject's plan proves the next *extra* decisions forced and
-    replays them through the scan-free ``forced_resume`` path, the
-    rescan reference model — taking the same number of full ``select``
-    calls — must serve the identical packets and record the identical
-    one-flow-examined telemetry. Small packets against the default
-    quantum make multi-packet turns (and therefore non-trivial plans)
-    the common case.
-    """
-    num_interfaces = data.draw(st.integers(1, 3), label="interfaces")
-    interface_ids = [f"if{j}" for j in range(num_interfaces)]
-    flow_specs = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from([0.5, 1.0, 2.0]),
-                st.sets(st.sampled_from(interface_ids), min_size=1),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        label="flows",
-    )
-    ops = data.draw(
-        st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("offer"),
-                    st.integers(0, len(flow_specs) - 1),
-                    st.sampled_from([200, 300, 500]),
-                ),
-                st.tuples(st.just("serve"), st.integers(0, num_interfaces - 1)),
-            ),
-            max_size=50,
-        ),
-        label="ops",
-    )
-
-    def build(scheduler_class):
-        scheduler = scheduler_class(quantum_base=1500)
-        for interface_id in interface_ids:
-            scheduler.register_interface(interface_id)
-        flows = []
-        for index, (weight, willing) in enumerate(flow_specs):
-            flow = Flow(
-                f"flow{index}", weight=weight, allowed_interfaces=sorted(willing)
-            )
-            scheduler.add_flow(flow)
-            flows.append(flow)
-        return scheduler, flows
-
-    subject, subject_flows = build(MiDrrScheduler)
-    reference, reference_flows = build(RescanMiDrrScheduler)
-
-    subject_trace = []
-    reference_trace = []
-    planned_windows = 0
-    for op in ops:
-        if op[0] == "offer":
-            _, index, size = op
-            for scheduler, flows in (
-                (subject, subject_flows),
-                (reference, reference_flows),
-            ):
-                flow = flows[index]
-                was_empty = not flow.backlogged
-                flow.offer(Packet(flow_id=flow.flow_id, size_bytes=size))
-                if was_empty:
-                    scheduler.notify_backlogged(flow)
-        else:
-            interface_id = interface_ids[op[1]]
-            packet = subject.select(interface_id)
-            subject_trace.append(
-                None if packet is None else (packet.flow_id, packet.size_bytes)
-            )
-            extra = 0
-            if packet is not None:
-                plan = subject.plan_batch(interface_id)
-                if plan is not None:
-                    _, extra = plan
-                    planned_windows += 1
-                for _ in range(extra):
-                    forced = subject.forced_resume(interface_id)
-                    subject_trace.append((forced.flow_id, forced.size_bytes))
-            # The reference takes 1 + extra plain selects.
-            for _ in range(1 + extra):
-                packet = reference.select(interface_id)
-                reference_trace.append(
-                    None
-                    if packet is None
-                    else (packet.flow_id, packet.size_bytes)
-                )
-    assert subject_trace == reference_trace
-    assert (
-        subject.decision_flows_examined == reference.decision_flows_examined
-    )
-
-
-def test_forced_window_forms_and_replays():
-    """Deterministic check that plan_batch actually proves a window
-    (so the property above is not vacuous) and forced_resume drains it
-    with the exact deficit arithmetic of select."""
-    scheduler = MiDrrScheduler(quantum_base=1500)
-    scheduler.register_interface("if0")
-    flow = Flow("f", weight=2.0, allowed_interfaces=["if0"])
-    scheduler.add_flow(flow)
-    for _ in range(5):
-        flow.offer(Packet(flow_id="f", size_bytes=500))
-    scheduler.notify_backlogged(flow)
-
-    first = scheduler.select("if0")
-    assert first is not None and first.size_bytes == 500
-    plan = scheduler.plan_batch("if0")
-    assert plan is not None
-    planned_flow, extra = plan
-    assert planned_flow is flow
-    # Quantum 3000, 500 spent: 2500 of deficit covers the remaining
-    # four packets but the plan stops one short of emptying the queue.
-    assert extra == 3
-    for _ in range(extra):
-        assert scheduler.forced_resume("if0").size_bytes == 500
-    assert len(flow.queue) == 1
-    assert scheduler.decision_flows_examined[-extra:] == [1] * extra

@@ -1,10 +1,10 @@
-"""Backend-equivalence and accounting properties for the event queues.
+"""Model-based and accounting properties for the event queue.
 
-The heap queue is the reference implementation of the ``EventQueue``
-contract; the calendar queue must be observationally identical under
-any interleaving of schedule/cancel/pop (including the ``(time,
-priority, seq)`` tie-break and ``pop_ready`` horizons). The hypothesis
-property here also pins the cancel/compaction accounting bug that
+The hypothesis property drives the heap queue and a sorted-list model
+of the ``EventQueue`` contract through any interleaving of
+schedule/cancel/pop and requires them to agree step for step
+(including the ``(time, priority, seq)`` tie-break and ``pop_ready``
+horizons). It also pins the cancel/compaction accounting bug that
 motivated the counter audit: lazily discarding a cancelled *head*
 inside ``pop``/``peek_time`` must decrement ``_cancelled_count``, or
 the tombstone estimate drifts upward forever and every later ``cancel``
@@ -13,45 +13,52 @@ triggers a spurious full compaction.
 
 from __future__ import annotations
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.sim.events import (
-    CalendarEventQueue,
-    Event,
-    EventQueue,
-    HeapEventQueue,
-    QUEUE_BACKENDS,
-    auto_select_backend,
-    benchmark_backends,
-    make_event_queue,
-)
+from repro.errors import SimulationError
+from repro.sim.events import Event, EventQueue
 
-BACKENDS = (EventQueue, CalendarEventQueue)
+BACKENDS = (EventQueue,)
 
 
 def _noop():
     pass
 
 
+class SortedListModel:
+    """Reference model: live ``(time, priority, seq)`` keys, kept sorted."""
+
+    def __init__(self):
+        self.live = []
+        self.next_seq = 0
+
+    def push(self, time, priority):
+        key = (time, priority, self.next_seq)
+        self.next_seq += 1
+        bisect.insort(self.live, key)
+        return key
+
+    def cancel(self, key):
+        self.live.remove(key)
+
+    def pop_ready(self, until=None):
+        if not self.live or (until is not None and self.live[0][0] > until):
+            return None
+        return self.live.pop(0)
+
+
 def count_tombstones(queue):
-    """Count qcancelled events still physically inside the structure."""
-    if isinstance(queue, CalendarEventQueue):
-        return sum(
-            1
-            for bucket in queue._buckets
-            for event in bucket
-            if event.qcancelled
-        )
+    """Count qcancelled events still physically inside the heap."""
     return sum(1 for event in queue._heap if event.qcancelled)
 
 
 def assert_accounting(queue):
     assert queue._cancelled_count == count_tombstones(queue), (
-        f"{type(queue).__name__}: tombstone counter "
-        f"{queue._cancelled_count} != physical count "
+        f"tombstone counter {queue._cancelled_count} != physical count "
         f"{count_tombstones(queue)}"
     )
 
@@ -62,6 +69,10 @@ def drain(queue):
     while queue.peek_time() is not None:
         out.append(queue.pop())
     return out
+
+
+def key(event):
+    return None if event is None else (event.time, event.priority, event.seq)
 
 
 #: One op per step: push a timestamped event, cancel a prior push by
@@ -86,71 +97,49 @@ OPS = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(ops=OPS)
 def test_interleaved_schedule_cancel_pop_equivalence(ops):
-    """Heap and calendar agree step for step, and both keep the
-    tombstone counter exact after every operation."""
-    queues = [EventQueue(), CalendarEventQueue()]
-    handles = [[], []]  # pushed events, aligned by push order
-    # Indices still cancellable: pending and not yet queue-cancelled.
-    # (cancel() requires a pending event — the simulator's handle
-    # discipline; seq == push index, identical across backends since
-    # both see the same push/pop sequence.)
-    cancellable = []
+    """The heap agrees with the sorted-list model step for step, and
+    keeps the tombstone counter exact after every operation."""
+    queue = EventQueue()
+    model = SortedListModel()
+    # Pending, not yet cancelled events by seq. cancel() requires a
+    # pending event — the simulator's handle discipline.
+    cancellable = {}
 
     for op in ops:
-        observations = []
-        for queue, pushed in zip(queues, handles):
-            if op[0] == "push":
-                event = queue.push(op[1], _noop, priority=op[2])
-                pushed.append(event)
-                observations.append((event.time, event.priority, event.seq))
-            elif op[0] == "cancel":
-                if cancellable:
-                    index = cancellable[op[1] % len(cancellable)]
-                    queue.cancel(pushed[index])
-                    observations.append(pushed[index].qcancelled)
-                else:
-                    observations.append(None)
-            elif op[0] == "pop":
-                if queue.peek_time() is None:
-                    observations.append(None)
-                else:
-                    event = queue.pop()
-                    observations.append((event.time, event.priority, event.seq))
-            else:  # pop_ready against a horizon
-                event = queue.pop_ready(op[1])
-                observations.append(
-                    None
-                    if event is None
-                    else (event.time, event.priority, event.seq)
-                )
-            assert_accounting(queue)
         if op[0] == "push":
-            cancellable.append(len(handles[0]) - 1)
-        elif op[0] == "cancel" and cancellable:
-            cancellable.remove(cancellable[op[1] % len(cancellable)])
-        elif observations[0] is not None and op[0] in ("pop", "pop_ready"):
-            popped_seq = observations[0][2]
-            if popped_seq in cancellable:
-                cancellable.remove(popped_seq)
-        assert observations[0] == observations[1], (
-            f"backends diverged on {op}: {observations}"
-        )
-        assert queues[0].peek_time() == queues[1].peek_time()
-        # peek_time discards cancelled heads; re-check the books and
-        # the (now tombstone-free-at-head) populations.
-        for queue in queues:
-            assert_accounting(queue)
+            event = queue.push(op[1], _noop, priority=op[2])
+            assert key(event) == model.push(op[1], op[2])
+            cancellable[event.seq] = event
+        elif op[0] == "cancel":
+            if cancellable:
+                seqs = sorted(cancellable)
+                event = cancellable.pop(seqs[op[1] % len(seqs)])
+                queue.cancel(event)
+                assert event.qcancelled
+                model.cancel(key(event))
+        else:
+            until = op[1] if op[0] == "pop_ready" else None
+            expected = model.pop_ready(until)
+            if op[0] == "pop" and expected is None:
+                assert queue.peek_time() is None
+                with pytest.raises(SimulationError):
+                    queue.pop()
+            else:
+                event = queue.pop() if op[0] == "pop" else queue.pop_ready(until)
+                assert key(event) == expected, f"diverged on {op}"
+                if event is not None:
+                    cancellable.pop(event.seq, None)
+        assert_accounting(queue)
+        # peek_time discards cancelled heads; re-check the books.
+        assert queue.peek_time() == (model.live[0][0] if model.live else None)
+        assert_accounting(queue)
 
-    # Drain both to exhaustion: identical tails, and a fully drained
-    # queue must have zero recorded tombstones (the pinned bug left the
+    # Drain to exhaustion: the model's tail, and a fully drained queue
+    # must have zero recorded tombstones (the pinned bug left the
     # counter positive here).
-    tails = [
-        [(e.time, e.priority, e.seq) for e in drain(queue)] for queue in queues
-    ]
-    assert tails[0] == tails[1]
-    for queue in queues:
-        assert len(queue) == 0
-        assert queue._cancelled_count == 0
+    assert [key(event) for event in drain(queue)] == model.live
+    assert len(queue) == 0
+    assert queue._cancelled_count == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -240,79 +229,3 @@ class TestCheckpointContract:
             (event.time, event.priority, event.seq) for event in drain(clone)
         ]
         assert popped == sorted(snapshot)
-
-
-class TestCalendarResize:
-    def test_grows_and_shrinks_with_population(self):
-        queue = CalendarEventQueue()
-        initial = queue._nbuckets
-        for i in range(1000):
-            queue.push(i * 0.01, _noop)
-        assert queue._nbuckets > initial
-        order = [event.time for event in drain(queue)]
-        assert order == sorted(order)
-        assert queue._nbuckets < 1000
-
-    def test_rewinds_for_past_insertions(self):
-        """Direct queue use may insert before the cursor (the simulator
-        never does); the calendar must still pop in global order."""
-        queue = CalendarEventQueue()
-        queue.push(10.0, _noop)
-        assert queue.pop().time == 10.0
-        queue.push(1.0, _noop)
-        queue.push(20.0, _noop)
-        assert queue.pop().time == 1.0
-        assert queue.pop().time == 20.0
-
-    def test_rejects_degenerate_geometry(self):
-        with pytest.raises(ConfigurationError):
-            CalendarEventQueue(width=0.0)
-        with pytest.raises(ConfigurationError):
-            CalendarEventQueue(nbuckets=0)
-
-    def test_bucket_boundary_float_mismatch_keeps_pop_order(self):
-        """Regression: the year scan must classify events by the same
-        int(time / width) mapping the insert path uses.
-
-        With width=0.001542857142857143, t=0.0324 hashes to virtual
-        bucket 20 (t / width rounds to 20.999...96) yet 21 * width
-        rounds to exactly 0.0324 — so a recomputed upper boundary
-        ((vbucket + 1) * width) rejects the event from its own bucket,
-        defers it a full year, and a later event pops first. Observed
-        live as `cannot schedule at t=... before now=...` when a
-        batch abort trusted the clock never to overtake a pending
-        fused event.
-        """
-        width = 0.001542857142857143
-        t = 0.0324
-        assert int(t / width) == 20
-        assert not t < 21 * width  # the two mappings genuinely disagree
-        queue = CalendarEventQueue(width=width)
-        # Advance the cursor near the affected bucket so the year scan
-        # (not the global fallback, which is order-safe) serves pops.
-        queue.push(width * 16 + width / 2, _noop)
-        queue.pop()
-        queue.push(t, _noop)
-        queue.push(0.033, _noop)  # virtual bucket 21, later time
-        assert queue.pop().time == t
-        assert queue.pop().time == 0.033
-
-
-class TestBackendSelection:
-    def test_make_event_queue_names(self):
-        assert isinstance(make_event_queue("heap"), HeapEventQueue)
-        assert isinstance(make_event_queue("calendar"), CalendarEventQueue)
-        assert make_event_queue("auto").backend_name in QUEUE_BACKENDS
-
-    def test_make_event_queue_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            make_event_queue("splay")
-
-    def test_benchmark_and_auto_select(self):
-        timings = benchmark_backends(churn=512, pending=64)
-        assert set(timings) == set(QUEUE_BACKENDS)
-        assert all(value > 0 for value in timings.values())
-        choice = auto_select_backend()
-        assert choice in QUEUE_BACKENDS
-        # Cached: the second call must agree within a process.
-        assert auto_select_backend() == choice
