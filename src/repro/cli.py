@@ -928,17 +928,18 @@ def cmd_solve(args: argparse.Namespace) -> None:
     capacities: Dict[str, float] = {}
     for item in args.interface:
         name, _, rate = item.partition("=")
-        if not rate:
-            raise SystemExit(f"--interface needs name=rate, got {item!r}")
-        capacities[name] = float(rate)
+        try:
+            capacities[name] = float(rate)
+        except ValueError:
+            raise SystemExit(f"--interface needs name=rate, got {item!r}") from None
     flows: Dict[str, tuple] = {}
     for item in args.flow:
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise SystemExit(f"--flow needs id:weight:ifaces, got {item!r}")
-        flow_id, weight, interfaces = parts
-        willing = None if interfaces == "*" else interfaces.split(",")
-        flows[flow_id] = (float(weight), willing)
+        try:
+            flow_id, weight, interfaces = item.split(":")
+            willing = None if interfaces == "*" else interfaces.split(",")
+            flows[flow_id] = (float(weight), willing)
+        except ValueError:
+            raise SystemExit(f"--flow needs id:weight:ifaces, got {item!r}") from None
     allocation = weighted_maxmin(flows, capacities)
     rows = [
         [flow_id, format_rate(allocation.rate(flow_id))] for flow_id in flows

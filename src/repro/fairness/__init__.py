@@ -1,8 +1,9 @@
 """Weighted max-min fairness with interface preferences.
 
-Two independent solvers (exact combinatorial water-filling and an LP),
-rate-cluster extraction/validation (Definition 2, Theorem 2), and the
-paper's directional fairness metric.
+One exact solver (combinatorial water-filling in ``Fraction``
+arithmetic, certified against Theorem 2 by the test suite) with an
+incremental front end, rate-cluster extraction/validation
+(Definition 2, Theorem 2), and the paper's directional fairness metric.
 """
 
 from .conformance import (
@@ -29,7 +30,6 @@ from .clusters import (
     extract_clusters,
 )
 from .incremental import IncrementalMaxMinSolver
-from .lp import LpMaxMinSolver, lp_maxmin
 from .metrics import (
     MAX_RELATIVE_ERROR,
     ZERO_RATE_ATOL,
@@ -64,7 +64,6 @@ __all__ = [
     "PropertyResult",
     "run_conformance",
     "EmpiricalCluster",
-    "LpMaxMinSolver",
     "allocation_from_prefs",
     "check_maxmin_conditions",
     "check_rate_clustering",
@@ -75,7 +74,6 @@ __all__ = [
     "theorem1_counterexample",
     "extract_clusters",
     "jain_index",
-    "lp_maxmin",
     "max_relative_error",
     "measured_rates",
     "relative_errors",

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import FairnessError
-from .waterfill import Allocation, Stage, _as_fraction, weighted_maxmin
+from .waterfill import Allocation, Stage, _checked_fraction, weighted_maxmin
 
 
 class IncrementalMaxMinSolver:
@@ -87,8 +87,9 @@ class IncrementalMaxMinSolver:
         self.fence_fallbacks = 0
         if capacities:
             for interface_id, capacity in capacities.items():
-                self._validate_capacity(interface_id, capacity)
-                self._caps[interface_id] = _as_fraction(capacity)
+                self._caps[interface_id] = _checked_fraction(
+                    f"interface {interface_id!r} capacity", capacity, allow_zero=True
+                )
         if flows:
             for flow_id, (weight, interfaces) in flows.items():
                 self._ingest_flow(flow_id, weight, interfaces)
@@ -172,12 +173,9 @@ class IncrementalMaxMinSolver:
         """φ change. Scope: the flow's own stage (its row is unchanged,
         and no kept-stage subset can confine a later-stage flow)."""
         self._require_flow(flow_id)
-        if weight <= 0:
-            raise FairnessError(
-                f"flow {flow_id!r} weight must be positive, got {weight}"
-            )
+        exact = _checked_fraction(f"flow {flow_id!r} weight", weight, allow_zero=False)
         scope = self._flow_scope(flow_id)
-        self._weights[flow_id] = _as_fraction(weight)
+        self._weights[flow_id] = exact
         return self._resolve(scope)
 
     def restrict_flow(
@@ -202,23 +200,19 @@ class IncrementalMaxMinSolver:
         is reachable by every ``None``-row flow and any explicit row
         naming it, so its scope is the lowest stage of those flows.
         """
-        self._validate_capacity(interface_id, capacity)
+        exact = _checked_fraction(
+            f"interface {interface_id!r} capacity", capacity, allow_zero=True
+        )
         if interface_id in self._caps:
             scope = self._iface_scope(interface_id)
         else:
             scope = self._new_iface_scope(interface_id)
-        self._caps[interface_id] = _as_fraction(capacity)
+        self._caps[interface_id] = exact
         return self._resolve(scope)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _validate_capacity(self, interface_id: str, capacity: float) -> None:
-        if capacity < 0:
-            raise FairnessError(
-                f"interface {interface_id!r} capacity must be >= 0, got {capacity}"
-            )
-
     def _validate_row(
         self, flow_id: str, row: Optional[FrozenSet[str]]
     ) -> None:
@@ -233,15 +227,12 @@ class IncrementalMaxMinSolver:
         weight: float,
         interfaces: Optional[Iterable[str]],
     ) -> Optional[FrozenSet[str]]:
-        if weight <= 0:
-            raise FairnessError(
-                f"flow {flow_id!r} weight must be positive, got {weight}"
-            )
+        exact = _checked_fraction(f"flow {flow_id!r} weight", weight, allow_zero=False)
         row: Optional[FrozenSet[str]] = (
             frozenset(interfaces) if interfaces is not None else None
         )
         self._validate_row(flow_id, row)
-        self._weights[flow_id] = _as_fraction(weight)
+        self._weights[flow_id] = exact
         self._rows[flow_id] = row
         return row
 

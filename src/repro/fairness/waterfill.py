@@ -17,19 +17,21 @@ the remaining flows and interfaces. Minimizing subsets are closed under
 union, so taking the union of all minimizers freezes every bottlenecked
 flow in one stage.
 
-Arithmetic is done in :class:`fractions.Fraction`, so results are exact
-and the independent LP solver (:mod:`repro.fairness.lp`) can be
-validated against them bit-for-bit (up to float conversion).
+Arithmetic is done in :class:`fractions.Fraction`, so results are exact.
+This is the package's one max-min solver; the test suite certifies its
+output against Gale feasibility and the Theorem 2 conditions with no
+float tolerance.
 
 Complexity is ``O(2^m · n)`` per stage for *m* interfaces — exponential
 in interfaces, but the paper's device scenarios have m ≤ 16 and the
-algorithm is used as a *reference*, not in the packet path. A guard
-raises for m > 20.
+algorithm is used as a *reference*, not in the packet path. More than
+20 interfaces are refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -121,6 +123,18 @@ def _as_fraction(value: float) -> Fraction:
     return Fraction(value).limit_denominator(10**12)
 
 
+def _checked_fraction(what: str, value: float, *, allow_zero: bool) -> Fraction:
+    """Validate a capacity (``allow_zero``: 0 is an outage) or a weight.
+
+    Rejects NaN, infinities, negatives and (for weights) zero with
+    :class:`FairnessError`; returns the exact Fraction otherwise.
+    """
+    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        bound = ">= 0" if allow_zero else "positive"
+        raise FairnessError(f"{what} must be finite and {bound}, got {value}")
+    return _as_fraction(value)
+
+
 def weighted_maxmin(
     flows: Mapping[str, Tuple[float, Optional[Iterable[str]]]],
     capacities: Mapping[str, float],
@@ -138,7 +152,8 @@ def weighted_maxmin(
         instance (flows referencing it are *known*, not misconfigured)
         but contributes no capacity, so a flow whose entire Π-row is
         down is frozen at an exact rate of 0 — matching the engine's
-        quarantine semantics. Negative capacities are rejected.
+        quarantine semantics. Negative or non-finite capacities and
+        non-positive or non-finite weights are rejected.
 
     Returns
     -------
@@ -150,24 +165,21 @@ def weighted_maxmin(
     if len(interface_ids) > MAX_INTERFACES:
         raise FairnessError(
             f"{len(interface_ids)} interfaces exceeds exact-solver limit "
-            f"({MAX_INTERFACES}); use repro.fairness.lp for large instances"
+            f"({MAX_INTERFACES})"
         )
-    caps: Dict[str, Fraction] = {}
-    for interface_id, capacity in capacities.items():
-        if capacity < 0:
-            raise FairnessError(
-                f"interface {interface_id!r} capacity must be >= 0, got {capacity}"
-            )
-        caps[interface_id] = _as_fraction(capacity)
+    caps: Dict[str, Fraction] = {
+        interface_id: _checked_fraction(
+            f"interface {interface_id!r} capacity", capacity, allow_zero=True
+        )
+        for interface_id, capacity in capacities.items()
+    }
 
     willing: Dict[str, FrozenSet[str]] = {}
     weights: Dict[str, Fraction] = {}
     for flow_id, (weight, interfaces) in flows.items():
-        if weight <= 0:
-            raise FairnessError(
-                f"flow {flow_id!r} weight must be positive, got {weight}"
-            )
-        weights[flow_id] = _as_fraction(weight)
+        weights[flow_id] = _checked_fraction(
+            f"flow {flow_id!r} weight", weight, allow_zero=False
+        )
         if interfaces is None:
             willing[flow_id] = frozenset(interface_ids)
         else:

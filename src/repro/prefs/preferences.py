@@ -10,7 +10,7 @@ The paper models preferences with two inputs to the scheduler
 
 :class:`PreferenceSet` is the canonical in-memory form; it validates
 the inputs (every flow must be willing to use at least one interface),
-converts to/from dense numpy matrices for the fluid solvers, and
+builds from an explicit Π matrix given as plain sequences, and
 supports live updates — the paper's "use new capacity" property is
 exercised by editing preferences mid-run.
 """
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from ..errors import PreferenceError
 
@@ -128,13 +126,13 @@ class PreferenceSet:
         """Live-update a flow's interface preference."""
         pref = self._require(flow_id)
         willing = frozenset(interfaces) if interfaces is not None else None
-        self._flows[flow_id] = FlowPreference(weight=pref.weight, interfaces=willing)
         if willing is not None:
             unknown = willing - set(self._interface_ids)
             if unknown:
                 raise PreferenceError(
                     f"flow {flow_id!r} references unknown interfaces {sorted(unknown)}"
                 )
+        self._flows[flow_id] = FlowPreference(weight=pref.weight, interfaces=willing)
 
     def _require(self, flow_id: str) -> FlowPreference:
         pref = self._flows.get(flow_id)
@@ -176,19 +174,6 @@ class PreferenceSet:
     def willing_flows(self, interface_id: str) -> List[str]:
         """``F_j`` — flows willing to use *interface_id*, in order."""
         return [i for i in self._flows if self.willing(i, interface_id)]
-
-    def weights_vector(self) -> np.ndarray:
-        """``φ`` as a dense array aligned with :attr:`flow_ids`."""
-        return np.array([self._flows[i].weight for i in self._flows], dtype=float)
-
-    def pi_matrix(self) -> np.ndarray:
-        """``Π`` as a dense 0/1 array (rows = flows, cols = interfaces)."""
-        matrix = np.zeros((len(self._flows), len(self._interface_ids)), dtype=int)
-        for row, flow_id in enumerate(self._flows):
-            for col, interface_id in enumerate(self._interface_ids):
-                if self.willing(flow_id, interface_id):
-                    matrix[row, col] = 1
-        return matrix
 
     def validate(self) -> None:
         """Check global consistency; raises :class:`PreferenceError`.

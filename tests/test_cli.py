@@ -58,6 +58,28 @@ class TestSolveCommand:
         assert exit_code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "interface, flow",
+        [
+            ("if1=nan", "a:1:*"),
+            ("if1=inf", "a:1:*"),
+            ("if1=1e6", "a:nan:*"),
+            ("if1=1e6", "a:inf:*"),
+        ],
+    )
+    def test_solve_reports_nonfinite_inputs(self, capsys, interface, flow):
+        exit_code = main(["solve", "--interface", interface, "--flow", flow])
+        assert exit_code == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_solve_rejects_non_numeric_rate(self):
+        with pytest.raises(SystemExit, match="name=rate"):
+            main(["solve", "--interface", "if1=abc", "--flow", "a:1:*"])
+
+    def test_solve_rejects_non_numeric_weight(self):
+        with pytest.raises(SystemExit, match="id:weight:ifaces"):
+            main(["solve", "--interface", "if1=1e6", "--flow", "a:abc:*"])
+
 
 class TestFigureCommands:
     def test_fig1_runs(self, capsys):

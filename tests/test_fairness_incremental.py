@@ -205,6 +205,21 @@ class TestValidation:
         with pytest.raises(FairnessError):
             solver.set_capacity("if1", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_inputs_rejected(self, bad):
+        with pytest.raises(FairnessError):
+            IncrementalMaxMinSolver({"if1": bad})
+        solver = IncrementalMaxMinSolver({"if1": 1e6}, {"a": (1.0, None)})
+        with pytest.raises(FairnessError):
+            solver.set_capacity("if1", bad)
+        with pytest.raises(FairnessError):
+            solver.set_weight("a", bad)
+        with pytest.raises(FairnessError):
+            solver.add_flow("b", weight=bad)
+        # Every rejection left the instance untouched.
+        assert solver.flow_ids == ["a"]
+        assert solver.rate("a") == Fraction(10**6)
+
 
 class TestSnapshotRestore:
     def test_roundtrip_is_json_safe_and_exact(self):

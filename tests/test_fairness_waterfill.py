@@ -1,8 +1,10 @@
-"""Unit tests for the exact max-min water-filling solver."""
+"""Unit and property tests for the exact max-min water-filling solver."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import FairnessError
 from repro.fairness.waterfill import (
@@ -152,6 +154,16 @@ class TestValidation:
         with pytest.raises(FairnessError):
             weighted_maxmin({"a": (0.0, None)}, {"if1": 1e6})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_capacity_rejected(self, bad):
+        with pytest.raises(FairnessError, match="finite"):
+            weighted_maxmin({"a": (1.0, None)}, {"if1": bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(FairnessError, match="finite"):
+            weighted_maxmin({"a": (bad, None)}, {"if1": 1e6})
+
     def test_unknown_interfaces_rejected(self):
         with pytest.raises(FairnessError):
             weighted_maxmin({"a": (1.0, ["nope"])}, {"if1": 1e6})
@@ -259,3 +271,148 @@ class TestOutageSemantics:
         assert allocation.rates["a"] == 0
         assert allocation.rates["b"] == 0
         assert allocation.total_rate() == 0
+
+
+@st.composite
+def random_instances(draw):
+    """Small (Π, φ, C) instances; capacity 0 (an outage) is allowed."""
+    num_interfaces = draw(st.integers(min_value=1, max_value=4))
+    interface_ids = [f"if{j}" for j in range(num_interfaces)]
+    capacities = {
+        j: float(draw(st.integers(min_value=0, max_value=20))) for j in interface_ids
+    }
+    num_flows = draw(st.integers(min_value=1, max_value=5))
+    flows = {}
+    for i in range(num_flows):
+        weight = float(draw(st.sampled_from([1, 2, 3, 5])))
+        mask = draw(
+            st.none() | st.integers(min_value=1, max_value=(1 << num_interfaces) - 1)
+        )
+        willing = None if mask is None else [
+            interface_ids[j] for j in range(num_interfaces) if mask & (1 << j)
+        ]
+        flows[f"flow{i}"] = (weight, willing)
+    return flows, capacities
+
+
+def certificate_violations(flows, capacities, allocation):
+    """Check *allocation* against Gale feasibility and Theorem 2, exactly.
+
+    Returns the list of violated conditions (empty for a certified
+    max-min allocation). Every comparison is between Fractions.
+    """
+    caps = {j: Fraction(c) for j, c in capacities.items()}
+    weights = {i: Fraction(w) for i, (w, _) in flows.items()}
+    willing = {
+        i: frozenset(caps if row is None else row) for i, (_, row) in flows.items()
+    }
+    rates = allocation.rates
+    violations = []
+
+    # Gale: every flow subset fits in the capacity it can reach.
+    for size in range(1, len(flows) + 1):
+        for subset in itertools.combinations(flows, size):
+            reach = frozenset().union(*(willing[i] for i in subset))
+            if sum(rates[i] for i in subset) > sum(caps[j] for j in reach):
+                violations.append(f"infeasible: {subset} exceed C({sorted(reach)})")
+
+    # Clusters partition the flows and the non-idle interfaces.
+    cluster_flows = [i for c in allocation.clusters for i in c.flows]
+    cluster_ifaces = [j for c in allocation.clusters for j in c.interfaces]
+    if sorted(cluster_flows) != sorted(flows):
+        violations.append("clusters do not partition the flows")
+    used = frozenset().union(*willing.values())
+    if sorted(cluster_ifaces) != sorted(used):
+        violations.append("clusters do not partition the non-idle interfaces")
+    if allocation.idle_interfaces != frozenset(caps) - used:
+        violations.append("idle interfaces are not exactly the unwanted ones")
+
+    level_of = {}
+    for cluster in allocation.clusters:
+        for member in cluster.flows | cluster.interfaces:
+            level_of[member] = cluster.level
+        # The cluster's flows use exactly its interfaces' capacity.
+        if sum(rates[i] for i in cluster.flows) != sum(
+            caps[j] for j in cluster.interfaces
+        ):
+            violations.append(f"cluster {sorted(cluster.flows)} misuses capacity")
+    for i in flows:
+        if i not in level_of:
+            continue
+        if rates[i] != weights[i] * level_of[i]:
+            violations.append(f"{i} rate is not φ × its cluster level")
+        # Theorem 2: no willing interface sits in a higher cluster.
+        for j in willing[i]:
+            if j in level_of and level_of[j] > level_of[i]:
+                violations.append(f"{i} is willing to use higher-level {j}")
+    return violations
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(random_instances())
+def test_waterfill_is_certified_maxmin(instance):
+    """The solver's allocation carries an exact Theorem 2 certificate."""
+    flows, capacities = instance
+    allocation = weighted_maxmin(flows, capacities)
+    assert certificate_violations(flows, capacities, allocation) == []
+
+
+def test_certificate_rejects_per_interface_equal_split():
+    # Figure 1c split equally on each interface (the naive per-interface
+    # answer): a gets all of if1 plus half of if2, b only half of if2.
+    flows = {"a": (1.0, None), "b": (1.0, ["if2"])}
+    capacities = {"if1": 1e6, "if2": 1e6}
+    wrong = Allocation(
+        rates={"a": Fraction(1_500_000), "b": Fraction(500_000)},
+        clusters=[
+            Cluster(frozenset({"b"}), frozenset({"if2"}), Fraction(500_000)),
+            Cluster(frozenset({"a"}), frozenset({"if1"}), Fraction(1_500_000)),
+        ],
+    )
+    assert certificate_violations(flows, capacities, wrong)
+    right = weighted_maxmin(flows, capacities)
+    assert certificate_violations(flows, capacities, right) == []
+
+
+@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
+@given(random_instances())
+def test_waterfill_is_pareto_efficient(instance):
+    """Total allocated rate equals total *reachable* capacity.
+
+    Work conservation: every interface with at least one willing flow is
+    fully used in a max-min allocation of continuously backlogged flows.
+    """
+    flows, capacities = instance
+    allocation = weighted_maxmin(flows, capacities)
+    reachable = sum(
+        capacity
+        for interface_id, capacity in capacities.items()
+        if interface_id not in allocation.idle_interfaces
+    )
+    assert allocation.total_rate() == pytest.approx(reachable, rel=1e-9)
+
+
+@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
+@given(random_instances())
+def test_waterfill_satisfies_cluster_definition(instance):
+    """Definition 2 holds on the solver's own clusters."""
+    flows, capacities = instance
+    allocation = weighted_maxmin(flows, capacities)
+    # 1. Disjoint clusters covering every flow.
+    seen_flows = set()
+    seen_ifaces = set()
+    for cluster in allocation.clusters:
+        assert not (cluster.flows & seen_flows)
+        assert not (cluster.interfaces & seen_ifaces)
+        seen_flows |= cluster.flows
+        seen_ifaces |= cluster.interfaces
+    assert seen_flows == set(flows)
+    # 2/3. Each flow's cluster has the max level among reachable ones.
+    for flow_id, (weight, willing) in flows.items():
+        own = allocation.cluster_of(flow_id)
+        for other in allocation.clusters:
+            reachable = any(
+                j in other.interfaces for j in (willing or capacities)
+            )
+            if reachable:
+                assert other.level <= own.level

@@ -1,10 +1,17 @@
 """Unit tests for the preference model (Π, φ)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PreferenceError
 from repro.prefs.preferences import FlowPreference, PreferenceSet
+
+
+def pi_rows(prefs):
+    """Π as 0/1 rows (flows × interfaces), read through ``willing``."""
+    return [
+        [int(prefs.willing(i, j)) for j in prefs.interface_ids]
+        for i in prefs.flow_ids
+    ]
 
 
 class TestFlowPreference:
@@ -82,23 +89,23 @@ class TestMatrixConversion:
         prefs = PreferenceSet(["if1", "if2"])
         prefs.add_flow("a", interfaces=["if1", "if2"])
         prefs.add_flow("b", interfaces=["if2"])
-        expected = np.array([[1, 1], [0, 1]])
-        assert (prefs.pi_matrix() == expected).all()
+        assert pi_rows(prefs) == [[1, 1], [0, 1]]
 
     def test_weights_vector(self):
         prefs = PreferenceSet(["if1"])
         prefs.add_flow("a", weight=1.0)
         prefs.add_flow("b", weight=2.5)
-        assert prefs.weights_vector().tolist() == [1.0, 2.5]
+        assert [prefs.weight(i) for i in prefs.flow_ids] == [1.0, 2.5]
 
     def test_from_matrix_roundtrip(self):
+        pi = [[1, 1], [0, 1]]
         prefs = PreferenceSet.from_matrix(
-            ["a", "b"], ["if1", "if2"], [[1, 1], [0, 1]], weights=[1.0, 2.0]
+            ["a", "b"], ["if1", "if2"], pi, weights=[1.0, 2.0]
         )
-        assert prefs.willing("a", "if1")
-        assert not prefs.willing("b", "if1")
+        assert prefs.flow_ids == ["a", "b"]
+        assert prefs.weight("a") == 1.0
         assert prefs.weight("b") == 2.0
-        assert (prefs.pi_matrix() == np.array([[1, 1], [0, 1]])).all()
+        assert pi_rows(prefs) == pi
 
     def test_from_matrix_shape_mismatch(self):
         with pytest.raises(PreferenceError):
@@ -119,6 +126,16 @@ class TestLiveUpdates:
         prefs.add_flow("a", interfaces=["if1"])
         prefs.set_interfaces("a", ["if2"])
         assert prefs.willing_interfaces("a") == ["if2"]
+
+    def test_rejected_set_interfaces_leaves_flow_unchanged(self):
+        prefs = PreferenceSet(["if1", "if2"])
+        prefs.add_flow("a", interfaces=["if1"])
+        before = prefs.to_dict()
+        with pytest.raises(PreferenceError):
+            prefs.set_interfaces("a", ["if9"])
+        assert prefs.willing_interfaces("a") == ["if1"]
+        assert prefs.to_dict() == before
+        prefs.validate()
 
     def test_remove_flow(self):
         prefs = PreferenceSet(["if1"])

@@ -7,6 +7,7 @@ weakening CI environments that do carry the linter.
 """
 
 import compileall
+import json
 import os
 import shutil
 import subprocess
@@ -86,3 +87,47 @@ def test_bench_smoke_regression_gate():
     assert result.returncode == 0, (
         f"bench smoke gate failed:\n{result.stdout}\n{result.stderr}"
     )
+
+
+# Run in a fresh interpreter: lists the top-level packages of the
+# modules that ``import repro, repro.cli`` adds whose file lies outside
+# both ``src/`` and the standard library (site-packages excluded).
+_THIRD_PARTY_PROBE = """
+import json, os, sys, sysconfig
+src = os.path.realpath(sys.argv[1])
+paths = sysconfig.get_paths()
+site = {os.path.realpath(paths[k]) for k in ("purelib", "platlib")}
+stdlib = {os.path.realpath(paths[k]) for k in ("stdlib", "platstdlib")}
+sys.path.insert(0, src)
+before = set(sys.modules)
+import repro, repro.cli
+
+def inside(path, roots):
+    return any(os.path.commonpath([path, root]) == root for root in roots)
+
+foreign = set()
+for name in set(sys.modules) - before:
+    origin = getattr(sys.modules[name], "__file__", None)
+    if origin is None:
+        continue  # built-in, frozen or namespace module
+    origin = os.path.realpath(origin)
+    if inside(origin, [src]):
+        continue
+    if inside(origin, stdlib) and not inside(origin, site):
+        continue
+    foreign.add(name.partition(".")[0])
+print(json.dumps(sorted(foreign)))
+"""
+
+
+def test_package_imports_only_the_standard_library():
+    """``repro`` is stdlib-only: a stray third-party import fails here."""
+    result = subprocess.run(
+        [sys.executable, "-c", _THIRD_PARTY_PROBE, SRC],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    foreign = json.loads(result.stdout.strip().splitlines()[-1])
+    assert foreign == [], f"import repro, repro.cli loaded third-party modules: {foreign}"
