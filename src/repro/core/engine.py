@@ -440,7 +440,7 @@ class SchedulingEngine:
             # Parked: keep the backlog but wake nobody — every willing
             # interface is down anyway.
             return
-        if len(flow.queue) == 1:
+        if len(flow.queue.packets) == 1:
             # Empty → backlogged transition: tell the scheduler, then
             # wake any idle interface this flow is willing to use. The
             # kick is deferred to the current instant to break the

@@ -407,11 +407,24 @@ class ChaosRun:
     # ------------------------------------------------------------------
     def run(self) -> ChaosReport:
         """Execute the scenario and compile the report."""
+        self.start()
+        self.sim.run(until=self.duration)
+        return self.finish()
+
+    def start(self) -> None:
+        """Start the engine and the monitors; :meth:`run` begins here.
+
+        Callers that advance ``sim`` themselves (in slices, with
+        ``sim.run(until=...)`` up to :attr:`duration`) end with
+        :meth:`finish`; the report equals an unsliced :meth:`run`'s.
+        """
         self.watchdog.start()
         if self.auditor is not None:
             self.auditor.start()
         self.engine.start()
-        self.sim.run(until=self.duration)
+
+    def finish(self) -> ChaosReport:
+        """Stop the monitors and compile the report."""
         self.watchdog.stop()
         if self.auditor is not None:
             self.auditor.stop()

@@ -72,7 +72,7 @@ class MiDrrInvariantChecker:
     def _check_deficits(self) -> List[str]:
         found: List[str] = []
         scheduler = self._scheduler
-        for key, value in scheduler._deficit.items():
+        for key, value in scheduler.deficit_items():
             if value < -_EPSILON:
                 found.append(f"negative deficit {value!r} for {key!r}")
         for flow in scheduler.flows():
@@ -88,7 +88,7 @@ class MiDrrInvariantChecker:
         found: List[str] = []
         scheduler = self._scheduler
         cap = 1 if scheduler.exclusion == "flag" else COUNTER_CAP
-        for key, value in scheduler._service_flags.items():
+        for key, value in scheduler.flag_items():
             if not 0 <= value <= cap:
                 found.append(
                     f"service flag {value!r} for {key!r} outside [0, {cap}]"
@@ -100,16 +100,15 @@ class MiDrrInvariantChecker:
         scheduler = self._scheduler
         flow_ids = {flow.flow_id for flow in scheduler.flows()}
         interface_ids = set(scheduler.interface_ids())
-        for key in scheduler._service_flags:
+        for key, _ in scheduler.flag_items():
             flow_id, interface_id = key
             if flow_id not in flow_ids or interface_id not in interface_ids:
                 found.append(f"stale service-flag key {key!r} (flow departed)")
-        for key in scheduler._deficit:
-            if isinstance(key, tuple):
-                flow_id, interface_id = key
-                if flow_id not in flow_ids or interface_id not in interface_ids:
-                    found.append(f"stale deficit key {key!r} (flow departed)")
-            elif key not in flow_ids:
+        for key, _ in scheduler.deficit_items():
+            flow_id, interface_id = key
+            if flow_id not in flow_ids or (
+                interface_id is not None and interface_id not in interface_ids
+            ):
                 found.append(f"stale deficit key {key!r} (flow departed)")
         return found
 

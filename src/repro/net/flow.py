@@ -24,7 +24,7 @@ class Flow:
     __slots__ = (
         "flow_id",
         "weight",
-        "_allowed",
+        "allowed_interfaces",
         "prefs_version",
         "deadline_budget",
         "nominal_rate_bps",
@@ -56,10 +56,13 @@ class Flow:
             )
         self.flow_id = flow_id
         self.weight = float(weight)
-        self._allowed: Optional[FrozenSet[str]] = (
+        # The interface-preference set, or ``None`` meaning "any".
+        # Read-only for everyone else: change it through restrict_to(),
+        # which bumps prefs_version for the willing-interface caches.
+        self.allowed_interfaces: Optional[FrozenSet[str]] = (
             frozenset(allowed_interfaces) if allowed_interfaces is not None else None
         )
-        if self._allowed is not None and not self._allowed:
+        if self.allowed_interfaces is not None and not self.allowed_interfaces:
             raise PreferenceError(
                 f"flow {flow_id!r}: empty interface preference set — the flow "
                 "could never be served"
@@ -97,14 +100,10 @@ class Flow:
     # ------------------------------------------------------------------
     # Preferences
     # ------------------------------------------------------------------
-    @property
-    def allowed_interfaces(self) -> Optional[FrozenSet[str]]:
-        """The interface-preference set, or ``None`` meaning "any"."""
-        return self._allowed
-
     def willing_to_use(self, interface_id: str) -> bool:
         """``π_ij = 1``? — is this flow willing to use *interface_id*."""
-        return self._allowed is None or interface_id in self._allowed
+        allowed = self.allowed_interfaces
+        return allowed is None or interface_id in allowed
 
     def restrict_to(self, interfaces: AbstractSet[str]) -> None:
         """Replace the interface-preference set (live policy change)."""
@@ -112,7 +111,7 @@ class Flow:
             raise PreferenceError(
                 f"flow {self.flow_id!r}: cannot restrict to an empty set"
             )
-        self._allowed = frozenset(interfaces)
+        self.allowed_interfaces = frozenset(interfaces)
         self.prefs_version += 1
         for listener in self._prefs_listeners:
             listener(self)
@@ -132,7 +131,7 @@ class Flow:
     @property
     def backlogged(self) -> bool:
         """``True`` while packets are queued."""
-        return bool(self.queue)
+        return bool(self.queue.packets)
 
     @property
     def backlog_bytes(self) -> int:
@@ -205,7 +204,9 @@ class Flow:
             "flow_id": self.flow_id,
             "weight": self.weight,
             "allowed": (
-                sorted(self._allowed) if self._allowed is not None else None
+                sorted(self.allowed_interfaces)
+                if self.allowed_interfaces is not None
+                else None
             ),
             "prefs_version": self.prefs_version,
             "deadline_budget": self.deadline_budget,
@@ -227,7 +228,7 @@ class Flow:
                 f"snapshot is for flow {state['flow_id']!r}, not {self.flow_id!r}"
             )
         self.weight = state["weight"]
-        self._allowed = (
+        self.allowed_interfaces = (
             frozenset(state["allowed"]) if state["allowed"] is not None else None
         )
         self.prefs_version = state["prefs_version"]
@@ -239,7 +240,12 @@ class Flow:
         self.queue.restore_state(state["queue"])
 
     def __repr__(self) -> str:
-        allowed = "any" if self._allowed is None else "{" + ",".join(sorted(self._allowed)) + "}"
+        allowed_interfaces = self.allowed_interfaces
+        allowed = (
+            "any"
+            if allowed_interfaces is None
+            else "{" + ",".join(sorted(allowed_interfaces)) + "}"
+        )
         return (
             f"Flow({self.flow_id!r}, w={self.weight:g}, ifaces={allowed}, "
             f"backlog={self.backlog_bytes}B)"

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..errors import ConfigurationError, SimulationError
-from ..units import transmission_time
+from ..units import BITS_PER_BYTE
 from .packet import Packet
 from ..sim.simulator import Simulator
 from ..sim.tracing import TraceLog
@@ -264,7 +264,12 @@ class Interface:
         self._transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
-        duration = transmission_time(packet.size_bytes, self._rate_bps)
+        # units.transmission_time(), guard included, inlined: this runs
+        # once per packet. Change the two together.
+        rate_bps = self._rate_bps
+        if rate_bps <= 0:
+            raise ValueError(f"rate must be positive, got {rate_bps!r}")
+        duration = packet.size_bytes * BITS_PER_BYTE / rate_bps
         self._busy = True
         self.busy_time += duration
         if self._trace is not None:

@@ -9,7 +9,7 @@ substrate, which classifies and rewrites real headers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
@@ -62,9 +62,14 @@ class FiveTuple:
         )
 
 
-@dataclass
 class Packet:
     """One schedulable packet.
+
+    Written out by hand with ``__slots__`` (a dataclass takes ``slots``
+    only from Python 3.10): every simulated packet is one of these, so
+    construction and attribute access stay cheap and no per-instance
+    ``__dict__`` is allocated. Equality compares every field, as a
+    dataclass's would, and packets are unhashable.
 
     Attributes
     ----------
@@ -76,6 +81,7 @@ class Packet:
         Virtual time of arrival into the system (for latency stats).
     seqno:
         Globally unique, monotonically increasing id (determinism aid).
+        Drawn from the global packet counter when not given.
     deadline:
         Optional absolute virtual time by which the packet should have
         finished transmission. ``None`` means the packet is elastic —
@@ -87,19 +93,57 @@ class Packet:
         Optional raw bytes (headers + payload) for bridge rewriting.
     """
 
-    flow_id: str
-    size_bytes: int
-    created_at: float = 0.0
-    seqno: int = field(default_factory=lambda: next(_packet_counter))
-    deadline: Optional[float] = None
-    five_tuple: Optional[FiveTuple] = None
-    wire_bytes: Optional[bytes] = None
+    __slots__ = (
+        "flow_id",
+        "size_bytes",
+        "created_at",
+        "seqno",
+        "deadline",
+        "five_tuple",
+        "wire_bytes",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+    def __init__(
+        self,
+        flow_id: str,
+        size_bytes: int,
+        created_at: float = 0.0,
+        seqno: Optional[int] = None,
+        deadline: Optional[float] = None,
+        five_tuple: Optional[FiveTuple] = None,
+        wire_bytes: Optional[bytes] = None,
+    ) -> None:
+        self.flow_id = flow_id
+        self.size_bytes = size_bytes
+        self.created_at = created_at
+        # Drawn before the size check, so a rejected packet burns its
+        # seqno exactly as it always has.
+        self.seqno = next(_packet_counter) if seqno is None else seqno
+        self.deadline = deadline
+        self.five_tuple = five_tuple
+        self.wire_bytes = wire_bytes
+        if size_bytes <= 0:
             raise ConfigurationError(
-                f"packet size must be positive, got {self.size_bytes}"
+                f"packet size must be positive, got {size_bytes}"
             )
+
+    def _fields(self) -> tuple:
+        return (
+            self.flow_id,
+            self.size_bytes,
+            self.created_at,
+            self.seqno,
+            self.deadline,
+            self.five_tuple,
+            self.wire_bytes,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, compared by value: unhashable
 
     @property
     def size_bits(self) -> float:

@@ -44,7 +44,7 @@ class FlowQueue:
         "max_bytes",
         "policy",
         "_on_drop",
-        "_packets",
+        "packets",
         "_backlog_bytes",
         "_dropped_packets",
         "_dropped_bytes",
@@ -68,7 +68,12 @@ class FlowQueue:
         self.max_bytes = max_bytes
         self.policy = policy
         self._on_drop = on_drop
-        self._packets: Deque[Packet] = deque()
+        # The backlog, head first. Read-only for everyone else: bound
+        # once here and never rebound (restore_state refills it in
+        # place), so hot paths may hold the reference and test
+        # ``len``/truthiness or read ``packets[0]`` without a method
+        # call; only this class's methods mutate it.
+        self.packets: Deque[Packet] = deque()
         self._backlog_bytes = 0
         self._dropped_packets = 0
         self._dropped_bytes = 0
@@ -78,13 +83,13 @@ class FlowQueue:
     # Inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._packets)
+        return len(self.packets)
 
     def __bool__(self) -> bool:
-        return bool(self._packets)
+        return bool(self.packets)
 
     def __iter__(self) -> Iterator[Packet]:
-        return iter(self._packets)
+        return iter(self.packets)
 
     @property
     def backlog_bytes(self) -> int:
@@ -108,7 +113,7 @@ class FlowQueue:
 
     def head(self) -> Optional[Packet]:
         """The head-of-line packet without removing it."""
-        return self._packets[0] if self._packets else None
+        return self.packets[0] if self.packets else None
 
     def head_size(self) -> Optional[int]:
         """Size in bytes of the head-of-line packet, if any."""
@@ -155,13 +160,13 @@ class FlowQueue:
                     self._drop(packet)
                     return False
                 while (
-                    self._packets
+                    self.packets
                     and self._backlog_bytes + packet.size_bytes > self.max_bytes
                 ):
-                    evicted = self._packets.popleft()
+                    evicted = self.packets.popleft()
                     self._backlog_bytes -= evicted.size_bytes
                     self._drop(evicted)
-        self._packets.append(packet)
+        self.packets.append(packet)
         self._backlog_bytes += packet.size_bytes
         self._enqueued_packets += 1
         return True
@@ -171,14 +176,14 @@ class FlowQueue:
 
         Raises :class:`IndexError` when empty, mirroring ``deque``.
         """
-        packet = self._packets.popleft()
+        packet = self.packets.popleft()
         self._backlog_bytes -= packet.size_bytes
         return packet
 
     def clear(self) -> List[Packet]:
         """Empty the queue, returning the removed packets."""
-        removed = list(self._packets)
-        self._packets.clear()
+        removed = list(self.packets)
+        self.packets.clear()
         self._backlog_bytes = 0
         return removed
 
@@ -188,7 +193,7 @@ class FlowQueue:
     def snapshot_state(self) -> dict:
         """Queue contents and drop accounting as a JSON-safe dict."""
         return {
-            "packets": [encode_packet(packet) for packet in self._packets],
+            "packets": [encode_packet(packet) for packet in self.packets],
             "dropped_packets": self._dropped_packets,
             "dropped_bytes": self._dropped_bytes,
             "enqueued_packets": self._enqueued_packets,
@@ -197,12 +202,17 @@ class FlowQueue:
     def restore_state(self, state: dict) -> None:
         """Overwrite contents and accounting from :meth:`snapshot_state`.
 
-        Writes the internal deque directly — the drop listener and the
+        Refills the internal deque in place — the drop listener and the
         capacity policy are build-time wiring and must not re-fire while
-        reconstructing an already-admitted backlog.
+        reconstructing an already-admitted backlog, and holders of
+        :attr:`packets` must keep seeing the live backlog.
         """
-        self._packets = deque(decode_packet(doc) for doc in state["packets"])
-        self._backlog_bytes = sum(packet.size_bytes for packet in self._packets)
+        # Decode everything first: a bad document raises with the
+        # queue still intact.
+        restored = [decode_packet(doc) for doc in state["packets"]]
+        self.packets.clear()
+        self.packets.extend(restored)
+        self._backlog_bytes = sum(packet.size_bytes for packet in self.packets)
         self._dropped_packets = state["dropped_packets"]
         self._dropped_bytes = state["dropped_bytes"]
         self._enqueued_packets = state["enqueued_packets"]

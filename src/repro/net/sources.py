@@ -51,6 +51,9 @@ class BulkSource:
             raise ConfigurationError(f"total_bytes must be positive, got {total_bytes}")
         self._sim = sim
         self._flow = flow
+        # The flow's backlog deque, held for the per-packet refill; the
+        # queue never rebinds it (a restore refills it in place).
+        self._backlog = flow.queue.packets
         self._packet_size = packet_size
         self._remaining = total_bytes
         self._target_depth = target_depth
@@ -83,18 +86,24 @@ class BulkSource:
         self._started = state["started"]
 
     def _top_up(self) -> None:
-        while len(self._flow.queue) < self._target_depth and not self.exhausted:
-            size = self._packet_size
-            if self._remaining is not None:
-                size = min(size, self._remaining)
-                self._remaining -= size
-            self._flow.offer(
-                Packet(
-                    flow_id=self._flow.flow_id,
-                    size_bytes=size,
-                    created_at=self._sim.now,
-                )
-            )
+        # Runs once per pulled packet: lookups are hoisted so each
+        # queued packet costs one len() on the backlog deque.
+        flow = self._flow
+        offer = flow.offer
+        flow_id = flow.flow_id
+        backlog = self._backlog
+        target_depth = self._target_depth
+        packet_size = self._packet_size
+        now = self._sim.now
+        while len(backlog) < target_depth:
+            size = packet_size
+            remaining = self._remaining
+            if remaining is not None:
+                if remaining <= 0:
+                    break
+                size = min(size, remaining)
+                self._remaining = remaining - size
+            offer(Packet(flow_id=flow_id, size_bytes=size, created_at=now))
 
 
 class CbrSource:

@@ -25,16 +25,16 @@ performance PR re-runs ``midrr bench core`` and reports the delta.
 
 from __future__ import annotations
 
+import heapq
 import json
 import platform
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.runner import run_scenario
 from ..core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from ..errors import ConfigurationError
 from ..schedulers.midrr import MiDrrScheduler
-from ..sim.events import EventQueue
 from ..sim.randomness import RandomStreams
 from ..units import mbps
 
@@ -107,14 +107,95 @@ def _noop() -> None:
     """Callback body for the churn micro-benchmark."""
 
 
+class _ChurnEvent:
+    """An event-queue entry exactly as the baseline's calibration timed it.
+
+    The churn workload is frozen here rather than run on
+    :class:`~repro.sim.events.EventQueue`: a probe built on the code
+    it gates would read a faster queue as a faster host and scale the
+    regression floors wrongly against the committed
+    ``calibration_seconds``. This class and :class:`_ChurnQueue` keep
+    the recorded probe's constructor, comparison and push/pop call
+    shape unchanged; do not optimise them.
+    """
+
+    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "qcancelled")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        callback: Callable[..., Any],
+        args: tuple = (),
+        cancelled: bool = False,
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = cancelled
+        self.qcancelled = False
+
+    def __lt__(self, other: "_ChurnEvent") -> bool:
+        if self.time != other.time:
+            return self.time < other.time
+        if self.priority != other.priority:
+            return self.priority < other.priority
+        return self.seq < other.seq
+
+
+class _ChurnQueue:
+    """The baseline event queue's push/pop, frozen for :func:`calibrate`."""
+
+    __slots__ = ("_heap", "_seq", "_cancelled_count")
+
+    def __init__(self) -> None:
+        self._heap: List[_ChurnEvent] = []
+        self._seq = 0
+        self._cancelled_count = 0
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def push(
+        self,
+        time: float,
+        callback: Callable[..., Any],
+        args: tuple = (),
+        priority: int = 0,
+    ) -> _ChurnEvent:
+        seq = self._seq
+        self._seq = seq + 1
+        event = _ChurnEvent(time, priority, seq, callback, args)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def _discard_head(self) -> None:
+        event = heapq.heappop(self._heap)
+        if event.qcancelled:
+            event.qcancelled = False
+            self._cancelled_count -= 1
+
+    def pop(self) -> _ChurnEvent:
+        heap = self._heap
+        while heap:
+            if heap[0].cancelled:
+                self._discard_head()
+                continue
+            return heapq.heappop(heap)
+        raise ConfigurationError("pop() from an empty churn queue")
+
+
 def _churn_seconds(churn: int = 32768, pending: int = 512) -> float:
-    """Time a deterministic hold-and-churn workload on the event queue.
+    """Time a deterministic hold-and-churn workload on an event heap.
 
     Keeps *pending* events queued and performs *churn* pop-push cycles
     with slightly jittered (but deterministic) inter-event gaps — the
     stationary regime of a packet simulation.
     """
-    queue = EventQueue()
+    queue = _ChurnQueue()
     started = time.perf_counter()
     now = 0.0
     for i in range(pending):

@@ -57,6 +57,10 @@ OVERHEAD_BUDGET = 0.05
 #: is real regardless of noise.
 OVERHEAD_NOISE_CEILING = 0.15
 
+#: Lockstep slices per auditor-overhead run pair: 20 s of simulated
+#: chaos in 0.25 s slices, ~5-10 ms of wall time each.
+AUDITOR_SLICES = 80
+
 
 def run_metrics_overhead(
     num_flows: int = DEFAULT_OVERHEAD_FLOWS,
@@ -215,12 +219,29 @@ def run_auditor_overhead(
 ) -> Dict[str, object]:
     """Paired chaos runs without/with the inline fairness auditor.
 
-    Same noise handling as :func:`run_metrics_overhead`: an untimed
-    warmup per variant, then ABBA rounds whose per-variant pairs are
-    averaged, with the median round reported. Every run's
-    deterministic signature is compared as a side effect — the auditor
-    must not change a single scheduling decision, so a signature
-    mismatch is an error, not noise.
+    Shared hosts run every Python instruction up to ~2x slower for
+    seconds at a time (CPU time slows down with it), which moves a
+    single ~0.4 s chaos run by far more than the budget. So the two
+    variants are not timed one after the other: each repeat builds a
+    bare and an audited run of the same seed and advances them in
+    lockstep, :data:`AUDITOR_SLICES` slices of simulated time each,
+    alternating which variant goes first (ABBA at slice level). Both
+    see the same host speed to within one ~10 ms slice, so drift
+    cancels. A variant's time is the sum of its slices plus its
+    construction, start-up and final report, so it covers everything
+    a plain :meth:`~repro.faults.chaos.ChaosRun.run` does; repeats
+    alternate which variant is built and reported first. One untimed
+    pair warms up first, and the median repeat is reported.
+
+    Sharing one heap does not bias the split: the 20 s chaos runs
+    measured trigger only young-generation collections (no full one),
+    so neither run's live objects lengthen the other's collections,
+    and a cost added to the audited run shows up in full in the
+    reported overhead (``tests/test_perf_bench.py::TestAuditorOverhead``).
+
+    Every run's deterministic signature is compared as a side effect —
+    the auditor must not change a single scheduling decision, so a
+    signature mismatch is an error, not noise.
     """
     from time import perf_counter
 
@@ -229,40 +250,49 @@ def run_auditor_overhead(
     if repeats <= 0:
         raise ConfigurationError(f"repeats must be positive, got {repeats}")
 
-    def timed(with_auditor: bool) -> Dict[str, object]:
-        gc.collect()
-        start = perf_counter()
-        run = ChaosRun(seed=seed, duration=duration, with_auditor=with_auditor)
-        report = run.run()
-        wall = perf_counter() - start
-        return {
-            "wall_seconds": wall,
-            "signature": report.stats_signature() + report.fault_signature(),
-        }
-
-    timed(False)
-    timed(True)
     signatures = set()
-    rounds: List[tuple] = []
-    for _ in range(repeats):
-        bare_a = timed(False)
-        audited_a = timed(True)
-        audited_b = timed(True)
-        bare_b = timed(False)
-        for cell in (bare_a, audited_a, audited_b, bare_b):
-            signatures.add(cell["signature"])
-        rounds.append(
-            (
-                (bare_a["wall_seconds"] + bare_b["wall_seconds"]) / 2,
-                (audited_a["wall_seconds"] + audited_b["wall_seconds"]) / 2,
+
+    def paired(bare_first: bool) -> tuple:
+        gc.collect()
+        walls = [0.0, 0.0]  # [bare, audited]
+        order = (0, 1) if bare_first else (1, 0)
+        runs: Dict[int, ChaosRun] = {}
+        # Construction and start-up (the auditor's bootstrap solve)
+        # count, as do the final report: everything a plain run() does.
+        for which in order:
+            start = perf_counter()
+            run = ChaosRun(seed=seed, duration=duration, with_auditor=bool(which))
+            run.start()
+            walls[which] += perf_counter() - start
+            runs[which] = run
+        for step in range(1, AUDITOR_SLICES + 1):
+            # The last slice ends exactly at `duration`, like run() does.
+            until = (
+                duration * step / AUDITOR_SLICES
+                if step < AUDITOR_SLICES
+                else duration
             )
-        )
+            for which in order if step % 2 else order[::-1]:
+                start = perf_counter()
+                runs[which].sim.run(until=until)
+                walls[which] += perf_counter() - start
+        for which in order[::-1]:
+            start = perf_counter()
+            report = runs[which].finish()
+            walls[which] += perf_counter() - start
+            signatures.add(report.stats_signature() + report.fault_signature())
+        return walls[0], walls[1]
+
+    paired(True)
+    rounds = sorted(
+        (paired(index % 2 == 0) for index in range(repeats)),
+        key=lambda pair: pair[1] / pair[0],
+    )
     if len(signatures) != 1:
         raise ConfigurationError(
             "fairness auditor perturbed the chaos run: report signatures "
             "diverge between audited and bare runs"
         )
-    rounds.sort(key=lambda pair: pair[1] / pair[0])
     bare_wall, audited_wall = rounds[(len(rounds) - 1) // 2]
     overhead = audited_wall / bare_wall - 1.0
     return {

@@ -33,10 +33,25 @@ Implementation notes
   interface starves (a concrete instance is pinned in
   ``tests/test_sched_midrr_properties.py`` and measured in ablation
   bench A1). We therefore default to the independent reading.
+* State layout: each interface owns its round (``active``, an
+  insertion-ordered map flow id → :class:`Flow`), its service flags
+  ``SF_·j`` and its deficit counters, both dicts keyed by flow id. With
+  ``deficit_scope="flow"`` every interface holds the *same* deficit
+  dict, so the two scopes run the same code. Flags and deficits hold
+  entries only for live keys: drained flows are popped by
+  ``_deactivate``, removed flows by ``_on_flow_removed`` (the health
+  layer asserts this through :meth:`MiDrrScheduler.flag_items` and
+  :meth:`MiDrrScheduler.deficit_items`).
+* ``select`` is one loop — Algorithm 3.1 with MIDRR-CHECK-NEXT spliced
+  in — and is the per-packet hot path: the interface's dicts and the
+  knob tests are bound once per call, and each flow considered costs a
+  stale-entry test (the registered object, the backlog deque's
+  truthiness, Π by set membership) plus one flag lookup, with no
+  Python-level calls.
 * Work conservation: the skip loop clears flags as it passes, so within
   one decision a second visit to the same flow finds the flag clear —
   an interface never idles while any willing flow is backlogged.
-* Activation is **event-driven**: the per-interface active lists are
+* Activation is **event-driven**: the per-interface active maps are
   maintained exclusively by ``notify_backlogged`` / ``add_flow`` /
   drain bookkeeping, and ``select`` never rescans the flow table. A
   decision therefore costs O(flows actually considered), independent
@@ -71,9 +86,9 @@ bit-identical to the paper's algorithm on its published scenarios.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..errors import ConfigurationError, SchedulingError
+from ..errors import CheckpointError, ConfigurationError, SchedulingError
 from ..net.flow import Flow
 from ..net.packet import Packet
 from .base import MultiInterfaceScheduler
@@ -94,17 +109,25 @@ COUNTER_CAP = 64
 
 
 class _InterfaceState:
-    """Per-interface DRR state: active round list and cursor."""
+    """Per-interface miDRR state: round, cursor, flags and deficits."""
 
-    __slots__ = ("active", "current", "turn_open")
+    __slots__ = ("active", "current", "turn_open", "flags", "deficit")
 
-    def __init__(self) -> None:
-        # Insertion-ordered set of backlogged willing flow ids.
-        self.active: "OrderedDict[str, None]" = OrderedDict()
+    def __init__(self, deficit: Dict[str, float]) -> None:
+        # Insertion-ordered map of the backlogged willing flows, flow
+        # id -> Flow; the front is the round-robin cursor.
+        self.active: "OrderedDict[str, Flow]" = OrderedDict()
         # Flow whose service turn is in progress, if any.
         self.current: Optional[str] = None
         # True while `current` still has granted deficit to spend.
         self.turn_open: bool = False
+        # Service flags SF_ij of this interface j, keyed by flow id.
+        # With exclusion="flag" values are 0/1 (the paper's boolean);
+        # with "counter" they saturate at COUNTER_CAP.
+        self.flags: Dict[str, int] = {}
+        # Deficit counters DC_ij, keyed by flow id. Shared by every
+        # interface with deficit_scope="flow".
+        self.deficit = deficit
 
 
 class MiDrrScheduler(MultiInterfaceScheduler):
@@ -139,16 +162,11 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         self._deficit_scope = deficit_scope
         self._exclusion = exclusion
         self._states: Dict[str, _InterfaceState] = {}
-        # Service flags SF_ij, keyed (flow_id, interface_id). With
-        # exclusion="flag" values are 0/1 (the paper's boolean); with
-        # "counter" they saturate at COUNTER_CAP.
-        self._service_flags: Dict[Tuple[str, str], int] = {}
-        # Deficit counters; key is flow_id ("flow" scope) or
-        # (flow_id, interface_id) ("flow_interface" scope). Both this
-        # dict and _service_flags hold entries only for live keys:
-        # drained flows are popped by _deactivate, removed flows by
-        # _on_flow_removed (the health layer asserts this).
-        self._deficit: Dict[object, float] = {}
+        # The one deficit dict every interface shares with
+        # deficit_scope="flow"; None with per-interface counters.
+        self._shared_deficit: Optional[Dict[str, float]] = (
+            {} if deficit_scope == "flow" else None
+        )
         # Telemetry: per-decision flow-consideration counts (Figure 9).
         # Each select() appends exactly one entry: the number of flow
         # considerations the decision performed — every cursor advance
@@ -187,11 +205,37 @@ class MiDrrScheduler(MultiInterfaceScheduler):
 
     def service_flag(self, flow_id: str, interface_id: str) -> bool:
         """Current ``SF_ij`` as a boolean (False when unset/unknown)."""
-        return bool(self._service_flags.get((flow_id, interface_id), 0))
+        return bool(self.skip_credit(flow_id, interface_id))
 
     def skip_credit(self, flow_id: str, interface_id: str) -> int:
         """Pending skips for ``exclusion="counter"`` (0/1 for "flag")."""
-        return self._service_flags.get((flow_id, interface_id), 0)
+        state = self._states.get(interface_id)
+        return state.flags.get(flow_id, 0) if state is not None else 0
+
+    def flag_items(self) -> Iterator[Tuple[Tuple[str, str], int]]:
+        """Every service-flag entry as ``((flow_id, interface_id), value)``.
+
+        Interfaces in registration order, then flows in the order their
+        key was created. Entries are live keys only (a zero value is a
+        cleared flag of a registered flow).
+        """
+        for interface_id, state in self._states.items():
+            for flow_id, value in state.flags.items():
+                yield (flow_id, interface_id), value
+
+    def deficit_items(self) -> Iterator[Tuple[Tuple[str, Optional[str]], float]]:
+        """Every deficit counter as ``((flow_id, interface_id), value)``.
+
+        With ``deficit_scope="flow"`` the counters are per flow and
+        *interface_id* is ``None``. Same order as :meth:`flag_items`.
+        """
+        if self._shared_deficit is not None:
+            for flow_id, value in self._shared_deficit.items():
+                yield (flow_id, None), value
+            return
+        for interface_id, state in self._states.items():
+            for flow_id, value in state.deficit.items():
+                yield (flow_id, interface_id), value
 
     def deficit(self, flow_id: str, interface_id: Optional[str] = None) -> float:
         """Current deficit counter for *flow_id*.
@@ -199,17 +243,18 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         With ``deficit_scope="flow_interface"``, passing an
         *interface_id* returns that interface's counter; omitting it
         returns the sum across interfaces (total granted, unspent
-        service for the flow).
+        service for the flow) — one lookup per interface, since a
+        counter granted before a Π narrowing may sit at an interface
+        the flow no longer uses.
         """
-        if self._deficit_scope == "flow":
-            return self._deficit.get(flow_id, 0.0)
+        if self._shared_deficit is not None:
+            return self._shared_deficit.get(flow_id, 0.0)
         if interface_id is None:
             return sum(
-                value
-                for key, value in self._deficit.items()
-                if isinstance(key, tuple) and key[0] == flow_id
+                state.deficit.get(flow_id, 0.0) for state in self._states.values()
             )
-        return self._deficit.get((flow_id, interface_id), 0.0)
+        state = self._states.get(interface_id)
+        return state.deficit.get(flow_id, 0.0) if state is not None else 0.0
 
     def deficit_backlog(self) -> float:
         """Total granted, unspent deficit across all live counters.
@@ -218,7 +263,7 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         layer samples; bounded by ``Q_max × flows × interfaces`` when
         the deficit-reset invariant holds (the health checker's claim).
         """
-        return sum(self._deficit.values())
+        return sum(value for _, value in self.deficit_items())
 
     def pending_flags(self) -> int:
         """Number of (flow, interface) pairs with a pending skip.
@@ -228,44 +273,44 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         """
         return self._pending_flags_count
 
-    def _deficit_key(self, flow_id: str, interface_id: str) -> object:
-        if self._deficit_scope == "flow":
-            return flow_id
-        return (flow_id, interface_id)
-
     # ------------------------------------------------------------------
     # Topology / flow bookkeeping
     # ------------------------------------------------------------------
+    def _new_state(self) -> _InterfaceState:
+        shared = self._shared_deficit
+        return _InterfaceState(shared if shared is not None else {})
+
     def _on_interface_added(self, interface_id: str) -> None:
-        self._states[interface_id] = _InterfaceState()
+        state = self._states[interface_id] = self._new_state()
         for flow in self._flows.values():
             if flow.willing_to_use(interface_id) and flow.backlogged:
-                self._states[interface_id].active[flow.flow_id] = None
+                state.active[flow.flow_id] = flow
 
     def _on_flow_added(self, flow: Flow) -> None:
-        self.turns_taken.setdefault(flow.flow_id, 0)
+        flow_id = flow.flow_id
+        self.turns_taken.setdefault(flow_id, 0)
         # "Service flags for new flows are initiated at zero" (Table 1).
         # Only willing interfaces get a key: a flag at an unwilling
         # interface is never set by rule 1 nor read by rule 2, and the
         # getters default a missing key to zero.
         for interface_id in self.willing_interfaces(flow):
-            key = (flow.flow_id, interface_id)
-            if self._service_flags.get(key, 0):
+            flags = self._states[interface_id].flags
+            if flags.get(flow_id, 0):
                 self._pending_flags_count -= 1
-            self._service_flags[key] = 0
+            flags[flow_id] = 0
         if flow.backlogged:
             self._activate(flow)
 
     def _on_flow_removed(self, flow: Flow) -> None:
-        for interface_id, state in self._states.items():
-            state.active.pop(flow.flow_id, None)
-            if state.current == flow.flow_id:
+        flow_id = flow.flow_id
+        for state in self._states.values():
+            state.active.pop(flow_id, None)
+            if state.current == flow_id:
                 state.current = None
                 state.turn_open = False
-            if self._service_flags.pop((flow.flow_id, interface_id), 0):
+            if state.flags.pop(flow_id, 0):
                 self._pending_flags_count -= 1
-            self._deficit.pop((flow.flow_id, interface_id), None)
-        self._deficit.pop(flow.flow_id, None)
+            state.deficit.pop(flow_id, None)
 
     def _on_backlogged(self, flow: Flow) -> None:
         self._activate(flow)
@@ -277,27 +322,22 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         for interface_id in self.willing_interfaces(flow):
             active = states[interface_id].active
             if flow_id not in active:
-                active[flow_id] = None
+                active[flow_id] = flow
 
-    def _deactivate(self, flow_id: str, interface_id: str) -> None:
-        """Flow drained: reset deficits, drop from every active list.
+    def _deactivate(self, flow_id: str) -> None:
+        """Flow drained: reset deficits, drop from every active map.
 
         Algorithm 3.1 resets ``DC_i`` when the backlog empties; with
         per-interface counters that means every interface's counter for
-        the flow. Resetting is implemented by popping the key — a
-        missing counter reads as zero everywhere — so the deficit dict
-        stays sized by the *currently backlogged* flows rather than
-        accumulating a key per flow ever served (state leak).
+        the flow — all interfaces, not just currently-willing ones, so
+        a preference narrowing after the quantum was granted cannot
+        strand a counter. Resetting is implemented by popping the key —
+        a missing counter reads as zero everywhere — so the deficit
+        dicts stay sized by the *currently backlogged* flows rather
+        than accumulating a key per flow ever served (state leak).
         """
-        if self._deficit_scope == "flow":
-            self._deficit.pop(flow_id, None)
-        else:
-            # All interfaces, not just currently-willing ones: a
-            # preference narrowing after the quantum was granted must
-            # not strand the counter.
-            for other_interface in self._interface_ids:
-                self._deficit.pop((flow_id, other_interface), None)
         for state in self._states.values():
+            state.deficit.pop(flow_id, None)
             state.active.pop(flow_id, None)
             if state.current == flow_id:
                 state.current = None
@@ -316,24 +356,26 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         willing list — O(|Π_i|) — rather than every interface.
         """
         flow_id = flow.flow_id
-        flags = self._service_flags
-        if self._exclusion == "flag":
+        states = self._states
+        raised = 0  # flags that go from clear to pending
+        if self._exclusion == "counter":
             for interface_id in self.willing_interfaces(flow):
                 if interface_id != serving_interface:
-                    key = (flow_id, interface_id)
-                    if not flags.get(key, 0):
-                        self.flags_set_total += 1
-                        self._pending_flags_count += 1
-                    flags[key] = 1
+                    flags = states[interface_id].flags
+                    previous = flags.get(flow_id, 0)
+                    if not previous:
+                        raised += 1
+                    flags[flow_id] = min(COUNTER_CAP, previous + 1)
+                    self.flags_set_total += 1
         else:
             for interface_id in self.willing_interfaces(flow):
                 if interface_id != serving_interface:
-                    key = (flow_id, interface_id)
-                    previous = flags.get(key, 0)
-                    if not previous:
-                        self._pending_flags_count += 1
-                    flags[key] = min(COUNTER_CAP, previous + 1)
-                    self.flags_set_total += 1
+                    flags = states[interface_id].flags
+                    if not flags.get(flow_id, 0):
+                        flags[flow_id] = 1
+                        raised += 1
+            self.flags_set_total += raised
+        self._pending_flags_count += raised
 
     # ------------------------------------------------------------------
     # Algorithm 3.1 with Algorithm 3.2 spliced in
@@ -342,76 +384,121 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         state = self._states.get(interface_id)
         if state is None:
             raise SchedulingError(f"unknown interface {interface_id!r}")
-
-        if not state.active:
-            self.decision_flows_examined.append(0)
+        record = self.decision_flows_examined.append
+        active = state.active
+        if not active:
+            record(0)
             return None
 
-        # A decision that resumes a service turn carried over from the
-        # previous decision considers that flow first — count it. (The
-        # pre-fix code only credited this consideration when the
-        # resumed flow was served immediately, so a decision that found
-        # it drained and moved on under-counted by one.)
-        examined = 1 if state.turn_open else 0
-        deficits = self._deficit
+        flows_get = self._flows.get
+        flags = state.flags
+        deficits = state.deficit
+        counter = self._exclusion == "counter"
+        flag_per_packet = self._flag_on == "packet"
+        # With boolean flags at most one full rotation can consist
+        # purely of skips, so a cursor scan is bounded by
+        # 2 × len(active); counters saturate at COUNTER_CAP, bounding
+        # the scan likewise.
+        skip_budget = COUNTER_CAP + 2 if counter else 2
+
+        examined = 0
+        flow: Optional[Flow] = None
+        if state.turn_open:
+            # A decision that resumes a service turn carried over from
+            # the previous decision considers that flow first — count
+            # it, whether or not it turns out to be servable.
+            examined = 1
+            flow_id = state.current
+            flow = flows_get(flow_id) if flow_id else None
+            backlog = flow.queue.packets if flow is not None else None
+            if not backlog:
+                # Drained between decisions (e.g. another interface
+                # consumed the backlog): close the turn.
+                if flow is not None:
+                    self._deactivate(flow_id)
+                flow = None
+            else:
+                allowed = flow.allowed_interfaces
+                if allowed is not None and interface_id not in allowed:
+                    # Live preference change (Π edited mid-run): this
+                    # interface must stop serving the flow immediately.
+                    active.pop(flow_id, None)
+                    flow = None
+            if flow is None:
+                state.current = None
+                state.turn_open = False
+                if not active:
+                    record(examined)
+                    return None
+
         # Outer loop: service turns. Each iteration either transmits a
         # packet or closes a turn; deficits grow monotonically across
         # rotations so the loop terminates.
         while True:
-            if not state.turn_open:
-                flow_id, scanned = self._check_next(interface_id, state)
-                examined += scanned
-                if flow_id is None:
-                    self.decision_flows_examined.append(examined)
+            if flow is None:
+                # Algorithm 3.2 (MIDRR-CHECK-NEXT): advance the cursor
+                # past flagged flows, clearing (or decrementing) each
+                # flag skipped over (rule 2). Skips are tallied locally
+                # and folded into the counters once per scan.
+                pop_front = active.popitem
+                cleared = 0  # rule-2 skips consumed
+                unflagged = 0  # flags that reached zero
+                for _ in range(skip_budget * len(active) + 1):
+                    if not active:
+                        break
+                    flow_id, candidate = pop_front(False)
+                    backlog = candidate.queue.packets
+                    if flows_get(flow_id) is not candidate or not backlog:
+                        # Stale entry (flow gone or drained): drop it
+                        # without re-appending.
+                        continue
+                    allowed = candidate.allowed_interfaces
+                    if allowed is not None and interface_id not in allowed:
+                        continue  # stale: its Π changed
+                    active[flow_id] = candidate  # back of the round
+                    examined += 1
+                    pending = flags.get(flow_id, 0)
+                    if not pending:
+                        flow = candidate
+                        break
+                    # Rule 2: consume one skip without granting quantum.
+                    cleared += 1
+                    if counter and pending > 1:
+                        flags[flow_id] = pending - 1
+                    else:
+                        flags[flow_id] = 0
+                        unflagged += 1
+                if cleared:
+                    self.flags_cleared_total += cleared
+                    self._pending_flags_count -= unflagged
+                if flow is None:
+                    record(examined)
                     return None
                 state.current = flow_id
                 state.turn_open = True
-                flow = self._flows[flow_id]
-                key = self._deficit_key(flow_id, interface_id)
-                deficits[key] = deficits.get(key, 0.0) + self.quantum(flow)
-                self.turns_taken[flow_id] = self.turns_taken.get(flow_id, 0) + 1
-                if self._flag_on == "turn":
+                deficits[flow_id] = deficits.get(flow_id, 0.0) + self.quantum(flow)
+                turns = self.turns_taken
+                turns[flow_id] = turns.get(flow_id, 0) + 1
+                if not flag_per_packet:
                     self._mark_served(flow, interface_id)
 
-            flow = self._flows.get(state.current) if state.current else None
-            if flow is None or not flow.backlogged:
-                # Drained between decisions (e.g. another interface
-                # consumed the backlog): close the turn.
-                if flow is not None:
-                    self._deactivate(flow.flow_id, interface_id)
-                state.current = None
-                state.turn_open = False
-                if not state.active:
-                    self.decision_flows_examined.append(examined)
-                    return None
-                continue
-            if not flow.willing_to_use(interface_id):
-                # Live preference change (Π edited mid-run): this
-                # interface must stop serving the flow immediately.
-                state.active.pop(flow.flow_id, None)
-                state.current = None
-                state.turn_open = False
-                if not state.active:
-                    self.decision_flows_examined.append(examined)
-                    return None
-                continue
-
-            key = self._deficit_key(flow.flow_id, interface_id)
-            head_size = flow.queue.head_size()
-            assert head_size is not None
-            if head_size <= deficits.get(key, 0.0):
-                deficits[key] -= head_size
+            # `backlog` is the served flow's deque, bound when it was
+            # considered; the deque is never rebound, so it stays live.
+            head_size = backlog[0].size_bytes
+            if head_size <= deficits.get(flow_id, 0.0):
+                deficits[flow_id] -= head_size
                 packet = flow.pull()
-                if self._flag_on == "packet":
+                if flag_per_packet:
                     self._mark_served(flow, interface_id)
-                if not flow.backlogged:
-                    self._deactivate(flow.flow_id, interface_id)
-                self.decision_flows_examined.append(examined)
+                if not backlog:
+                    self._deactivate(flow_id)
+                record(examined)
                 return packet
 
             # Quantum spent: the turn ends, deficit carries over.
             state.current = None
             state.turn_open = False
+            flow = None
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -419,7 +506,9 @@ class MiDrrScheduler(MultiInterfaceScheduler):
     def _snapshot_state(self) -> Dict[str, object]:
         # decision_flows_examined is deliberately absent: it is
         # unbounded per-decision telemetry (Figure 9) and restarts
-        # empty after a restore.
+        # empty after a restore. Flag and deficit lists follow
+        # flag_items()/deficit_items() order, which restore rebuilds,
+        # so snapshot -> restore -> snapshot is a fixpoint.
         return {
             "config": {
                 "quantum_base": self._quantum_base,
@@ -437,11 +526,11 @@ class MiDrrScheduler(MultiInterfaceScheduler):
             },
             "service_flags": [
                 [flow_id, interface_id, value]
-                for (flow_id, interface_id), value in self._service_flags.items()
+                for (flow_id, interface_id), value in self.flag_items()
             ],
             "deficit": [
-                [key, None, value] if isinstance(key, str) else [key[0], key[1], value]
-                for key, value in self._deficit.items()
+                [flow_id, interface_id, value]
+                for (flow_id, interface_id), value in self.deficit_items()
             ],
             "turns_taken": dict(self.turns_taken),
             "flags_set_total": self.flags_set_total,
@@ -461,67 +550,31 @@ class MiDrrScheduler(MultiInterfaceScheduler):
             raise SchedulingError(
                 f"snapshot miDRR config {config!r} does not match {mine!r}"
             )
+        if self._shared_deficit is not None:
+            self._shared_deficit = {}
         self._states = {}
         for interface_id, iface_state in state["interfaces"].items():
-            restored = _InterfaceState()
+            restored = self._new_state()
             for flow_id in iface_state["active"]:
-                restored.active[flow_id] = None
+                flow = self._flows.get(flow_id)
+                if flow is None:
+                    raise CheckpointError(
+                        f"snapshot round of {interface_id!r} references "
+                        f"unknown flow {flow_id!r}"
+                    )
+                restored.active[flow_id] = flow
             restored.current = iface_state["current"]
             restored.turn_open = bool(iface_state["turn_open"])
             self._states[interface_id] = restored
-        self._service_flags = {
-            (flow_id, interface_id): value
-            for flow_id, interface_id, value in state["service_flags"]
-        }
-        self._deficit = {}
+        for flow_id, interface_id, value in state["service_flags"]:
+            self._states[interface_id].flags[flow_id] = value
         for flow_id, interface_id, value in state["deficit"]:
-            key = flow_id if interface_id is None else (flow_id, interface_id)
-            self._deficit[key] = value
+            if interface_id is None:
+                self._shared_deficit[flow_id] = value
+            else:
+                self._states[interface_id].deficit[flow_id] = value
         self.decision_flows_examined = []
         self.turns_taken = dict(state["turns_taken"])
         self.flags_set_total = state["flags_set_total"]
         self.flags_cleared_total = state["flags_cleared_total"]
         self._pending_flags_count = state["pending_flags_count"]
-
-    def _check_next(
-        self, interface_id: str, state: _InterfaceState
-    ) -> Tuple[Optional[str], int]:
-        """Algorithm 3.2: advance the cursor past flagged flows.
-
-        Returns ``(flow_id, flows_examined)``. Clears (or decrements)
-        each flag it skips over (rule 2). With boolean flags at most one
-        full rotation can consist purely of skips, so the scan is
-        bounded by ``2 × len(active)``; counters saturate at
-        :data:`COUNTER_CAP`, bounding the scan likewise.
-        """
-        examined = 0
-        rotations = 0
-        per_flow_budget = 2 if self._exclusion == "flag" else COUNTER_CAP + 2
-        limit = per_flow_budget * len(state.active) + 1
-        while state.active and rotations < limit:
-            flow_id, _ = state.active.popitem(last=False)
-            flow = self._flows.get(flow_id)
-            if (
-                flow is None
-                or not flow.backlogged
-                or not flow.willing_to_use(interface_id)
-            ):
-                # Stale entry (flow gone, drained, or its Π changed):
-                # drop it without re-appending.
-                rotations += 1
-                continue
-            state.active[flow_id] = None  # back of the round
-            examined += 1
-            rotations += 1
-            flag_key = (flow_id, interface_id)
-            pending = self._service_flags.get(flag_key, 0)
-            if pending:
-                # Rule 2: consume one skip without granting quantum.
-                remaining = 0 if self._exclusion == "flag" else pending - 1
-                self._service_flags[flag_key] = remaining
-                if not remaining:
-                    self._pending_flags_count -= 1
-                self.flags_cleared_total += 1
-                continue
-            return flow_id, examined
-        return None, examined

@@ -8,11 +8,13 @@ priority, which makes simulations deterministic.
 Hot-path notes
 --------------
 This module sits under every simulated packet: one push and one pop per
-scheduled callback. :class:`Event` is therefore a plain ``__slots__``
-class with a hand-written ``__lt__`` (a ``dataclass`` with
-``order=True`` builds and compares whole tuples on every heap sift),
-and ``pop_ready`` fuses the peek/pop pair the simulator loop needs into
-a single scan over cancelled heads.
+scheduled callback. The heap therefore holds ``(time, priority, seq,
+event)`` tuples rather than the events themselves: ``heapq`` compares
+tuples in C, and because ``seq`` is unique a comparison never reaches
+the :class:`Event` (which defines no ordering of its own); ordering
+events through a Python ``__lt__`` would cost ~5 interpreted calls per
+packet. ``pop_ready`` fuses the peek/pop pair the simulator loop needs
+into a single scan over cancelled heads.
 
 Cancelled events are *lazily* discarded when they surface during a pop
 or peek; ``cancel`` additionally counts live cancellations and compacts
@@ -23,13 +25,14 @@ cancellations are flagged on the event (``qcancelled``) so the lazy
 discard path can *decrement* the live-cancellation counter — without
 that, the counter overstates the dead population after discards and
 triggers spurious O(n) compactions (the accounting bug pinned by
-``tests/test_sim_events_backends.py``).
+``tests/test_sim_events_backends.py``; :meth:`EventQueue.tombstones`
+is its physical count).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -44,12 +47,11 @@ _COMPACTION_MIN = 64
 class Event:
     """A single scheduled callback.
 
-    Events compare by ``(time, priority, seq)`` so they can live
-    directly in a heap. The callback and its arguments do not take part
-    in comparison. ``qcancelled`` records whether the cancellation was
-    routed through the owning queue (and therefore counted toward its
-    compaction bookkeeping); direct :meth:`cancel` calls leave it
-    ``False``.
+    ``(time, priority, seq)`` is its position in the firing order; the
+    queue keys its heap entry on that triple. ``qcancelled`` records
+    whether the cancellation was routed through the owning queue (and
+    therefore counted toward its compaction bookkeeping); direct
+    :meth:`cancel` calls leave it ``False``.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "qcancelled")
@@ -71,22 +73,6 @@ class Event:
         self.cancelled = cancelled
         self.qcancelled = False
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.priority == other.priority
-            and self.seq == other.seq
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:g}, prio={self.priority}, seq={self.seq}{state})"
@@ -106,13 +92,18 @@ class Event:
         return self.callback(*self.args)
 
 
+#: A heap entry: the event's ``(time, priority, seq)`` key, then the
+#: event. ``seq`` is unique, so tuple comparison never reaches the event.
+_Entry = Tuple[float, int, int, Event]
+
+
 class EventQueue:
     """Deterministic min-heap of :class:`Event` objects."""
 
     __slots__ = ("_heap", "_seq", "_cancelled_count", "compactions_total")
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[_Entry] = []
         self._seq = 0
         # Live queue-cancelled events still in the heap. Direct
         # Event.cancel() calls are still honoured on pop, they just
@@ -138,7 +129,7 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, priority, seq, callback, args)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -171,7 +162,7 @@ class EventQueue:
         """Drop every cancelled event and re-heapify; returns the count
         of events removed. Called automatically by :meth:`cancel`."""
         before = len(self._heap)
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_count = 0
         self.compactions_total += 1
@@ -179,7 +170,7 @@ class EventQueue:
 
     def _discard_head(self) -> None:
         """Drop the (cancelled) head, maintaining the live-dead count."""
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         if event.qcancelled:
             event.qcancelled = False
             self._cancelled_count -= 1
@@ -191,11 +182,11 @@ class EventQueue:
         the answer reflects the next event that will actually fire.
         """
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             self._discard_head()
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
 
     def pop(self) -> Event:
         """Remove and return the next live event.
@@ -204,10 +195,10 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            if heap[0].cancelled:
+            if heap[0][3].cancelled:
                 self._discard_head()
                 continue
-            return heapq.heappop(heap)
+            return heapq.heappop(heap)[3]
         raise SimulationError("pop() from an empty event queue")
 
     def pop_ready(self, until: Optional[float] = None) -> Optional[Event]:
@@ -221,13 +212,21 @@ class EventQueue:
         heap = self._heap
         while heap:
             head = heap[0]
-            if head.cancelled:
+            if head[3].cancelled:
                 self._discard_head()
                 continue
-            if until is not None and head.time > until:
+            if until is not None and head[0] > until:
                 return None
-            return heapq.heappop(heap)
+            return heapq.heappop(heap)[3]
         return None
+
+    def tombstones(self) -> int:
+        """Queue-cancelled events still physically in the heap.
+
+        Counted by walking the heap, independently of the running
+        counter that drives compaction — the two must always agree.
+        """
+        return sum(1 for entry in self._heap if entry[3].qcancelled)
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -248,7 +247,7 @@ class EventQueue:
         The checkpoint codec serializes exactly these; cancelled
         entries are dead weight a restored run never needs.
         """
-        return sorted(event for event in self._heap if not event.cancelled)
+        return [entry[3] for entry in sorted(self._heap) if not entry[3].cancelled]
 
     def restore(self, events: List[Event], next_seq: int) -> None:
         """Replace the queue contents with pre-built events.
@@ -258,7 +257,9 @@ class EventQueue:
         the restored queue fires — and breaks future ties — exactly
         like the snapshotted one.
         """
-        self._heap = list(events)
+        self._heap = [
+            (event.time, event.priority, event.seq, event) for event in events
+        ]
         heapq.heapify(self._heap)
         self._seq = next_seq
         self._cancelled_count = 0

@@ -64,6 +64,9 @@ def transmission_time(size_bytes: float, rate_bps: float) -> float:
 
     Raises :class:`ValueError` for non-positive rates because a zero
     rate would silently produce ``inf`` and hang a simulation.
+
+    ``Interface._transmit`` inlines this formula and its guard on the
+    per-packet path; change the two together.
     """
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps!r}")

@@ -10,7 +10,7 @@ import pytest
 from repro.core.engine import SchedulingEngine
 from repro.errors import FaultError, SchedulingError
 from repro.fairness.waterfill import weighted_maxmin
-from repro.faults.chaos import CHAOS_BULK_FLOWS, run_chaos
+from repro.faults.chaos import CHAOS_BULK_FLOWS, ChaosRun, run_chaos
 from repro.net.flow import Flow
 from repro.net.interface import Interface
 from repro.net.sources import BulkSource
@@ -111,6 +111,19 @@ class TestChaosSmoke:
     def test_short_duration_rejected(self):
         with pytest.raises(FaultError):
             run_chaos(seed=0, duration=5.0)
+
+    def test_sliced_run_matches_unsliced(self):
+        """start() + sim.run in slices + finish() reports what run() does
+        (the auditor-overhead bench advances runs this way)."""
+        whole = ChaosRun(seed=3, duration=20.0).run()
+        sliced = ChaosRun(seed=3, duration=20.0)
+        sliced.start()
+        for until in (0.3, 7.0, 12.5, 20.0):
+            sliced.sim.run(until=until)
+        report = sliced.finish()
+        assert report.stats_signature() == whole.stats_signature()
+        assert report.fault_signature() == whole.fault_signature()
+        assert report.alerts == whole.alerts
 
 
 OUTAGE_START = 10.0

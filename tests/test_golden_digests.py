@@ -14,6 +14,7 @@ unchanged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -79,15 +80,20 @@ def digest(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
 
 
-def scenario_digest(scenario) -> str:
-    """Digest of ``(fingerprint, decision streams)`` for a miDRR run."""
+def scenario_digest(scenario, **knobs) -> str:
+    """Digest of ``(fingerprint, decision streams)`` for a miDRR run.
+
+    *knobs* are passed to :class:`MiDrrScheduler` (``flag_on``,
+    ``deficit_scope``, ``exclusion``); none means the default variant.
+    """
     box = {}
 
     def attach(sim, engine):
         box["probe"] = ProbeRecorder(engine)
         engine.set_decision_probe(box["probe"], every=1)
 
-    result = run_scenario(scenario, MiDrrScheduler, on_engine=attach)
+    factory = functools.partial(MiDrrScheduler, **knobs)
+    result = run_scenario(scenario, factory, on_engine=attach)
     return digest((fingerprint(result), box["probe"].streams))
 
 
@@ -150,6 +156,37 @@ class TestScenarioDigests:
             flows, interfaces, seed=0, target_packets=packets
         )
         assert scenario_digest(scenario) == expected
+
+
+class TestVariantDigests:
+    """The non-default miDRR knobs take branches of ``select()`` and of
+    the flag/deficit bookkeeping that the default digests never reach."""
+
+    @pytest.mark.parametrize(
+        "knobs,expected",
+        [
+            ({"flag_on": "packet"}, "59f87c65d2e8a13f9911ab242df82901b8f2c8e566e86e043e87a6dd4af60ef2"),
+            ({"deficit_scope": "flow"}, "be615f13daebab5923124c084cf9bee454e56fb62137a46aaa04d0baf0d875f9"),
+            ({"exclusion": "counter"}, "86eb124428a374e2d67a886135fceb071c17069b796a0db06995fb9342e3a5aa"),
+        ],
+        ids=["packet-flags", "flow-deficit", "counter"],
+    )
+    def test_core_cell_20x4(self, knobs, expected):
+        scenario = build_core_scenario(20, 4, seed=0, target_packets=500)
+        assert scenario_digest(scenario, **knobs) == expected
+
+    @pytest.mark.parametrize(
+        "knobs,expected",
+        [
+            ({"flag_on": "packet"}, "3778e5d9dfd2ab197615cd632266ed48a1b4e0fdf03c546b6ea3da2ab7a18a01"),
+            ({"deficit_scope": "flow"}, "3778e5d9dfd2ab197615cd632266ed48a1b4e0fdf03c546b6ea3da2ab7a18a01"),
+            ({"exclusion": "counter"}, "5026966cc69d636ed5a4c69cb9b2c7760558910e8ee0394b85d9bafe52750a3d"),
+        ],
+        ids=["packet-flags", "flow-deficit", "counter"],
+    )
+    def test_fig6_first_phase(self, knobs, expected):
+        scenario = dataclasses.replace(fig6.scenario(), duration=12.0)
+        assert scenario_digest(scenario, **knobs) == expected
 
 
 class TestReportDigests:

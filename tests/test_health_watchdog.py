@@ -208,7 +208,7 @@ class TestStarvationAndStall:
         engine.start()
         sim.run(until=1.0)
         # A key no live scheduling touches, so it survives until the tick.
-        scheduler._deficit[("ghost", "if1")] = -5.0
+        scheduler._states["if1"].deficit["ghost"] = -5.0
         sim.run(until=1.6)
         alerts = watchdog.alerts_of(ALERT_INVARIANT_VIOLATION)
         assert alerts
@@ -229,7 +229,7 @@ class TestInvariantChecker:
         engine, scheduler, _ = build_rig(sim)
         engine.start()
         sim.run(until=1.0)
-        scheduler._deficit[("a", "if1")] = -5.0
+        scheduler._states["if1"].deficit["a"] = -5.0
         violations = MiDrrInvariantChecker(scheduler).check()
         assert any("negative deficit" in v for v in violations)
 
@@ -237,7 +237,7 @@ class TestInvariantChecker:
         engine, scheduler, _ = build_rig(sim)
         engine.start()
         sim.run(until=1.0)
-        scheduler._service_flags[("a", "if1")] = 7
+        scheduler._states["if1"].flags["a"] = 7
         violations = MiDrrInvariantChecker(scheduler).check()
         assert any("service flag" in v for v in violations)
 
@@ -245,7 +245,7 @@ class TestInvariantChecker:
         engine, scheduler, _ = build_rig(sim)
         idle = Flow("idle")  # no source: never backlogged
         engine.add_flow(idle)
-        scheduler._deficit[("idle", "if1")] = 10.0
+        scheduler._states["if1"].deficit["idle"] = 10.0
         violations = MiDrrInvariantChecker(scheduler).check()
         assert any("drained flow 'idle'" in v for v in violations)
 

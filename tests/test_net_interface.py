@@ -100,6 +100,19 @@ class TestCapacity:
         with pytest.raises(ConfigurationError):
             interface.set_rate(rate)
 
+    @pytest.mark.parametrize("rate", [0, -5])
+    def test_transmit_rejects_a_restored_bad_rate(self, sim, rate):
+        # restore_state writes the rate unchecked; the per-packet
+        # serialization guard is what stops a zero rate from scheduling
+        # a completion at +inf.
+        interface = Interface(sim, "if1", 12_000)
+        state = interface.snapshot_state()
+        state["rate_bps"] = rate
+        interface.restore_state(state)
+        interface.attach_source(supply_n([pkt()]))
+        with pytest.raises(ValueError, match="rate must be positive"):
+            interface.kick()
+
     def test_invalid_step_rejected(self):
         with pytest.raises(ConfigurationError):
             CapacityStep(1.0, 0)

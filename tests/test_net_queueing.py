@@ -161,3 +161,36 @@ class TestValidation:
         for packet in packets:
             queue.enqueue(packet)
         assert list(queue) == packets
+
+
+class TestCheckpoint:
+    def test_restore_refills_the_same_deque(self):
+        source = FlowQueue("f", max_bytes=1000)
+        for size in (100, 200, 300):
+            source.enqueue(pkt(size))
+        state = source.snapshot_state()
+
+        queue = FlowQueue("f", max_bytes=1000)
+        queue.enqueue(pkt(50))
+        held = queue.packets
+        queue.restore_state(state)
+        # Holders of the deque (the scheduler, bulk sources) keep
+        # seeing the live backlog after a restore.
+        assert queue.packets is held
+        assert [packet.size_bytes for packet in held] == [100, 200, 300]
+        assert [packet.seqno for packet in held] == [p.seqno for p in source]
+        assert queue.backlog_bytes == 600
+        assert queue.snapshot_state() == state
+
+    def test_failed_restore_leaves_the_queue_intact(self):
+        queue = FlowQueue("f", max_bytes=1000)
+        for size in (100, 200):
+            queue.enqueue(pkt(size))
+        before = queue.snapshot_state()
+        held = queue.packets
+        bad = dict(before)
+        bad["packets"] = before["packets"] + [dict(before["packets"][0], size_bytes=0)]
+        with pytest.raises(ConfigurationError):
+            queue.restore_state(bad)
+        assert queue.packets is held
+        assert queue.snapshot_state() == before

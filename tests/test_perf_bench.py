@@ -26,6 +26,7 @@ from repro.perf import (
     render_overhead_table,
     run_core_bench,
     run_fleet_cell,
+    run_auditor_overhead,
     run_metrics_overhead,
     validate_bench_document,
     validate_fleet_cells,
@@ -197,6 +198,49 @@ class TestMetricsOverhead:
         )
         assert exit_code == 0
         assert "bench obs" in capsys.readouterr().out
+
+
+def _spin(count: int) -> int:
+    total = 0
+    for i in range(count):
+        total += i
+    return total
+
+
+class TestAuditorOverhead:
+    def test_detects_an_injected_cost(self, monkeypatch):
+        """The lockstep measurement is not blind: pure-Python work worth
+        ~30% of a bare chaos run, added to the auditor's ticks, shows up
+        in the reported overhead."""
+        from time import perf_counter
+
+        from repro.faults.chaos import ChaosRun
+        from repro.health.auditor import FairnessAuditor
+
+        started = perf_counter()
+        ChaosRun(seed=0, duration=20.0, with_auditor=False).run()
+        bare_seconds = perf_counter() - started
+        started = perf_counter()
+        _spin(200_000)
+        per_step = (perf_counter() - started) / 200_000
+        # Twenty 1 s audit ticks in the 20 s run.
+        count = int(0.30 * bare_seconds / 20 / per_step)
+
+        tick = FairnessAuditor._tick
+
+        def costly_tick(self, now):
+            tick(self, now)
+            _spin(count)
+
+        monkeypatch.setattr(FairnessAuditor, "_tick", costly_tick)
+        cell = run_auditor_overhead(repeats=1)
+        assert cell["signatures_identical"]
+        assert cell["overhead_fraction"] > 0.15, cell
+        assert not cell["within_budget"]
+
+    def test_rejects_bad_repeats(self):
+        with pytest.raises(ConfigurationError):
+            run_auditor_overhead(repeats=0)
 
 
 class TestFleetBench:

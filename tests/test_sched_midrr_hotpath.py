@@ -9,12 +9,16 @@ flow-table rescan decision-for-decision.
 
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import make_flow
 
 from repro.core.engine import SchedulingEngine
+from repro.errors import CheckpointError
 from repro.health.invariants import MiDrrInvariantChecker
 from repro.net.flow import Flow
 from repro.net.interface import Interface
@@ -22,13 +26,12 @@ from repro.net.packet import Packet
 from repro.schedulers.midrr import MiDrrScheduler
 
 
-def flow_keys(mapping, flow_id):
-    """Keys in a scheduler state dict belonging to *flow_id*."""
-    return [
-        key
-        for key in mapping
-        if (key[0] if isinstance(key, tuple) else key) == flow_id
-    ]
+def flow_keys(items, flow_id):
+    """``(flow_id, interface_id)`` keys of *items* belonging to *flow_id*.
+
+    *items* is ``scheduler.flag_items()`` or ``scheduler.deficit_items()``.
+    """
+    return [key for key, _ in items if key[0] == flow_id]
 
 
 class TestTelemetrySemantics:
@@ -85,7 +88,7 @@ class TestStateLeaks:
         # Pre-fix, _deactivate wrote a 0.0 entry per interface —
         # including interfaces that never granted the flow a quantum —
         # so the dict grew by one key per (flow ever served, interface).
-        assert flow_keys(scheduler._deficit, "a") == []
+        assert flow_keys(scheduler.deficit_items(), "a") == []
         # Introspection still reads the popped counters as zero.
         assert scheduler.deficit("a") == 0.0
 
@@ -95,7 +98,7 @@ class TestStateLeaks:
         flow = make_flow("a", backlog_packets=1)
         scheduler.add_flow(flow)
         assert scheduler.select("if0").flow_id == "a"
-        assert flow_keys(scheduler._deficit, "a") == []
+        assert flow_keys(scheduler.deficit_items(), "a") == []
 
     def test_remove_flow_pops_flags_and_deficits(self):
         scheduler = MiDrrScheduler()
@@ -106,8 +109,8 @@ class TestStateLeaks:
         scheduler.add_flow(make_flow("b", backlog_packets=5))
         assert scheduler.select("if0").flow_id == "a"
         scheduler.remove_flow("a")
-        assert flow_keys(scheduler._service_flags, "a") == []
-        assert flow_keys(scheduler._deficit, "a") == []
+        assert flow_keys(scheduler.flag_items(), "a") == []
+        assert flow_keys(scheduler.deficit_items(), "a") == []
         assert MiDrrInvariantChecker(scheduler).check() == []
 
     def test_flags_initialized_for_willing_interfaces_only(self):
@@ -115,15 +118,89 @@ class TestStateLeaks:
         scheduler.register_interface("if0")
         scheduler.register_interface("if1")
         scheduler.add_flow(make_flow("a", interfaces=("if0",)))
-        assert flow_keys(scheduler._service_flags, "a") == [("a", "if0")]
+        assert flow_keys(scheduler.flag_items(), "a") == [("a", "if0")]
 
     def test_checker_reports_injected_stale_key(self):
         scheduler = MiDrrScheduler()
         scheduler.register_interface("if0")
-        scheduler._service_flags[("ghost", "if0")] = 1
-        scheduler._deficit[("ghost", "if0")] = 0.0
+        scheduler._states["if0"].flags["ghost"] = 1
+        scheduler._states["if0"].deficit["ghost"] = 0.0
         violations = MiDrrInvariantChecker(scheduler).check()
         assert sum("stale" in violation for violation in violations) == 2
+
+
+class TestStateLayout:
+    """Per-interface flag/deficit dicts, read through the accessors."""
+
+    INTERFACES = ("if0", "if1", "if2")
+    ROWS = {"a": None, "b": ("if0", "if1"), "c": ("if1", "if2"), "d": ("if2",)}
+
+    def build(self, **knobs):
+        scheduler = MiDrrScheduler(**knobs)
+        for interface_id in self.INTERFACES:
+            scheduler.register_interface(interface_id)
+        flows = {}
+        for index, (flow_id, row) in enumerate(self.ROWS.items()):
+            flows[flow_id] = make_flow(
+                flow_id, weight=1.0 + index % 2, interfaces=row, backlog_packets=20
+            )
+            scheduler.add_flow(flows[flow_id])
+        for step in range(25):
+            scheduler.select(self.INTERFACES[step % len(self.INTERFACES)])
+        return scheduler, flows
+
+    def restored(self, snapshot, flows, **knobs):
+        scheduler = MiDrrScheduler(**knobs)
+        for interface_id in self.INTERFACES:
+            scheduler.register_interface(interface_id)
+        scheduler.restore_state(snapshot, flows)
+        return scheduler
+
+    def test_flow_scope_shares_one_deficit_dict(self):
+        scheduler = MiDrrScheduler(deficit_scope="flow")
+        scheduler.register_interface("if0")
+        scheduler.register_interface("if1")
+        scheduler.add_flow(make_flow("a", backlog_packets=3))
+        assert scheduler.select("if0").flow_id == "a"
+        states = scheduler._states
+        assert states["if0"].deficit is states["if1"].deficit
+        assert list(scheduler.deficit_items()) == [(("a", None), 0.0)]
+
+    def test_total_deficit_reads_interfaces_left_by_narrowing(self):
+        scheduler = MiDrrScheduler(quantum_base=3000)
+        scheduler.register_interface("if0")
+        scheduler.register_interface("if1")
+        flow = make_flow("a", backlog_packets=3)
+        scheduler.add_flow(flow)
+        assert scheduler.select("if0").flow_id == "a"
+        flow.restrict_to({"if1"})
+        # The counter granted at if0 survives until the flow drains.
+        assert scheduler.deficit("a", "if0") == 1500.0
+        assert scheduler.deficit("a") == 1500.0
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"flag_on": "packet"}, {"deficit_scope": "flow"}, {"exclusion": "counter"}],
+        ids=["default", "packet-flags", "flow-deficit", "counter"],
+    )
+    def test_snapshot_restore_fixpoint(self, knobs):
+        scheduler, flows = self.build(**knobs)
+        assert any(value for _, value in scheduler.flag_items())
+        snapshot = json.loads(json.dumps(scheduler.snapshot_state()))
+        restored = self.restored(snapshot, flows, **knobs)
+        assert restored.snapshot_state() == snapshot
+        assert list(restored.flag_items()) == list(scheduler.flag_items())
+        assert list(restored.deficit_items()) == list(scheduler.deficit_items())
+        # The restored rounds hold the registered Flow objects.
+        for state in restored._states.values():
+            assert all(flow is flows[flow_id] for flow_id, flow in state.active.items())
+
+    def test_restore_rejects_unknown_flow_in_round(self):
+        scheduler, flows = self.build()
+        snapshot = json.loads(json.dumps(scheduler.snapshot_state()))
+        snapshot["state"]["interfaces"]["if0"]["active"].append("ghost")
+        with pytest.raises(CheckpointError):
+            self.restored(snapshot, flows)
 
 
 class TestActivationContract:
@@ -229,7 +306,7 @@ class RescanMiDrrScheduler(MiDrrScheduler):
                     and flow.willing_to_use(interface_id)
                     and flow.flow_id not in state.active
                 ):
-                    state.active[flow.flow_id] = None
+                    state.active[flow.flow_id] = flow
         return super().select(interface_id)
 
 

@@ -53,7 +53,7 @@ class SortedListModel:
 
 def count_tombstones(queue):
     """Count qcancelled events still physically inside the heap."""
-    return sum(1 for event in queue._heap if event.qcancelled)
+    return queue.tombstones()
 
 
 def assert_accounting(queue):
