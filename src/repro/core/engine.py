@@ -96,6 +96,9 @@ class SchedulingEngine:
         self._probe_stride = 1
         self._probe_countdown = 1
         self.stats = stats if stats is not None else StatsCollector(sim)
+        # The sent handler records each service sample by appending its
+        # raw tuple to the collector's pending log, without a call.
+        self._log_sample = self.stats.pending.append
 
     @property
     def scheduler(self) -> MultiInterfaceScheduler:
@@ -171,6 +174,7 @@ class SchedulingEngine:
         self._scheduler.register_interface(interface.interface_id)
         interface.attach_source(self._supply_packet)
         interface.on_sent(self._packet_sent)
+        interface.on_consumed(self._packet_consumed)
         interface.on_state_change(self._interface_state_changed)
         # Capacity-aware schedulers (EDF admission control, QAware
         # steering) read live interface rates through this optional
@@ -178,7 +182,6 @@ class SchedulingEngine:
         observe = getattr(self._scheduler, "observe_interface", None)
         if observe is not None:
             observe(interface)
-        self.stats.watch(interface)
 
     def add_flow(self, flow: Flow, source: Optional[ExhaustibleSource] = None) -> None:
         """Register a flow; *source* (if any) drives auto-completion.
@@ -430,23 +433,26 @@ class SchedulingEngine:
         return self._scheduler.select(interface.interface_id)
 
     def _packet_arrived(self, flow: Flow, packet: Packet) -> None:
-        if flow.flow_id not in self._flows:
+        if len(flow.queue.packets) != 1:
+            # Only the empty → backlogged transition wakes anyone; an
+            # always-backlogged flow's refills stop here.
             return
-        if flow.flow_id in self._shed:
+        flow_id = flow.flow_id
+        if flow_id not in self._flows:
+            return
+        if flow_id in self._shed:
             # Excluded by admission control: the backlog accrues (and
             # may drop) but the scheduler never hears about it.
             return
-        if flow.flow_id in self._quarantined:
+        if flow_id in self._quarantined:
             # Parked: keep the backlog but wake nobody — every willing
             # interface is down anyway.
             return
-        if len(flow.queue.packets) == 1:
-            # Empty → backlogged transition: tell the scheduler, then
-            # wake any idle interface this flow is willing to use. The
-            # kick is deferred to the current instant to break the
-            # refill → arrival → kick → pull → refill recursion.
-            self._scheduler.notify_backlogged(flow)
-            self._sim.call_now(self._kick_willing, flow)
+        # Tell the scheduler, then wake any idle interface this flow is
+        # willing to use. The kick is deferred to the current instant to
+        # break the refill → arrival → kick → pull → refill recursion.
+        self._scheduler.notify_backlogged(flow)
+        self._sim.call_now(self._kick_willing, flow)
 
     def _packet_dropped(self, flow: Flow, packet: Packet) -> None:
         if flow.flow_id in self._flows:
@@ -460,27 +466,53 @@ class SchedulingEngine:
                 interface.kick()
 
     def _packet_sent(self, interface: Interface, packet: Packet) -> None:
+        """The per-packet subscriber: account one delivered packet.
+
+        In order: the flow's service counters, deadline scoring and the
+        completion test, then the stats sample. Completion listeners
+        thus see the stats as they stood before this packet. The
+        completion test reads the backlog first, so an always-backlogged
+        flow never asks its source whether it is exhausted. Packets of
+        flows no longer registered (completed or removed with a packet
+        in flight) still get their sample.
+        """
+        now = self._sim._now
+        flow_id = packet.flow_id
+        size = packet.size_bytes
+        flow = self._flows.get(flow_id)
+        if flow is not None:
+            flow.bytes_sent += size
+            flow.packets_sent += 1
+            deadline = packet.deadline
+            if deadline is not None:
+                self.deadline_packets_total += 1
+                if now > deadline:
+                    self.deadline_misses_total += 1
+                    misses = self.deadline_misses_by_flow
+                    misses[flow_id] = misses.get(flow_id, 0) + 1
+                    lateness = now - deadline
+                    for listener in self._deadline_listeners:
+                        listener(flow, packet, lateness)
+            if not flow.queue.packets and flow.completed_at is None:
+                self._complete_if_exhausted(flow)
+        self._log_sample(
+            (now, flow_id, interface.interface_id, size, now - packet.created_at)
+        )
+
+    def _packet_consumed(self, interface: Interface, packet: Packet) -> None:
+        """An egress filter ate a finished transmission: no service is
+        accounted, but it may have been the transfer's last packet."""
         flow = self._flows.get(packet.flow_id)
-        if flow is None:
-            return
-        flow.record_sent(packet)
-        deadline = packet.deadline
-        if deadline is not None:
-            self.deadline_packets_total += 1
-            if self._sim.now > deadline:
-                self.deadline_misses_total += 1
-                misses = self.deadline_misses_by_flow
-                misses[flow.flow_id] = misses.get(flow.flow_id, 0) + 1
-                lateness = self._sim.now - deadline
-                for listener in self._deadline_listeners:
-                    listener(flow, packet, lateness)
-        source = self._sources.get(flow.flow_id)
         if (
-            source is not None
-            and source.exhausted
-            and not flow.backlogged
+            flow is not None
+            and not flow.queue.packets
             and flow.completed_at is None
         ):
+            self._complete_if_exhausted(flow)
+
+    def _complete_if_exhausted(self, flow: Flow) -> None:
+        source = self._sources.get(flow.flow_id)
+        if source is not None and source.exhausted:
             self._complete_flow(flow)
 
     def _complete_flow(self, flow: Flow) -> None:

@@ -88,6 +88,8 @@ class Flow:
         # an elastic flow that admission controllers count as zero load.
         self.nominal_rate_bps: Optional[float] = nominal_rate_bps
         self.queue = FlowQueue(flow_id, max_bytes=max_queue_bytes, policy=queue_policy)
+        # Delivered service, counted by the scheduling engine's sent
+        # handler (packets consumed by an egress filter do not count).
         self.bytes_sent = 0
         self.packets_sent = 0
         self.completed_at: Optional[float] = None
@@ -184,16 +186,21 @@ class Flow:
         self._dequeue_listeners.append(listener)
 
     def pull(self) -> Packet:
-        """Dequeue the head-of-line packet (schedulers call this)."""
-        packet = self.queue.dequeue()
+        """Dequeue the head-of-line packet (schedulers call this).
+
+        Raises :class:`IndexError` when the backlog is empty. The
+        dequeue listeners (a bulk source's refill) run before this
+        returns, so a flow that is topped up on every pull is never
+        seen drained by the scheduler that pulled.
+        """
+        # FlowQueue.dequeue() inlined: this runs once per packet.
+        # Change the two together.
+        queue = self.queue
+        packet = queue.packets.popleft()
+        queue._backlog_bytes -= packet.size_bytes
         for listener in self._dequeue_listeners:
             listener(self, packet)
         return packet
-
-    def record_sent(self, packet: Packet) -> None:
-        """Account a transmitted packet against this flow."""
-        self.bytes_sent += packet.size_bytes
-        self.packets_sent += 1
 
     # ------------------------------------------------------------------
     # Checkpointing

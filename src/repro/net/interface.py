@@ -34,6 +34,8 @@ Egress filters support fault injection: each completed transmission is
 offered to the registered filters in order, and any filter returning
 ``False`` consumes the packet (loss/corruption discard) — the sent
 listeners never see it, so it counts as transmitted but not delivered.
+The :meth:`on_consumed` listeners hear about it instead (the engine
+still counts a consumed packet toward its flow's completion).
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ class Interface:
         self._state_listeners: List[StateListener] = []
         self._rate_listeners: List[RateListener] = []
         self._egress_filters: List[EgressFilter] = []
+        self._consumed_listeners: List[SentListener] = []
+        # The simulator's event queue, bound once: the transmit path
+        # pushes each completion event straight onto it.
+        self._events = sim.queue
         self._busy = False
         self._pulling = False
         self._up = True
@@ -137,6 +143,11 @@ class Interface:
         """Register a callback fired after each completed transmission."""
         self._sent_listeners.append(listener)
 
+    def on_consumed(self, listener: SentListener) -> None:
+        """Register a callback fired when an egress filter consumes a
+        completed transmission (the sent listeners never see it)."""
+        self._consumed_listeners.append(listener)
+
     def on_state_change(self, listener: StateListener) -> None:
         """Register a callback fired on every up/down transition."""
         self._state_listeners.append(listener)
@@ -149,9 +160,9 @@ class Interface:
         """Append an egress filter (fault injectors, checksum verifiers).
 
         Filters run in registration order after each transmission; the
-        first one returning ``False`` consumes the packet and the sent
-        listeners are skipped (the packet was transmitted but never
-        delivered).
+        first one returning ``False`` consumes the packet: the sent
+        listeners are skipped and the :meth:`on_consumed` listeners run
+        instead (the packet was transmitted but never delivered).
         """
         self._egress_filters.append(egress_filter)
 
@@ -246,9 +257,47 @@ class Interface:
         and after capacity/topology changes. A downed interface ignores
         kicks entirely.
         """
+        self._complete(None)
+
+    def _complete(self, packet: Optional[Packet]) -> None:
+        """Finish transmitting *packet*, then pull and send the next one.
+
+        The completion event's handler, and the body of :meth:`kick`
+        (``packet=None``: nothing was in flight). One frame per packet:
+        the completion bookkeeping, the listeners, the pull and the
+        transmit of the next packet all run here.
+        """
+        if packet is not None:
+            self._busy = False
+            self.bytes_sent += packet.size_bytes
+            self.packets_sent += 1
+            if self._trace is not None:
+                self._trace.emit(
+                    self._sim.now,
+                    self.interface_id,
+                    "tx_done",
+                    flow_id=packet.flow_id,
+                    size_bytes=packet.size_bytes,
+                )
+            for egress_filter in self._egress_filters:
+                if not egress_filter(self, packet):
+                    self.packets_consumed += 1
+                    for listener in self._consumed_listeners:
+                        listener(self, packet)
+                    break
+            else:
+                for listener in self._sent_listeners:
+                    listener(self, packet)
+        # Look for more work only after listeners ran, so rate stats and
+        # service flags are consistent when the next decision is made. A
+        # listener may already have restarted this interface (a flow
+        # completion kicks the flow's interfaces), and a downed
+        # interface takes no new work: completion during an outage must
+        # not restart transmission.
         if self._busy or self._pulling or not self._up:
             return
-        if self._source is None:
+        source = self._source
+        if source is None:
             raise SimulationError(
                 f"interface {self.interface_id!r} kicked without a packet source"
             )
@@ -256,14 +305,11 @@ class Interface:
         # refills whose arrival hooks kick this same interface again.
         self._pulling = True
         try:
-            packet = self._source(self)
+            packet = source(self)
         finally:
             self._pulling = False
         if packet is None:
             return
-        self._transmit(packet)
-
-    def _transmit(self, packet: Packet) -> None:
         # units.transmission_time(), guard included, inlined: this runs
         # once per packet. Change the two together.
         rate_bps = self._rate_bps
@@ -272,44 +318,20 @@ class Interface:
         duration = packet.size_bytes * BITS_PER_BYTE / rate_bps
         self._busy = True
         self.busy_time += duration
+        sim = self._sim
         if self._trace is not None:
             self._trace.emit(
-                self._sim.now,
+                sim.now,
                 self.interface_id,
                 "tx_start",
                 flow_id=packet.flow_id,
                 size_bytes=packet.size_bytes,
             )
-        self._sim.call_later(
-            duration, self._complete, packet, priority=self.tx_priority
+        # Simulator.call_later() inlined (the clock read skips the
+        # property; duration > 0 needs no negative-delay check).
+        self._events.push(
+            sim._now + duration, self._complete, (packet,), self.tx_priority
         )
-
-    def _complete(self, packet: Packet) -> None:
-        self._busy = False
-        self.bytes_sent += packet.size_bytes
-        self.packets_sent += 1
-        if self._trace is not None:
-            self._trace.emit(
-                self._sim.now,
-                self.interface_id,
-                "tx_done",
-                flow_id=packet.flow_id,
-                size_bytes=packet.size_bytes,
-            )
-        delivered = True
-        for egress_filter in self._egress_filters:
-            if not egress_filter(self, packet):
-                delivered = False
-                self.packets_consumed += 1
-                break
-        if delivered:
-            for listener in self._sent_listeners:
-                listener(self, packet)
-        # Look for more work only after listeners ran, so rate stats and
-        # service flags are consistent when the next decision is made.
-        # (kick() is a no-op while down — completion during an outage
-        # must not restart transmission.)
-        self.kick()
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -175,6 +175,8 @@ class FlowQueue:
         """Remove and return the head-of-line packet.
 
         Raises :class:`IndexError` when empty, mirroring ``deque``.
+        :meth:`Flow.pull <repro.net.flow.Flow.pull>` inlines this body;
+        change the two together.
         """
         packet = self.packets.popleft()
         self._backlog_bytes -= packet.size_bytes

@@ -1,10 +1,12 @@
 """Measurement sinks.
 
-:class:`StatsCollector` hangs off every interface's ``on_sent`` hook and
-records per-flow, per-interface service. It answers the questions the
-paper's figures ask: achieved rate per flow over time (Figure 6/10),
-total service per flow (fairness metrics), and the flow→interface
-service matrix ``r_ij`` used to extract rate clusters (Figure 8/11).
+:class:`StatsCollector` records per-flow, per-interface service: the
+scheduling engine appends one sample per delivered packet, and
+:meth:`StatsCollector.watch` subscribes it to interfaces used without
+an engine. It answers the questions the paper's figures ask: achieved
+rate per flow over time (Figure 6/10), total service per flow
+(fairness metrics), and the flow→interface service matrix ``r_ij``
+used to extract rate clusters (Figure 8/11).
 
 Indexing
 --------
@@ -109,12 +111,16 @@ class StatsCollector:
         self._drops_by_flow: Dict[str, int] = defaultdict(int)
         self._drop_bytes_by_flow: Dict[str, int] = defaultdict(int)
         # Ingestion is lazy: the per-completion hot path appends one
-        # raw tuple here (timestamp captured at record time) and every
-        # read-side entry point drains it through _flush() first. The
-        # dict updates and index maintenance — a measurable fraction of
+        # raw ``(time, flow_id, interface_id, size_bytes, delay)`` tuple
+        # here (timestamp captured at record time) and every read-side
+        # entry point drains it through _flush() first. The dict
+        # updates and index maintenance — a measurable fraction of
         # per-packet cost at bench scale — thus run outside the timed
         # simulation loop whenever queries happen after the run.
-        self._pending: List[tuple] = []
+        # Producers only append: the list is never rebound (drains and
+        # restores empty it in place), so the engine's sent handler
+        # holds its ``append``.
+        self.pending: List[tuple] = []
 
     def watch(self, *interfaces: Interface) -> "StatsCollector":
         """Subscribe to the given interfaces' completion events."""
@@ -124,7 +130,7 @@ class StatsCollector:
 
     def _record(self, interface: Interface, packet: Packet) -> None:
         now = self._sim.now
-        self._pending.append(
+        self.pending.append(
             (
                 now,
                 packet.flow_id,
@@ -143,31 +149,34 @@ class StatsCollector:
     ) -> None:
         """Record one unit of service directly.
 
-        Interfaces feed this automatically via :meth:`watch`; substrates
+        The scheduling engine records every delivered packet itself,
+        and :meth:`watch` subscribes to interfaces directly; substrates
         that deliver service by other means (e.g. the HTTP proxy's
         range responses) call it themselves.
         """
-        self._pending.append(
+        self.pending.append(
             (self._sim.now, flow_id, interface_id, size_bytes, delay)
         )
 
     def _flush(self) -> None:
         """Ingest every pending raw record into the query indexes."""
-        pending = self._pending
+        pending = self.pending
         if not pending:
             return
-        self._pending = []
         ingest = self._ingest
-        for time, flow_id, interface_id, size_bytes, delay in pending:
-            ingest(
-                ServiceSample(
-                    time=time,
-                    flow_id=flow_id,
-                    interface_id=interface_id,
-                    size_bytes=size_bytes,
-                    delay=delay,
+        try:
+            for time, flow_id, interface_id, size_bytes, delay in pending:
+                ingest(
+                    ServiceSample(
+                        time=time,
+                        flow_id=flow_id,
+                        interface_id=interface_id,
+                        size_bytes=size_bytes,
+                        delay=delay,
+                    )
                 )
-            )
+        finally:
+            pending.clear()
 
     def _ingest(self, sample: ServiceSample) -> None:
         self._samples.append(sample)
@@ -226,7 +235,7 @@ class StatsCollector:
 
     def restore_state(self, state: dict) -> None:
         """Rebuild the collector from :meth:`snapshot_state` output."""
-        self._pending = []
+        self.pending.clear()
         self._samples = []
         self._flow_index = {}
         self._pair_index = {}

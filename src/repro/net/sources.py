@@ -70,11 +70,7 @@ class BulkSource:
 
     def _start(self) -> None:
         self._started = True
-        self._top_up()
-
-    def _refill(self, flow: Flow, packet: Packet) -> None:
-        if self._started:
-            self._top_up()
+        self._refill(self._flow, None)
 
     def snapshot_state(self) -> dict:
         """Mutable source state (progress through the transfer)."""
@@ -85,16 +81,23 @@ class BulkSource:
         self._remaining = state["remaining"]
         self._started = state["started"]
 
-    def _top_up(self) -> None:
-        # Runs once per pulled packet: lookups are hoisted so each
-        # queued packet costs one len() on the backlog deque.
-        flow = self._flow
-        offer = flow.offer
-        flow_id = flow.flow_id
+    def _refill(self, flow: Flow, packet: Optional[Packet]) -> None:
+        """Top the backlog up to ``target_depth`` packets.
+
+        The flow's dequeue listener, so it runs inside every pull,
+        before the scheduler tests whether the pull drained the flow.
+        One frame per pulled packet: lookups are hoisted so each queued
+        packet costs one ``len()`` on the backlog deque.
+        """
+        if not self._started:
+            return
         backlog = self._backlog
         target_depth = self._target_depth
+        offer = flow.offer
+        flow_id = flow.flow_id
         packet_size = self._packet_size
-        now = self._sim.now
+        # Simulator.now without the property call.
+        now = self._sim._now
         while len(backlog) < target_depth:
             size = packet_size
             remaining = self._remaining
@@ -103,7 +106,9 @@ class BulkSource:
                     break
                 size = min(size, remaining)
                 self._remaining = remaining - size
-            offer(Packet(flow_id=flow_id, size_bytes=size, created_at=now))
+            # Positional: calling a class with keywords builds a kwargs
+            # dict, which costs more than the rest of the construction.
+            offer(Packet(flow_id, size, now))
 
 
 class CbrSource:

@@ -29,7 +29,8 @@ import heapq
 import json
 import platform
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from ..core.runner import run_scenario
 from ..core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
@@ -91,120 +92,52 @@ DOCUMENT_KEYS = frozenset(
 
 
 def calibrate() -> float:
-    """Machine-speed probe: best-of-3 heap churn micro-benchmark time.
+    """Machine-speed probe: best-of-3 time of a fixed pure-Python workload.
 
-    The same deterministic pure-Python workload every time, so the
-    ratio of two ``calibrate()`` readings taken on different occasions
-    estimates how much slower (or faster) the interpreter+machine is
-    running now versus then — which is exactly the factor a wall-clock
-    regression gate must divide out before blaming the code. Best-of-3
-    with the minimum: CPU-bound timing noise is one-sided.
+    The same deterministic workload every time, so the ratio of two
+    ``calibrate()`` readings taken on different occasions estimates
+    how much slower (or faster) the interpreter+machine is running now
+    versus then — which is exactly the factor a wall-clock regression
+    gate must divide out before blaming the code. Best-of-3 with the
+    minimum: CPU-bound timing noise is one-sided.
+
+    The workload is of the simulator's kind (small slotted objects,
+    heap pushes and pops, a sliding deque, dict updates, method calls)
+    but runs none of the package's code, so speeding the package up
+    cannot read as a faster host.
     """
-    return min(_churn_seconds() for _ in range(3))
+    return min(_probe_seconds() for _ in range(3))
 
 
-def _noop() -> None:
-    """Callback body for the churn micro-benchmark."""
+class _ProbeItem:
+    """A small slotted record for :func:`_probe_seconds`."""
+
+    __slots__ = ("key", "weight")
+
+    def __init__(self, key: int, weight: int) -> None:
+        self.key = key
+        self.weight = weight
+
+    def score(self, x: int) -> int:
+        return self.weight + x if x & 1 else self.key - x
 
 
-class _ChurnEvent:
-    """An event-queue entry exactly as the baseline's calibration timed it.
-
-    The churn workload is frozen here rather than run on
-    :class:`~repro.sim.events.EventQueue`: a probe built on the code
-    it gates would read a faster queue as a faster host and scale the
-    regression floors wrongly against the committed
-    ``calibration_seconds``. This class and :class:`_ChurnQueue` keep
-    the recorded probe's constructor, comparison and push/pop call
-    shape unchanged; do not optimise them.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "qcancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = cancelled
-        self.qcancelled = False
-
-    def __lt__(self, other: "_ChurnEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-
-class _ChurnQueue:
-    """The baseline event queue's push/pop, frozen for :func:`calibrate`."""
-
-    __slots__ = ("_heap", "_seq", "_cancelled_count")
-
-    def __init__(self) -> None:
-        self._heap: List[_ChurnEvent] = []
-        self._seq = 0
-        self._cancelled_count = 0
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = 0,
-    ) -> _ChurnEvent:
-        seq = self._seq
-        self._seq = seq + 1
-        event = _ChurnEvent(time, priority, seq, callback, args)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def _discard_head(self) -> None:
-        event = heapq.heappop(self._heap)
-        if event.qcancelled:
-            event.qcancelled = False
-            self._cancelled_count -= 1
-
-    def pop(self) -> _ChurnEvent:
-        heap = self._heap
-        while heap:
-            if heap[0].cancelled:
-                self._discard_head()
-                continue
-            return heapq.heappop(heap)
-        raise ConfigurationError("pop() from an empty churn queue")
-
-
-def _churn_seconds(churn: int = 32768, pending: int = 512) -> float:
-    """Time a deterministic hold-and-churn workload on an event heap.
-
-    Keeps *pending* events queued and performs *churn* pop-push cycles
-    with slightly jittered (but deterministic) inter-event gaps — the
-    stationary regime of a packet simulation.
-    """
-    queue = _ChurnQueue()
+def _probe_seconds(rounds: int = 24000, held: int = 512) -> float:
+    """Seconds for *rounds* steps of the fixed probe workload."""
+    heap: List[Any] = []
+    recent: Deque[_ProbeItem] = deque()
+    table: Dict[int, int] = {}
+    total = 0
     started = time.perf_counter()
-    now = 0.0
-    for i in range(pending):
-        queue.push(now + (i % 7) * 1.3e-4 + i * 1e-3, _noop)
-    for i in range(churn):
-        now = queue.pop().time
-        queue.push(now + pending * 1e-3 + (i % 11) * 7e-5, _noop)
-    while queue:
-        queue.pop()
+    for i in range(rounds):
+        item = _ProbeItem(i & 1023, (i * 40503) & 0xFFFF)
+        heapq.heappush(heap, (item.weight, i, item))
+        if len(heap) > held:
+            total += heapq.heappop(heap)[2].score(i)
+        recent.append(item)
+        if len(recent) > 32:
+            recent.popleft()
+        table[item.key] = table.get(item.key, 0) + item.score(total & 7)
     return time.perf_counter() - started
 
 

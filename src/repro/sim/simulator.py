@@ -12,6 +12,11 @@ Design notes
 * ``run(until=...)`` stops *after* processing every event with
   ``time <= until`` and then sets the clock to ``until``, so rate
   measurements over ``[0, until]`` are well defined.
+* The clock is the ``_now`` slot behind the read-only :attr:`now`
+  property. The per-packet transmit chain (interface completion, the
+  engine's sent handler, the bulk refill) reads ``_now`` directly to
+  skip a Python-level property call per read; nothing outside this
+  class writes it.
 * The simulator is deliberately single-threaded. Determinism — given a
   seed — is a core requirement for reproducing the paper's experiments.
 """

@@ -65,7 +65,7 @@ def transmission_time(size_bytes: float, rate_bps: float) -> float:
     Raises :class:`ValueError` for non-positive rates because a zero
     rate would silently produce ``inf`` and hang a simulation.
 
-    ``Interface._transmit`` inlines this formula and its guard on the
+    ``Interface._complete`` inlines this formula and its guard on the
     per-packet path; change the two together.
     """
     if rate_bps <= 0:

@@ -1,11 +1,14 @@
 """Unit tests for the scheduling engine."""
 
+import random
+
 import pytest
 
 from tests.helpers import make_flow
 
 from repro.core.engine import SchedulingEngine
 from repro.errors import ConfigurationError
+from repro.faults.processes import PacketLossInjector
 from repro.net.flow import Flow
 from repro.net.interface import Interface
 from repro.net.packet import Packet
@@ -59,6 +62,18 @@ class TestWiring:
         assert flow.bytes_sent == 3000
         assert flow.packets_sent == 2
 
+    def test_sent_packets_accrue_to_their_flow(self, sim):
+        engine = build_engine(sim)
+        flow = make_flow("a")
+        engine.add_flow(flow)
+        flow.offer(Packet(flow_id="a", size_bytes=700))
+        flow.offer(Packet(flow_id="a", size_bytes=300))
+        engine.start()
+        sim.run()
+        assert flow.bytes_sent == 1000
+        assert flow.packets_sent == 2
+        assert engine.stats.bytes_sent("a") == 1000
+
 
 class TestCompletion:
     def test_finite_transfer_completes_and_retires(self, sim):
@@ -87,6 +102,28 @@ class TestCompletion:
         # All 18000 bytes sent back to back: 12 s at 12 kb/s.
         assert sim.now == pytest.approx(12.0)
         assert long_flow.completed_at == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
+    def test_transfer_completes_whether_or_not_delivered(self, sim, loss):
+        """A finite transfer completes when its last packet finishes
+        transmission, even if an egress filter eats that packet."""
+        engine = build_engine(sim, rates=(1e6,))
+        PacketLossInjector(
+            sim, engine.interfaces["if1"], random.Random(0), loss_probability=loss
+        )
+        flow = Flow("a")
+        engine.add_flow(
+            flow, source=BulkSource(sim, flow, packet_size=1500, total_bytes=5000)
+        )
+        completions = []
+        engine.on_flow_completed(lambda f: completions.append((f.flow_id, sim.now)))
+        engine.start()
+        sim.run()
+        # 5000 B at 1 Mb/s.
+        assert completions == [("a", pytest.approx(0.04))]
+        assert "a" not in engine.flows
+        # A consumed packet is not service.
+        assert flow.bytes_sent == engine.stats.bytes_sent("a") == (0 if loss else 5000)
 
     def test_unbounded_flow_never_completes(self, sim):
         engine = build_engine(sim)

@@ -22,15 +22,20 @@ from collections import Counter
 import pytest
 
 from repro.analysis.slo import run_latency_slo
+from repro.core.engine import SchedulingEngine
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from repro.experiments import fig1, fig6
 from repro.faults.crashes import run_crash_equivalence
 from repro.fleet import run_fleet
 from repro.fleet.coordinator import REPORT_HASH_FIELDS
+from repro.net.flow import Flow
+from repro.net.interface import Interface
+from repro.net.sources import BulkSource
 from repro.perf import build_core_scenario
 from repro.recovery import RecoverableScenarioRun
 from repro.schedulers.midrr import MiDrrScheduler
+from repro.sim.simulator import Simulator
 from repro.units import mbps
 
 
@@ -126,6 +131,82 @@ def fig7_workload():
     )
 
 
+#: Hand-wired bulk flows: ``(flow_id, weight, Π or None, packet size,
+#: total bytes or None, start time)``. Two transfers are finite and
+#: complete mid-run; packet sizes differ so deficits carry over turns.
+WIRED_FLOWS = (
+    ("f0", 1.0, None, 1500, None, 0.0),
+    ("f1", 2.0, ("a",), 700, None, 0.0),
+    ("f2", 0.5, ("b", "c"), 1500, 60_000, 0.0),
+    ("f3", 1.0, ("a", "c"), 1000, 150_000, 0.5),
+    ("f4", 4.0, ("c",), 400, None, 1.0),
+    ("f5", 1.0, ("b",), 1200, 36_000, 0.25),
+)
+
+
+def wired_digest(target_depth: int, flows=WIRED_FLOWS, until: float = 4.0) -> str:
+    """Digest of a hand-wired miDRR run over three interfaces.
+
+    Every flow is fed by a :class:`BulkSource` keeping *target_depth*
+    packets queued. A completion listener reads ``engine.stats`` the
+    moment each finite transfer completes, so the digest also pins
+    what the stats hold at that instant. Samples are kept in
+    completion (append) order.
+    """
+    sim = Simulator()
+    engine = SchedulingEngine(sim, MiDrrScheduler())
+    for interface_id, rate in (("a", mbps(4)), ("b", mbps(2)), ("c", mbps(1))):
+        engine.add_interface(Interface(sim, interface_id, rate))
+    probe = ProbeRecorder(engine)
+    engine.set_decision_probe(probe, every=1)
+    completions = []
+
+    def completed(flow):
+        stats = engine.stats
+        completions.append(
+            (
+                flow.flow_id,
+                sim.now,
+                flow.bytes_sent,
+                flow.packets_sent,
+                stats.bytes_sent(flow.flow_id),
+                len(stats.samples),
+                sorted(stats.flow_ids()),
+            )
+        )
+
+    engine.on_flow_completed(completed)
+    for flow_id, weight, allowed, size, total, start in flows:
+        flow = Flow(flow_id, weight=weight, allowed_interfaces=allowed)
+        source = BulkSource(
+            sim,
+            flow,
+            packet_size=size,
+            total_bytes=total,
+            target_depth=target_depth,
+            start_time=start,
+        )
+        engine.add_flow(flow, source=source)
+    engine.start()
+    sim.run(until=until)
+    scheduler = engine.scheduler
+    samples = [
+        (s.time, s.flow_id, s.interface_id, s.size_bytes, s.delay)
+        for s in engine.stats.samples
+    ]
+    return digest(
+        (
+            samples,
+            completions,
+            probe.streams,
+            scheduler.turns_taken,
+            (scheduler.flags_set_total, scheduler.flags_cleared_total),
+            scheduler.decision_flows_examined,
+            sorted(engine.flows),
+        )
+    )
+
+
 class TestScenarioDigests:
     def test_fig1a(self):
         scenario = fig1.ALL_SCENARIOS["fig1a"]()
@@ -187,6 +268,36 @@ class TestVariantDigests:
     def test_fig6_first_phase(self, knobs, expected):
         scenario = dataclasses.replace(fig6.scenario(), duration=12.0)
         assert scenario_digest(scenario, **knobs) == expected
+
+
+class TestWiredDigests:
+    """Bulk sources wired by hand: shallow refill depths and transfers
+    that complete while their completion listeners read the stats."""
+
+    @pytest.mark.parametrize(
+        "depth,expected",
+        [
+            # With one packet queued, the pull that empties the backlog
+            # must refill it before select() tests for a drained flow.
+            (1, "4b18796e83a379f43ccf46cc4d7464279ed30b435394b2a5c7b73fc17005f610"),
+            (2, "182d48a5feb22f1819a22ffb77836ad74ac464a126a4293f6360448dc65d7bf4"),
+        ],
+        ids=["depth1", "depth2"],
+    )
+    def test_shallow_bulk_depth(self, depth, expected):
+        assert wired_digest(depth) == expected
+
+    def test_finite_transfers_complete_mid_run(self):
+        """Completion listeners run before the completing packet's
+        stats sample is recorded, and see the stats as of then."""
+        flows = tuple(
+            (f"t{k}", 1.0 + k % 3, (("a", "b"), ("b", "c"), None)[k % 3],
+             (1500, 1000, 600)[k % 3], 20_000 + 9_000 * k, 0.1 * k)
+            for k in range(8)
+        )
+        assert wired_digest(8, flows=flows, until=3.0) == (
+            "62b92e7fbca870c8969d0d873af4f7002d8a9e91a14c72f33d00592bb3c24ffd"
+        )
 
 
 class TestReportDigests:

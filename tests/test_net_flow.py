@@ -134,13 +134,6 @@ class TestBacklogAndListeners:
         assert flow.pull() is packet
         assert seen == [packet]
 
-    def test_record_sent_accounting(self):
-        flow = Flow("f")
-        flow.record_sent(pkt(size=700))
-        flow.record_sent(pkt(size=300))
-        assert flow.bytes_sent == 1000
-        assert flow.packets_sent == 2
-
     def test_repr_mentions_preferences(self):
         flow = Flow("video", weight=2.0, allowed_interfaces=["wifi"])
         assert "video" in repr(flow)

@@ -251,6 +251,19 @@ class TestEgressFilters:
         assert interface.packets_sent == 2  # transmitted...
         assert interface.packets_consumed == 2  # ...but never delivered
 
+    def test_consumed_listeners_hear_only_consumed_packets(self, sim):
+        interface = Interface(sim, "if1", 12_000)
+        first, second = pkt(), pkt()
+        interface.attach_source(supply_n([first, second]))
+        consumed, delivered = [], []
+        interface.on_consumed(lambda i, p: consumed.append((i, p)))
+        interface.on_sent(lambda i, p: delivered.append(p))
+        interface.add_egress_filter(lambda i, p: p is not first)
+        interface.kick()
+        sim.run()
+        assert consumed == [(interface, first)]
+        assert delivered == [second]
+
     def test_filters_run_in_order_and_short_circuit(self, sim):
         interface = Interface(sim, "if1", 12_000)
         interface.attach_source(supply_n([pkt()]))

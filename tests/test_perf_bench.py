@@ -243,6 +243,77 @@ class TestAuditorOverhead:
             run_auditor_overhead(repeats=0)
 
 
+#: Python-level calls per transmitted packet on the per-packet path of
+#: :func:`_calls_per_packet`'s cell (deterministic for a given code
+#: path; the engine-owned transmit chain reads 15.5).
+CALL_BUDGET_PER_PACKET = 15.6
+
+
+def _calls_per_packet() -> float:
+    """Python-level ``call`` events per packet on a fixed miDRR bulk cell.
+
+    200 always-backlogged flows over 4 interfaces, closed loop. The
+    count starts after a warm-up and covers ~3,000 packets, read with
+    :func:`sys.setprofile` (no wall clock, so no noise).
+    """
+    import random
+    import sys
+
+    from repro.core.engine import SchedulingEngine
+    from repro.net.flow import Flow
+    from repro.net.interface import Interface
+    from repro.net.sources import BulkSource
+    from repro.schedulers.midrr import MiDrrScheduler
+    from repro.sim.simulator import Simulator
+
+    rng = random.Random(0)
+    sim = Simulator()
+    engine = SchedulingEngine(sim, MiDrrScheduler())
+    interface_ids = [f"if{j}" for j in range(4)]
+    rates = (5e6, 10e6, 20e6, 40e6)
+    for interface_id, rate in zip(interface_ids, rates):
+        engine.add_interface(Interface(sim, interface_id, rate))
+    for index in range(200):
+        row = rng.sample(interface_ids, rng.randint(1, len(interface_ids)))
+        flow = Flow(
+            f"f{index}",
+            weight=rng.choice((0.5, 1.0, 2.0, 4.0)),
+            allowed_interfaces=row,
+        )
+        engine.add_flow(flow, source=BulkSource(sim, flow, packet_size=1500))
+    engine.start()
+    # 1500 B packets on 75 Mb/s in total: 6,250 packets per second.
+    sim.run(until=0.5)
+    interfaces = list(engine.interfaces.values())
+    sent_before = sum(interface.packets_sent for interface in interfaces)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        sim.run(until=1.0)
+    finally:
+        sys.setprofile(previous)
+    packets = sum(interface.packets_sent for interface in interfaces) - sent_before
+    assert packets > 3000
+    return calls[0] / packets
+
+
+def test_per_packet_call_budget():
+    """The per-packet path stays within its call budget: a new hop on
+    the transmit chain (a listener, a helper, a property) shows here
+    as a count, without wall-clock noise."""
+    calls = _calls_per_packet()
+    assert calls <= CALL_BUDGET_PER_PACKET, (
+        f"{calls:.3f} Python-level calls per packet, budget "
+        f"{CALL_BUDGET_PER_PACKET}"
+    )
+
+
 class TestFleetBench:
     @pytest.fixture(scope="class")
     def workload(self):
