@@ -50,9 +50,11 @@ class TrafficSpec:
             raise ConfigurationError(
                 f"unknown traffic kind {self.kind!r}; expected one of {TRAFFIC_KINDS}"
             )
-        if self.packet_size <= 0:
+        # Byte counts are integers end to end (the stats collector keeps
+        # them in integer arrays); a JSON document may still carry 1500.0.
+        if not isinstance(self.packet_size, int) or self.packet_size <= 0:
             raise ConfigurationError(
-                f"packet_size must be positive, got {self.packet_size}"
+                f"packet_size must be a positive integer, got {self.packet_size!r}"
             )
         if self.kind in ("cbr", "poisson", "onoff") and (
             self.rate_bps is None or self.rate_bps <= 0

@@ -105,9 +105,11 @@ class DeviceWorkload:
             raise ConfigurationError(
                 f"interface_rate_bps must be positive, got {self.interface_rate_bps}"
             )
-        if self.packet_size <= 0:
+        # Byte counts are integers end to end (the stats collector keeps
+        # them in integer arrays); a JSON document may still carry 1500.0.
+        if not isinstance(self.packet_size, int) or self.packet_size <= 0:
             raise ConfigurationError(
-                f"packet_size must be positive, got {self.packet_size}"
+                f"packet_size must be a positive integer, got {self.packet_size!r}"
             )
         if self.num_flows < 1:
             raise ConfigurationError(

@@ -34,6 +34,10 @@ class TestTrafficSpec:
         with pytest.raises(ConfigurationError):
             TrafficSpec(packet_size=0)
 
+    def test_packet_size_must_be_an_integer(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            TrafficSpec(packet_size=1500.0)
+
 
 class TestFlowSpec:
     def test_invalid_weight(self):

@@ -86,6 +86,10 @@ class TestShardPlan:
         assert len(plan_shards(5).shards) == 5
         assert len(plan_shards(100).shards) == DEFAULT_MAX_SHARDS
 
+    def test_workload_packet_size_must_be_an_integer(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            DeviceWorkload(kind="bulk", packet_size=1500.0)
+
     def test_plan_rejects_bad_counts(self):
         with pytest.raises(ConfigurationError):
             plan_shards(0)

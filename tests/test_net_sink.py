@@ -204,3 +204,184 @@ class TestInterfaceIntegration:
         assert stats.bytes_sent("a") == 1500
         assert stats.samples[0].time == pytest.approx(1.0)
         assert stats.samples[0].interface_id == "if1"
+
+
+class _Clock:
+    """A settable stand-in for the simulator clock.
+
+    The collector only reads ``now``; moving it backwards drives the
+    out-of-order path that direct :meth:`StatsCollector.record` calls
+    may take.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+
+_FLOWS = ("a", "b", "c")
+_INTERFACES = ("if1", "if2", "if3")
+_GRID = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.75, 4.0, 9.0])
+
+_RECORD = st.tuples(
+    # Clock step before the record: mostly forward, sometimes none
+    # (repeated timestamps), sometimes backwards (out of order).
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, -0.75, -2.0]),
+    st.sampled_from(_FLOWS),
+    st.sampled_from(_INTERFACES),
+    st.sampled_from([0, 1, 40, 1500]),
+    st.one_of(st.none(), st.sampled_from([0.0, 0.125, 0.5, 3.0])),
+    # Read the collector after this record (drains the pending log
+    # mid-stream, so later records land on built indexes).
+    st.booleans(),
+)
+
+
+class TestCollectorMatchesBruteForce:
+    """Hypothesis: every answer equals a brute-force scan of the log."""
+
+    @staticmethod
+    def _answers(stats, windows, bin_width):
+        flows = _FLOWS + ("missing",)
+        answers = {
+            "samples": [
+                (s.time, s.flow_id, s.interface_id, s.size_bytes, s.delay)
+                for s in stats.samples
+            ],
+            "bytes_sent": [stats.bytes_sent(f) for f in flows],
+            "interface_bytes": [
+                stats.interface_bytes(i) for i in _INTERFACES + ("missing",)
+            ],
+            "service_matrix": stats.service_matrix(),
+            "flow_ids": stats.flow_ids(),
+        }
+        for start, end in windows:
+            answers[("window", start, end)] = (
+                [stats.service_in_window(f, start, end) for f in flows],
+                [
+                    stats.service_in_window(f, start, end, interface_id=i)
+                    for f in flows
+                    for i in _INTERFACES
+                ],
+                stats.pair_service_in_window(start, end),
+                [stats.service_timeseries(f, bin_width, start, end) for f in flows],
+                [stats.delays(f, start, end) for f in flows],
+            )
+        answers["open_ended"] = (
+            [stats.service_timeseries(f, bin_width) for f in flows],
+            [stats.delays(f) for f in flows],
+        )
+        return answers
+
+    @staticmethod
+    def _expected(records, windows, bin_width, now):
+        flows = _FLOWS + ("missing",)
+
+        def total(predicate):
+            return sum(r[3] for r in records if predicate(r))
+
+        def series(flow, start, end):
+            horizon = end if end is not None else now
+            if bin_width <= 0 or horizon <= start:
+                return []
+            span = horizon - start
+            num_full = int(span / bin_width + 1e-9)
+            remainder = span - num_full * bin_width
+            if remainder <= bin_width * 1e-9:
+                remainder = 0.0
+            num_bins = num_full + (1 if remainder else 0)
+            if num_bins == 0:
+                num_bins, remainder = 1, span
+            totals = [0] * num_bins
+            for time, flow_id, _, size, _ in records:
+                if flow_id == flow and start <= time <= horizon:
+                    position = min(int((time - start) / bin_width), num_bins - 1)
+                    totals[position] += size
+            return [
+                (
+                    start
+                    + i * bin_width
+                    + (remainder if remainder and i == num_bins - 1 else bin_width)
+                    / 2,
+                    remainder if remainder and i == num_bins - 1 else bin_width,
+                    totals[i],
+                )
+                for i in range(num_bins)
+            ]
+
+        def delays(flow, start, end):
+            horizon = end if end is not None else now
+            in_time_order = sorted(
+                (r for r in records if r[1] == flow), key=lambda r: r[0]
+            )
+            return [
+                r[4]
+                for r in in_time_order
+                if start < r[0] <= horizon and r[4] is not None
+            ]
+
+        pairs = {(r[1], r[2]) for r in records}
+        expected = {
+            "samples": list(records),
+            "bytes_sent": [total(lambda r: r[1] == f) for f in flows],
+            "interface_bytes": [
+                total(lambda r: r[2] == i) for i in _INTERFACES + ("missing",)
+            ],
+            "service_matrix": {
+                pair: total(lambda r: (r[1], r[2]) == pair) for pair in pairs
+            },
+            "flow_ids": sorted({r[1] for r in records}),
+        }
+        for start, end in windows:
+
+            def inside(r):
+                return start < r[0] <= end
+
+            matrix = {
+                pair: total(lambda r: inside(r) and (r[1], r[2]) == pair)
+                for pair in pairs
+            }
+            expected[("window", start, end)] = (
+                [total(lambda r: inside(r) and r[1] == f) for f in flows],
+                [
+                    total(lambda r: inside(r) and r[1] == f and r[2] == i)
+                    for f in flows
+                    for i in _INTERFACES
+                ],
+                {pair: bytes_ for pair, bytes_ in matrix.items() if bytes_},
+                [series(f, start, end) for f in flows],
+                [delays(f, start, end) for f in flows],
+            )
+        expected["open_ended"] = (
+            [series(f, 0.0, None) for f in flows],
+            [delays(f, 0.0, None) for f in flows],
+        )
+        return expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stream=st.lists(_RECORD, max_size=40),
+        windows=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=4),
+        bin_width=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+    )
+    def test_queries_match_a_scan_of_the_log(self, stream, windows, bin_width):
+        import json
+
+        clock = _Clock()
+        stats = StatsCollector(clock)
+        records = []
+        for step, flow_id, interface_id, size, delay, read in stream:
+            clock.now += step
+            stats.record(flow_id, interface_id, size, delay=delay)
+            records.append((clock.now, flow_id, interface_id, size, delay))
+            if read:
+                stats.bytes_sent(flow_id)
+        expected = self._expected(records, windows, bin_width, clock.now)
+        assert self._answers(stats, windows, bin_width) == expected
+
+        snapshot = stats.snapshot_state()
+        restored = StatsCollector(clock)
+        restored.restore_state(json.loads(json.dumps(snapshot)))
+        assert self._answers(restored, windows, bin_width) == expected
+        assert json.dumps(restored.snapshot_state(), sort_keys=True) == json.dumps(
+            snapshot, sort_keys=True
+        )

@@ -314,6 +314,72 @@ def test_per_packet_call_budget():
     )
 
 
+#: Python-level calls per ingested sample while the stats collector
+#: drains :func:`_calls_per_sample`'s log (deterministic for a given
+#: code path). The one-pass flush reads 0.0502: one call per new index
+#: and one for the drain.
+CALL_BUDGET_PER_SAMPLE = 0.051
+
+
+def _calls_per_sample() -> float:
+    """Python-level ``call`` events per sample in one collector drain.
+
+    A fixed 5,000-sample log over 50 flows and 4 interfaces, in time
+    order as the simulator clock produces it, drained by one read and
+    counted with :func:`sys.setprofile`. The cyclic collector is off
+    while counting: a collection it starts could run finalizers of
+    objects other tests left behind.
+    """
+    import gc
+    import random
+    import sys
+
+    from repro.net.sink import StatsCollector
+    from repro.sim.simulator import Simulator
+
+    rng = random.Random(0)
+    stats = StatsCollector(Simulator())
+    time = 0.0
+    for _ in range(5000):
+        time += rng.choice((0.0, 1e-4, 2e-4))
+        stats.pending.append(
+            (
+                time,
+                f"f{rng.randrange(50)}",
+                f"if{rng.randrange(4)}",
+                rng.choice((40, 576, 1500)),
+                rng.random(),
+            )
+        )
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        stats._flush()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    assert len(stats.samples) == 5000
+    return calls[0] / 5000
+
+
+def test_ingest_call_budget():
+    """Draining the stats log stays within its call budget: a per-sample
+    method hop in the collector's ingest shows here as a count."""
+    calls = _calls_per_sample()
+    assert calls <= CALL_BUDGET_PER_SAMPLE, (
+        f"{calls:.3f} Python-level calls per ingested sample, budget "
+        f"{CALL_BUDGET_PER_SAMPLE}"
+    )
+
+
 class TestFleetBench:
     @pytest.fixture(scope="class")
     def workload(self):
