@@ -60,20 +60,15 @@ def interface_packets_metric(interface_id: str) -> str:
 def trace_fingerprint(samples) -> str:
     """SHA-256 over the canonical JSON of the full service trace.
 
-    Each :class:`~repro.net.sink.ServiceSample` contributes
-    ``[time, flow_id, interface_id, size_bytes, delay]``; JSON float
-    formatting is the shortest-round-trip repr, identical across
-    platforms for IEEE doubles, so equal traces — and only equal
-    traces — produce equal fingerprints.
+    *samples* are :class:`~repro.net.sink.ServiceSample` tuples; each
+    contributes ``[time, flow_id, interface_id, size_bytes, delay]``
+    (a named tuple encodes as a JSON array in field order, so the log
+    is encoded as it stands, without a copy). JSON float formatting is
+    the shortest-round-trip repr, identical across platforms for IEEE
+    doubles, so equal traces — and only equal traces — produce equal
+    fingerprints.
     """
-    canonical = json.dumps(
-        [
-            [s.time, s.flow_id, s.interface_id, s.size_bytes, s.delay]
-            for s in samples
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    canonical = json.dumps(samples, check_circular=False, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -92,8 +87,19 @@ def run_device(
     stats = result.stats
     samples = stats.samples
     packets = len(samples)
-    bytes_total = sum(sample.size_bytes for sample in samples)
     drops = sum(stats.drops_by_flow().values())
+
+    # One pass over the log gathers everything the registry needs.
+    bytes_total = 0
+    interface_packets: Dict[str, int] = {}
+    flow_bytes: Dict[str, int] = {}
+    delays = []
+    for _, flow_id, interface_id, size_bytes, delay in samples:
+        bytes_total += size_bytes
+        interface_packets[interface_id] = interface_packets.get(interface_id, 0) + 1
+        flow_bytes[flow_id] = flow_bytes.get(flow_id, 0) + size_bytes
+        if delay is not None:
+            delays.append(delay)
 
     registry = MetricsRegistry()
     registry.counter(DEVICES_TOTAL).inc(1)
@@ -103,20 +109,11 @@ def run_device(
     registry.counter(DROPS_TOTAL).inc(drops)
     registry.counter(FLOWS_TOTAL).inc(len(scenario.flows))
     registry.counter(FLOWS_COMPLETED_TOTAL).inc(len(result.completions))
-
-    delay_sketch = registry.sketch(DELAY_SKETCH)
-    for sample in samples:
-        if sample.delay is not None:
-            delay_sketch.observe(sample.delay)
+    registry.sketch(DELAY_SKETCH).observe_many(delays)
 
     for spec in scenario.interfaces:
         registry.counter(interface_bytes_metric(spec.interface_id)).inc(
             stats.interface_bytes(spec.interface_id)
-        )
-    interface_packets: Dict[str, int] = {}
-    for sample in samples:
-        interface_packets[sample.interface_id] = (
-            interface_packets.get(sample.interface_id, 0) + 1
         )
     for spec in scenario.interfaces:
         registry.counter(interface_packets_metric(spec.interface_id)).inc(
@@ -132,7 +129,7 @@ def run_device(
         flows_counter = registry.counter(FAIRNESS_FLOWS)
         for spec in scenario.flows:
             rate = (
-                stats.bytes_sent(spec.flow_id) * 8 / scenario.duration
+                flow_bytes.get(spec.flow_id, 0) * 8 / scenario.duration
             ) / spec.weight
             sum_rate.inc(rate)
             sum_rate_sq.inc(rate * rate)

@@ -44,13 +44,11 @@ class RepeatingDownloader:
     def start(self) -> None:
         """Begin the first download."""
         if self._verify:
-            size = self._server.object_size(self.url)
-            if size is not None and size <= 4 * 1024 * 1024:
-                # Cache expected content for integrity checking; skip for
-                # very large objects to keep experiment memory flat.
-                from .server import synthetic_body
-
-                self._expected = synthetic_body(self.url, size)
+            body = self._server.object_body(self.url)
+            if body is not None and len(body) <= 4 * 1024 * 1024:
+                # Check every download against the content the server
+                # serves; objects over 4 MiB are not checked.
+                self._expected = body
         self._begin_fetch()
 
     def _begin_fetch(self) -> None:

@@ -57,10 +57,9 @@ class HttpOriginServer:
         self._objects[url] = body
         return body
 
-    def object_size(self, url: str) -> Optional[int]:
-        """Size of the object at *url*, or ``None``."""
-        body = self._objects.get(url)
-        return len(body) if body is not None else None
+    def object_body(self, url: str) -> Optional[bytes]:
+        """The content stored at *url*, or ``None``."""
+        return self._objects.get(url)
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Process one request, returning the full response."""

@@ -8,21 +8,25 @@ rate per flow over time (Figure 6/10), total service per flow
 (fairness metrics), and the flow→interface service matrix ``r_ij``
 used to extract rate clusters (Figure 8/11).
 
-Lazy ingest
------------
+Log on read, index on first indexed query
+-----------------------------------------
 Recording a sample appends one raw ``(time, flow_id, interface_id,
 size_bytes, delay)`` tuple to :attr:`StatsCollector.pending`; nothing
 else happens per packet. Every read drains that log first, so a query
 always sees every sample recorded before it, and a run that is only
 queried at the end pays for ingestion after its timed loop.
 
-One-pass flush
---------------
-The drain is one loop with no per-sample method calls. Each raw tuple
-becomes a :class:`ServiceSample` (a named tuple, built from the raw
-tuple without a keyword call) and, in the same iteration, lands in the
-flat log, the per-interface byte total, the flow's index and the
-(flow, interface) pair's index.
+The drain (``_flush``) is one loop with no per-sample method calls:
+each raw tuple becomes a :class:`ServiceSample` (a named tuple, built
+from the raw tuple without a keyword call) in the flat log, and its
+bytes land in the per-interface total. Reads that need nothing else —
+:attr:`~StatsCollector.samples` and
+:meth:`~StatsCollector.interface_bytes` — stop there. The per-flow and
+per-pair indexes are built only when an indexed query asks
+(``_index``): one more loop carries them forward from a cursor into
+the log, so a run whose only reader scans the log (a fleet device's
+digest) never builds them, and a run that queries them does the same
+work as building them at ingest.
 
 Indexing
 --------
@@ -120,6 +124,8 @@ class StatsCollector:
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._samples: List[ServiceSample] = []
+        # Samples before this position in the log are in the indexes.
+        self._indexed = 0
         self._flow_index: Dict[str, _ServiceIndex] = {}
         self._pair_index: Dict[Tuple[str, str], _ServiceIndex] = {}
         self._bytes_by_interface: Dict[str, int] = defaultdict(int)
@@ -171,45 +177,53 @@ class StatsCollector:
         )
 
     def _flush(self) -> None:
-        """Ingest every pending raw record into the log and indexes."""
+        """Ingest every pending raw record into the log and byte totals."""
         pending = self.pending
         if not pending:
             return
         log = self._samples.append
         by_interface = self._bytes_by_interface
-        flow_index = self._flow_index
-        pair_index = self._pair_index
         new_sample = tuple.__new__
         try:
             for raw in pending:
-                time, flow_id, interface_id, size_bytes, _ = raw
-                sample = new_sample(ServiceSample, raw)
-                log(sample)
-                by_interface[interface_id] += size_bytes
-                index = flow_index.get(flow_id)
-                if index is None:
-                    index = flow_index[flow_id] = _ServiceIndex([])
-                times = index.times
-                if times and time < times[-1]:
-                    index.insert(sample)
-                else:
-                    times.append(time)
-                    index.samples.append(sample)
-                    cumulative = index.cumulative
-                    cumulative.append(cumulative[-1] + size_bytes)
-                key = (flow_id, interface_id)
-                index = pair_index.get(key)
-                if index is None:
-                    index = pair_index[key] = _ServiceIndex()
-                times = index.times
-                if times and time < times[-1]:
-                    index.insert(sample)
-                else:
-                    times.append(time)
-                    cumulative = index.cumulative
-                    cumulative.append(cumulative[-1] + size_bytes)
+                log(new_sample(ServiceSample, raw))
+                by_interface[raw[2]] += raw[3]
         finally:
             pending.clear()
+
+    def _index(self) -> None:
+        """Bring the per-flow and per-pair indexes up to the log's end."""
+        self._flush()
+        samples = self._samples
+        if self._indexed == len(samples):
+            return
+        flow_index = self._flow_index
+        pair_index = self._pair_index
+        for sample in samples[self._indexed:]:
+            time, flow_id, interface_id, size_bytes, _ = sample
+            index = flow_index.get(flow_id)
+            if index is None:
+                index = flow_index[flow_id] = _ServiceIndex([])
+            times = index.times
+            if times and time < times[-1]:
+                index.insert(sample)
+            else:
+                times.append(time)
+                index.samples.append(sample)
+                cumulative = index.cumulative
+                cumulative.append(cumulative[-1] + size_bytes)
+            key = (flow_id, interface_id)
+            index = pair_index.get(key)
+            if index is None:
+                index = pair_index[key] = _ServiceIndex()
+            times = index.times
+            if times and time < times[-1]:
+                index.insert(sample)
+            else:
+                times.append(time)
+                cumulative = index.cumulative
+                cumulative.append(cumulative[-1] + size_bytes)
+        self._indexed = len(samples)
 
     def record_drop(self, flow_id: str, size_bytes: int) -> None:
         """Account one packet discarded before service (queue overflow).
@@ -240,8 +254,7 @@ class StatsCollector:
 
         Samples serialize as ``[time, flow_id, interface_id,
         size_bytes, delay]`` records; the indexes are derived data,
-        rebuilt on restore by replaying the log through the normal
-        ingestion path.
+        rebuilt from the restored log by the first indexed query.
         """
         self._flush()
         return {
@@ -253,6 +266,7 @@ class StatsCollector:
     def restore_state(self, state: dict) -> None:
         """Rebuild the collector from :meth:`snapshot_state` output."""
         self._samples = []
+        self._indexed = 0
         self._flow_index = {}
         self._pair_index = {}
         self._bytes_by_interface = defaultdict(int)
@@ -273,7 +287,7 @@ class StatsCollector:
 
     def bytes_sent(self, flow_id: str) -> int:
         """Total bytes served to *flow_id* so far."""
-        self._flush()
+        self._index()
         index = self._flow_index.get(flow_id)
         return 0 if index is None else index.cumulative[-1]
 
@@ -284,14 +298,14 @@ class StatsCollector:
 
     def service_matrix(self) -> Dict[Tuple[str, str], int]:
         """``r_ij`` in bytes: service of flow *i* on interface *j*."""
-        self._flush()
+        self._index()
         return {
             pair: index.cumulative[-1] for pair, index in self._pair_index.items()
         }
 
     def flow_ids(self) -> List[str]:
         """Flows that received any service, sorted."""
-        self._flush()
+        self._index()
         return sorted(self._flow_index)
 
     # ------------------------------------------------------------------
@@ -309,7 +323,7 @@ class StatsCollector:
         ``S_i(t1, t2)`` from the paper's Definition 3. O(log S) via the
         per-key cumulative index.
         """
-        self._flush()
+        self._index()
         if interface_id is not None:
             index = self._pair_index.get((flow_id, interface_id))
         else:
@@ -344,7 +358,7 @@ class StatsCollector:
         sample whose float-divided index equalled the bin count —
         silently truncating figure tails.
         """
-        self._flush()
+        self._index()
         horizon = end if end is not None else self._sim.now
         if bin_width <= 0 or horizon <= start:
             return []
@@ -411,7 +425,7 @@ class StatsCollector:
         latency view behind the paper's "VoIP prefers WiFi because 3G
         latency is higher" motivation.
         """
-        self._flush()
+        self._index()
         horizon = end if end is not None else self._sim.now
         index = self._flow_index.get(flow_id)
         if index is None:
@@ -428,7 +442,7 @@ class StatsCollector:
         self, start: float, end: float
     ) -> Dict[Tuple[str, str], int]:
         """The ``r_ij`` matrix restricted to ``(start, end]`` (bytes)."""
-        self._flush()
+        self._index()
         matrix: Dict[Tuple[str, str], int] = {}
         for pair, index in self._pair_index.items():
             total = index.bytes_between(start, end)

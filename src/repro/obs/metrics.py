@@ -321,6 +321,44 @@ class QuantileSketch:
         key = math.floor(math.log(value) / self._log_growth)
         self._buckets[key] = self._buckets.get(key, 0) + 1
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record every value in *values*, in order.
+
+        Leaves exactly the state that one :meth:`observe` per value
+        leaves: the same arithmetic, value by value, in one local loop.
+        The running sum is therefore built one addition at a time —
+        ``sum()`` (compensated for floats since Python 3.12) or
+        ``math.fsum`` would round differently.
+        """
+        count = self._count
+        total = self._sum
+        low = self._min
+        high = self._max
+        zero = self._zero
+        buckets = self._buckets
+        log_growth = self._log_growth
+        log = math.log
+        floor = math.floor
+        try:
+            for value in values:
+                count += 1
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                if value <= 0:
+                    zero += 1
+                    continue
+                key = floor(log(value) / log_growth)
+                buckets[key] = buckets.get(key, 0) + 1
+        finally:
+            self._count = count
+            self._sum = total
+            self._min = low
+            self._max = high
+            self._zero = zero
+
     def merge(self, other: "QuantileSketch") -> None:
         """Fold *other*'s observations into this sketch (same growth)."""
         if other._growth != self._growth:

@@ -13,9 +13,12 @@ The contract under test (docs/architecture.md "Fleet-scale runs"):
   executors and worker counts.
 """
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import (
@@ -34,9 +37,11 @@ from repro.fleet import (
     run_device,
     run_fleet,
     run_shard,
+    trace_fingerprint,
     validate_shard,
     write_shard_jsonl,
 )
+from repro.net.sink import ServiceSample
 from repro.obs import (
     SNAPSHOT_SCHEMA_VERSION,
     MetricsRegistry,
@@ -52,6 +57,8 @@ from repro.trace import DeviceWorkload
 BULK = DeviceWorkload(kind="bulk", duration=0.25, num_flows=4, num_interfaces=2)
 #: Short smartphone workload: exercises the trace-driven path.
 PHONE = DeviceWorkload(kind="smartphone", duration=5.0, num_interfaces=2)
+#: The default smartphone device over a 10 s window (payload digests).
+PHONE_10S = DeviceWorkload(kind="smartphone", duration=10.0)
 
 
 class TestShardPlan:
@@ -108,6 +115,60 @@ class TestRunDevice:
         a = run_device("d0", 1, PHONE)
         b = run_device("d0", 2, PHONE)
         assert a["trace_sha256"] != b["trace_sha256"]
+
+    @pytest.mark.parametrize(
+        "device_id, expected",
+        [
+            ("d0", "bb753c57c1db5bcf8400b14f494e594258efa8b4df2176da8bff198d1322c3c3"),
+            ("d3", "9aaa197438b1face01af8a9bedb7d63a31c358e73113835016414c106b8e007d"),
+            ("d5", "eb04b8b8e403b68adcc2a5b34328365987be066b4defb52859c10429e76c10f7"),
+        ],
+    )
+    def test_payload_digest(self, device_id, expected):
+        """The whole payload (summary, fingerprint and registry state)
+        of three fixed smartphone devices is pinned, so a rewrite of
+        the post-simulation digest cannot move a single bit of it."""
+        payload = run_device(device_id, 7, PHONE_10S)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == expected
+
+
+def reference_fingerprint(samples) -> str:
+    """The fingerprint's defining formulation: a list of
+    ``[time, flow_id, interface_id, size_bytes, delay]`` lists,
+    canonical JSON with sorted keys and compact separators."""
+    canonical = json.dumps(
+        [
+            [s.time, s.flow_id, s.interface_id, s.size_bytes, s.delay]
+            for s in samples
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+_IDS = st.one_of(
+    st.sampled_from(["f0", "wlan0", "vidéo", "流量", "a\"b", "tab\tx", ""]),
+    st.text(max_size=6),
+)
+_SAMPLE = st.builds(
+    ServiceSample,
+    time=st.one_of(st.sampled_from([0.0, 0.5, 0.5, 1e-9, 86400.0]), st.floats()),
+    flow_id=_IDS,
+    interface_id=_IDS,
+    size_bytes=st.one_of(
+        st.sampled_from([0, 1, 1500, 2**31, 2**63 - 1]), st.integers(0, 2**80)
+    ),
+    delay=st.one_of(st.none(), st.floats(allow_nan=False)),
+)
+
+
+class TestTraceFingerprint:
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(_SAMPLE, max_size=30))
+    def test_matches_reference_formulation(self, samples):
+        assert trace_fingerprint(samples) == reference_fingerprint(samples)
 
 
 def shard_payload(device_count=2, shard_id=0):

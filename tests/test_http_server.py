@@ -75,10 +75,10 @@ class TestServer:
         response = server.handle(self._get("/direct", "bytes=2-3"))
         assert response.body == b"cd"
 
-    def test_object_size(self):
+    def test_object_body(self):
         server = self._server()
-        assert server.object_size("/obj") == 1000
-        assert server.object_size("/missing") is None
+        assert server.object_body("/obj") == synthetic_body("/obj", 1000)
+        assert server.object_body("/missing") is None
 
     def test_request_counter(self):
         server = self._server()

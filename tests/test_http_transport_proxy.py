@@ -351,6 +351,48 @@ class TestRepeatingDownloader:
         assert downloader.integrity_failures == 0
         assert downloader.bytes_downloaded == downloader.downloads_completed * 100_000
 
+    def test_verifies_against_stored_content(self, sim):
+        """An object stored with ``put_object`` is checked against the
+        bytes the server holds, not a synthetic body for its url."""
+        server = HttpOriginServer()
+        server.put_object("/x", bytes(range(256)) * 800)
+        proxy = SchedulingHttpProxy(sim, chunk_bytes=16 * 1024)
+        proxy.add_channel(DownlinkChannel(sim, "if1", server, mbps(10), rtt=0.005))
+        proxy.add_flow("a")
+        downloader = RepeatingDownloader(sim, proxy, server, "a", "/x")
+        downloader.start()
+        sim.run(until=2.0)
+        assert downloader.downloads_completed >= 5
+        assert downloader.integrity_failures == 0
+
+    def test_corrupted_range_counts_as_failure(self, sim):
+        """One byte flipped in one ranged response fails exactly the
+        download it belongs to."""
+
+        class CorruptingServer(HttpOriginServer):
+            corrupted = False
+
+            def handle(self, request):
+                response = super().handle(request)
+                if response.status == 206 and not self.corrupted:
+                    self.corrupted = True
+                    body = bytearray(response.body)
+                    body[len(body) // 2] ^= 0xFF
+                    response.body = bytes(body)
+                return response
+
+        server = CorruptingServer()
+        server.put_object("/x", bytes(range(256)) * 800)
+        proxy = SchedulingHttpProxy(sim, chunk_bytes=16 * 1024)
+        proxy.add_channel(DownlinkChannel(sim, "if1", server, mbps(10), rtt=0.005))
+        proxy.add_flow("a")
+        downloader = RepeatingDownloader(sim, proxy, server, "a", "/x")
+        downloader.start()
+        sim.run(until=2.0)
+        assert server.corrupted
+        assert downloader.downloads_completed >= 5
+        assert downloader.integrity_failures == 1
+
     def test_stop_time(self, sim):
         server = make_server(size=50_000)
         proxy = SchedulingHttpProxy(sim, chunk_bytes=16 * 1024)

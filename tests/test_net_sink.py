@@ -230,10 +230,38 @@ _RECORD = st.tuples(
     st.sampled_from(_INTERFACES),
     st.sampled_from([0, 1, 40, 1500]),
     st.one_of(st.none(), st.sampled_from([0.0, 0.125, 0.5, 3.0])),
-    # Read the collector after this record (drains the pending log
-    # mid-stream, so later records land on built indexes).
-    st.booleans(),
+    # Read the collector after this record, or not (None). Log-only
+    # reads drain the pending log mid-stream; indexed reads also bring
+    # the indexes up to date, so later records — out-of-order ones
+    # included — land on a partly built index.
+    st.sampled_from(
+        [None, None, "samples", "interface_bytes", "bytes_sent", "window"]
+    ),
 )
+
+
+def _interleaved_read(stats, kind, flow_id, interface_id, now):
+    """One mid-stream read of the given kind."""
+    if kind == "samples":
+        return [tuple(s) for s in stats.samples]
+    if kind == "interface_bytes":
+        return stats.interface_bytes(interface_id)
+    if kind == "bytes_sent":
+        return stats.bytes_sent(flow_id)
+    return stats.service_in_window(flow_id, now - 1.0, now)
+
+
+def _interleaved_expected(records, kind, flow_id, interface_id, now):
+    """The same read answered by a scan of *records*."""
+    if kind == "samples":
+        return list(records)
+    if kind == "interface_bytes":
+        return sum(r[3] for r in records if r[2] == interface_id)
+    if kind == "bytes_sent":
+        return sum(r[3] for r in records if r[1] == flow_id)
+    return sum(
+        r[3] for r in records if r[1] == flow_id and now - 1.0 < r[0] <= now
+    )
 
 
 class TestCollectorMatchesBruteForce:
@@ -357,7 +385,7 @@ class TestCollectorMatchesBruteForce:
         )
         return expected
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         stream=st.lists(_RECORD, max_size=40),
         windows=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=4),
@@ -373,8 +401,12 @@ class TestCollectorMatchesBruteForce:
             clock.now += step
             stats.record(flow_id, interface_id, size, delay=delay)
             records.append((clock.now, flow_id, interface_id, size, delay))
-            if read:
-                stats.bytes_sent(flow_id)
+            if read is not None:
+                assert _interleaved_read(
+                    stats, read, flow_id, interface_id, clock.now
+                ) == _interleaved_expected(
+                    records, read, flow_id, interface_id, clock.now
+                )
         expected = self._expected(records, windows, bin_width, clock.now)
         assert self._answers(stats, windows, bin_width) == expected
 
@@ -382,6 +414,9 @@ class TestCollectorMatchesBruteForce:
         restored = StatsCollector(clock)
         restored.restore_state(json.loads(json.dumps(snapshot)))
         assert self._answers(restored, windows, bin_width) == expected
+        # Restoring over a collector whose indexes are already built.
+        stats.restore_state(json.loads(json.dumps(snapshot)))
+        assert self._answers(stats, windows, bin_width) == expected
         assert json.dumps(restored.snapshot_state(), sort_keys=True) == json.dumps(
             snapshot, sort_keys=True
         )

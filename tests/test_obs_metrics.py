@@ -165,6 +165,35 @@ class TestQuantileSketch:
         assert sketch.count == len(values)
         assert sketch.sum == pytest.approx(math.fsum(values))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(st.floats(-1e3, 1e3), max_size=5),
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 0.1]),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(1e-12, 1e-6),
+                st.floats(1e6, 1e15),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_observe_many_matches_repeated_observe(self, before, values):
+        """Same state, bit for bit: ``_sum`` included, which a
+        compensated or reordered summation would change."""
+        one_by_one = MetricsRegistry()
+        batched = MetricsRegistry()
+        for registry in (one_by_one, batched):
+            sketch = registry.sketch("s")
+            for value in before:
+                sketch.observe(value)
+        for value in values:
+            one_by_one.sketch("s").observe(value)
+        batched.sketch("s").observe_many(iter(values))
+        assert json.dumps(batched.snapshot_state()) == json.dumps(
+            one_by_one.snapshot_state()
+        )
+
 
 class TestMetricsRegistry:
     def test_idempotent_creation(self):

@@ -315,20 +315,22 @@ def test_per_packet_call_budget():
 
 
 #: Python-level calls per ingested sample while the stats collector
-#: drains :func:`_calls_per_sample`'s log (deterministic for a given
-#: code path). The one-pass flush reads 0.0502: one call per new index
-#: and one for the drain.
+#: drains :func:`_calls_per_sample`'s log and builds its indexes
+#: (deterministic for a given code path). The count reads 0.051: one
+#: call per new index (250) and five for the log read, the first
+#: indexed query and their drains.
 CALL_BUDGET_PER_SAMPLE = 0.051
 
 
 def _calls_per_sample() -> float:
-    """Python-level ``call`` events per sample in one collector drain.
+    """Python-level ``call`` events per sample to ingest and index a log.
 
     A fixed 5,000-sample log over 50 flows and 4 interfaces, in time
-    order as the simulator clock produces it, drained by one read and
-    counted with :func:`sys.setprofile`. The cyclic collector is off
-    while counting: a collection it starts could run finalizers of
-    objects other tests left behind.
+    order as the simulator clock produces it, drained by one log read
+    and then indexed by the first indexed query, both counted with
+    :func:`sys.setprofile`. The cyclic collector is off while counting:
+    a collection it starts could run finalizers of objects other tests
+    left behind.
     """
     import gc
     import random
@@ -362,11 +364,13 @@ def _calls_per_sample() -> float:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        stats._flush()
+        stats.interface_bytes("if0")
+        stats.bytes_sent("f0")
     finally:
         sys.setprofile(previous)
         gc.enable()
     assert len(stats.samples) == 5000
+    assert len(stats.flow_ids()) == 50
     return calls[0] / 5000
 
 
@@ -377,6 +381,69 @@ def test_ingest_call_budget():
     assert calls <= CALL_BUDGET_PER_SAMPLE, (
         f"{calls:.3f} Python-level calls per ingested sample, budget "
         f"{CALL_BUDGET_PER_SAMPLE}"
+    )
+
+
+#: Python-level calls per served sample in a fleet device's digest,
+#: from :func:`~repro.core.runner.run_scenario`'s return to
+#: :func:`~repro.fleet.run_device`'s return (deterministic for a given
+#: code path). A per-sample generator, method call or copy in the
+#: digest shows as a jump of a whole call per sample; the one-pass
+#: digest reads about 0.125.
+DIGEST_CALL_BUDGET_PER_SAMPLE = 0.15
+
+
+def _digest_calls_per_sample() -> float:
+    """Python-level ``call`` events per sample in one device's digest.
+
+    Device ``d3``, seed 7, the default smartphone workload over 10 s.
+    Counting starts as ``run_scenario`` returns into ``run_device``
+    and stops when ``run_device`` returns, so it covers the stats
+    flush, the registry, the sketch feed and the trace fingerprint.
+    """
+    import gc
+    import sys
+
+    from repro.fleet import device as fleet_device
+    from repro.trace import DeviceWorkload
+
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    real_run_scenario = fleet_device.run_scenario
+
+    def counted_run_scenario(*args, **kwargs):
+        result = real_run_scenario(*args, **kwargs)
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        return result
+
+    previous = sys.getprofile()
+    fleet_device.run_scenario = counted_run_scenario
+    try:
+        payload = fleet_device.run_device(
+            "d3", 7, DeviceWorkload(kind="smartphone", duration=10.0)
+        )
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+        fleet_device.run_scenario = real_run_scenario
+    assert payload["packets"] > 500
+    return calls[0] / payload["packets"]
+
+
+def test_device_digest_call_budget():
+    """A fleet device's post-simulation digest stays within its call
+    budget: it reads the sample log in one loop without per-sample
+    Python calls."""
+    calls = _digest_calls_per_sample()
+    assert calls <= DIGEST_CALL_BUDGET_PER_SAMPLE, (
+        f"{calls:.3f} Python-level calls per sample in the device digest, "
+        f"budget {DIGEST_CALL_BUDGET_PER_SAMPLE}"
     )
 
 
