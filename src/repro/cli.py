@@ -347,7 +347,7 @@ def cmd_audit(args: argparse.Namespace) -> None:
     """Run the chaos scenario with the inline fairness auditor attached.
 
     Prints the drift summary (measured rates vs the live fluid
-    optimum), the incremental-solver statistics, and any fairness
+    optimum), the solver's delta and solve counts, and any fairness
     alerts. With ``--strict`` the command exits 2 if any drift alert
     was raised. Everything printed is derived from the simulated
     clock, so the output is byte-identical for a given seed.
@@ -369,10 +369,7 @@ def cmd_audit(args: argparse.Namespace) -> None:
         "",
         f"ticks={auditor.ticks} audits={auditor.audits_total} "
         f"drift_last={auditor.drift_last:.4f} drift_peak={auditor.drift_peak:.4f}",
-        f"solver: {solver.deltas_total} deltas, "
-        f"{solver.incremental_solves} incremental / {solver.full_solves} full "
-        f"({solver.incremental_ratio:.0%} incremental, "
-        f"{solver.fence_fallbacks} fence fallbacks), "
+        f"solver: {solver.deltas_total} deltas, {solver.full_solves} solves, "
         f"{len(allocation.clusters)} clusters now",
         "",
         f"{'flow':<8} {'weight':>7} {'fluid Mb/s':>11} {'measured Mb/s':>14}",

@@ -1,9 +1,10 @@
 """Weighted max-min fairness with interface preferences.
 
 One exact solver (combinatorial water-filling in ``Fraction``
-arithmetic, certified against Theorem 2 by the test suite) with an
-incremental front end, rate-cluster extraction/validation
-(Definition 2, Theorem 2), and the paper's directional fairness metric.
+arithmetic, certified against Theorem 2 by the test suite) with a
+front end that holds a live instance under deltas and solves it on
+read, rate-cluster extraction/validation (Definition 2, Theorem 2),
+and the paper's directional fairness metric.
 """
 
 from .conformance import (
@@ -44,7 +45,6 @@ from .metrics import (
 from .waterfill import (
     Allocation,
     Cluster,
-    Stage,
     allocation_from_prefs,
     weighted_maxmin,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "Cluster",
     "IncrementalMaxMinSolver",
     "MAX_RELATIVE_ERROR",
-    "Stage",
     "ZERO_RATE_ATOL",
     "ConformanceReport",
     "FluidCapacityStep",

@@ -62,24 +62,6 @@ class Cluster:
         return float(self.level) * weight
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One progressive-filling freeze stage (union of all minimizers).
-
-    Stages are the algorithm's outer-loop iterations: every flow in
-    ``flows`` froze at ``level`` while ``interfaces`` left the remaining
-    instance. A stage may span several :class:`Cluster` components, and
-    two *different* stages can coincidentally share a level (a subset's
-    confined flow-set grows once earlier stages are removed), so stage
-    membership cannot be recovered from levels alone — the incremental
-    solver needs it recorded explicitly.
-    """
-
-    flows: FrozenSet[str]
-    interfaces: FrozenSet[str]
-    level: Fraction
-
-
 @dataclass
 class Allocation:
     """The result of a max-min computation.
@@ -95,8 +77,6 @@ class Allocation:
     clusters: List[Cluster]
     #: Interfaces that serve no flow (capacity necessarily unused).
     idle_interfaces: FrozenSet[str] = field(default_factory=frozenset)
-    #: Freeze stages in algorithm order (ascending level).
-    stages: List[Stage] = field(default_factory=list)
 
     def rate(self, flow_id: str) -> float:
         """Absolute rate of *flow_id* as a float."""
@@ -196,7 +176,6 @@ def weighted_maxmin(
 
     rates: Dict[str, Fraction] = {}
     clusters: List[Cluster] = []
-    stages: List[Stage] = []
     remaining_flows = set(willing)
     remaining_ifaces = [j for j in interface_ids if j not in idle]
 
@@ -214,9 +193,6 @@ def weighted_maxmin(
         clusters.extend(
             _split_into_clusters(frozen_flows, frozen_ifaces, willing, level)
         )
-        stages.append(
-            Stage(flows=frozen_flows, interfaces=frozen_ifaces, level=level)
-        )
         remaining_flows -= frozen_flows
         remaining_ifaces = [j for j in remaining_ifaces if j not in frozen_ifaces]
         # Interfaces that only served frozen flows but were not in the
@@ -233,9 +209,7 @@ def weighted_maxmin(
             remaining_ifaces = [j for j in remaining_ifaces if j not in orphaned]
 
     clusters.sort(key=lambda c: c.level)
-    return Allocation(
-        rates=rates, clusters=clusters, idle_interfaces=idle, stages=stages
-    )
+    return Allocation(rates=rates, clusters=clusters, idle_interfaces=idle)
 
 
 def _bottleneck_stage(

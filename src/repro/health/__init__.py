@@ -4,7 +4,7 @@ The :class:`Watchdog` periodically samples a
 :class:`~repro.core.engine.SchedulingEngine` and raises structured
 :class:`Alert` records for flow starvation and interface stalls; the
 :class:`FairnessAuditor` tracks the exact fluid max-min optimum
-incrementally and alerts when measured rates drift from it; the
+and alerts when measured rates drift from it; the
 :class:`MiDrrInvariantChecker` validates the scheduler's internal state
 (deficit counters, service flags, turn bookkeeping) during chaos runs.
 Both periodic monitors share the escalating-series alert

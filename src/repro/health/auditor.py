@@ -6,11 +6,10 @@ engine's topology and preference events — flow add/remove, φ/Π churn
 through :meth:`~repro.core.engine.SchedulingEngine
 .notify_preferences_changed`, interface up/down transitions and
 capacity steps — and feeds each as a delta into an
-:class:`~repro.fairness.incremental.IncrementalMaxMinSolver`, so the
-fluid optimum is re-derived incrementally instead of from scratch on
-every change. On a periodic stride it then compares each flow's
-*measured* service rate (from the engine's
-:class:`~repro.net.sink.StatsCollector` over a trailing window)
+:class:`~repro.fairness.incremental.IncrementalMaxMinSolver`, which
+solves the fluid optimum only when something reads it. On a periodic
+stride it then compares each flow's *measured* service rate (from the
+engine's :class:`~repro.net.sink.StatsCollector` over a trailing window)
 against its fluid-optimal rate and raises a structured
 ``fairness_drift`` alert — through the same escalating-series
 deduplication the watchdog uses — when the drift exceeds a bound
@@ -31,7 +30,7 @@ WRR-style cross-traffic jitter. Anything beyond it is *drift*: the
 packetized scheduler is no longer tracking the max-min allocation.
 
 The auditor is strictly read-only with respect to scheduling: its
-callbacks do pure solver arithmetic and its tick is an ordinary
+callbacks only edit the solver's instance and its tick is an ordinary
 priority-0 periodic event, so enabling it cannot change a run's
 packet-level decisions (chaos report hashes stay byte-identical).
 """
@@ -83,9 +82,6 @@ class FairnessAuditor:
     strict:
         Raise :class:`~repro.errors.WatchdogError` on the first drift
         alert (mirrors the watchdog's strict mode).
-    debug:
-        Run the incremental solver with from-scratch cross-checking
-        after every delta. Expensive; tests only.
     """
 
     def __init__(
@@ -99,7 +95,6 @@ class FairnessAuditor:
         drift_margin: float = 0.25,
         strict: bool = False,
         max_alert_gap: float = 60.0,
-        debug: bool = False,
     ) -> None:
         if period <= 0:
             raise WatchdogError(f"period must be positive, got {period}")
@@ -127,7 +122,6 @@ class FairnessAuditor:
         self._max_packet_bytes = max_packet_bytes
         self._drift_margin = drift_margin
         self._strict = strict
-        self._debug = debug
         self._process = PeriodicProcess(sim, period, self._tick)
         self._deduper = AlertDeduper(max_alert_gap)
         self._listeners: List[Callable[[Alert], None]] = []
@@ -145,7 +139,7 @@ class FairnessAuditor:
         self._masked: Set[str] = set()
         self._last_change_at = sim.now
 
-        self.solver = IncrementalMaxMinSolver(debug=debug)
+        self.solver = IncrementalMaxMinSolver()
         self._bootstrap()
         engine.on_flow_added(self._flow_added)
         engine.on_flow_removed(self._flow_removed)
@@ -196,9 +190,6 @@ class FairnessAuditor:
             self._sync_flow(flow)
         # Bootstrap deltas are setup, not live churn.
         self.solver.deltas_total = 0
-        self.solver.incremental_solves = 0
-        self.solver.full_solves = 0
-        self.solver.fence_fallbacks = 0
 
     def _watch_interface(self, interface: Interface) -> None:
         interface.on_state_change(self._interface_state_changed)

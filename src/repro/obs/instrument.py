@@ -468,19 +468,9 @@ def instrument_auditor(auditor: FairnessAuditor, registry: MetricsRegistry) -> N
         fn=lambda: len(auditor.alerts),
     )
     registry.gauge(
-        "fairness.incremental_solves_total",
-        "Deltas resolved by the warm-started suffix solve",
-        fn=lambda: auditor.solver.incremental_solves,
-    )
-    registry.gauge(
         "fairness.full_solves_total",
-        "Deltas that fell back to a from-scratch solve",
+        "Exact max-min solves (one per read of a changed instance)",
         fn=lambda: auditor.solver.full_solves,
-    )
-    registry.gauge(
-        "fairness.incremental_solve_ratio",
-        "Share of deltas resolved without a full re-solve",
-        fn=lambda: auditor.solver.incremental_ratio,
     )
     raised = registry.counter(
         "fairness.alerts_raised_total",

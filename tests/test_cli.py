@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -163,6 +165,24 @@ class TestChaosCommand:
         assert "chaos run: seed=1" in out
         assert "fault signature:" in out
         assert "stats signature:" in out
+
+
+class TestAuditCommand:
+    #: sha256 of ``audit --seed 7 --duration 20`` output, every line but
+    #: the ``solver:`` one, joined with newlines.
+    OUTPUT_DIGEST = (
+        "541edaa5c933e398ffa85706137b15d2d4e990ec19c7479accdc6a8bd9d48196"
+    )
+
+    def test_audit_report_is_pinned(self, capsys):
+        assert main(["audit", "--seed", "7", "--duration", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        solver_lines = [line for line in lines if line.startswith("solver:")]
+        assert solver_lines == ["solver: 16 deltas, 2 solves, 2 clusters now"]
+        rest = "\n".join(line for line in lines if not line.startswith("solver:"))
+        assert hashlib.sha256(rest.encode("utf-8")).hexdigest() == (
+            self.OUTPUT_DIGEST
+        )
 
 
 class TestObsCommand:

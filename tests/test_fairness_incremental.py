@@ -1,18 +1,17 @@
-"""Tests for the incremental (warm-started) weighted max-min solver.
+"""Tests for the solve-on-read weighted max-min solver front end.
 
-Everything here runs with ``debug=True`` so the solver self-asserts
-exact agreement with :func:`weighted_maxmin` after every single delta;
-the explicit equality checks in the tests are then documentation of
-*what* exact means (Fraction rates, identical idle sets).
+Deltas only edit the instance and drop the cached allocation; the
+first read after a change runs one exact :func:`weighted_maxmin`.
+The delta tests read before *and* after each delta, so a delta that
+forgets to drop the cache serves a stale allocation and fails here.
 """
 
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.errors import FairnessError
 from repro.fairness.incremental import IncrementalMaxMinSolver
@@ -33,146 +32,125 @@ def assert_matches_scratch(solver):
 
 class TestDeltas:
     def test_empty_instance(self):
-        solver = IncrementalMaxMinSolver(debug=True)
+        solver = IncrementalMaxMinSolver()
         assert solver.allocation.rates == {}
         assert solver.deltas_total == 0
-        assert solver.incremental_ratio == 1.0
+        assert solver.full_solves == 1
 
     def test_arrival_in_upper_stage_is_incremental(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"]), "b": (1.0, ["if2"])},
-            debug=True,
         )
+        assert solver.rate("b") == Fraction(8_000_000)
         solver.add_flow("c", 1.0, ["if2"])
-        assert solver.incremental_solves == 1
-        assert solver.full_solves == 0
         assert solver.rate("b") == Fraction(4_000_000)
         assert solver.rate("c") == Fraction(4_000_000)
         assert solver.rate("a") == Fraction(1_000_000)
+        assert solver.full_solves == 2
+        assert_matches_scratch(solver)
 
     def test_arrival_with_open_row_forces_full_solve(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"])},
-            debug=True,
         )
-        # A None row reaches every interface, including stage 0.
+        assert "if2" in solver.allocation.idle_interfaces
+        # A None row reaches every interface, including the idle one.
         solver.add_flow("roamer", 1.0, None)
-        assert solver.full_solves == 1
         assert solver.rate("roamer") == Fraction(8_000_000)
+        assert solver.allocation.idle_interfaces == frozenset()
+        assert solver.full_solves == 2
 
     def test_departure_from_upper_stage_is_incremental(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"]), "b": (1.0, ["if2"]), "c": (1.0, ["if2"])},
-            debug=True,
         )
+        assert solver.rate("b") == Fraction(4_000_000)
         solver.remove_flow("c")
-        assert solver.incremental_solves == 1
         assert solver.rate("b") == Fraction(8_000_000)
+        assert "c" not in solver.allocation.rates
         assert not solver.has_flow("c")
 
     def test_reweight_is_scoped_to_the_flows_stage(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"]), "b": (1.0, ["if2"]), "c": (1.0, ["if2"])},
-            debug=True,
         )
+        assert solver.rate("b") == Fraction(4_000_000)
         solver.set_weight("b", 3.0)
-        assert solver.incremental_solves == 1
         assert solver.rate("b") == Fraction(6_000_000)
         assert solver.rate("c") == Fraction(2_000_000)
+        assert solver.rate("a") == Fraction(1_000_000)
 
     def test_restriction_narrows_the_row(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"]), "b": (1.0, ["if1", "if2"])},
-            debug=True,
         )
-        solver.restrict_flow("b", ["if2"])
         assert solver.rate("b") == Fraction(8_000_000)
-        assert solver.row_of("b") == frozenset({"if2"})
+        solver.restrict_flow("b", ["if1"])
+        assert solver.rate("b") == Fraction(500_000)
+        assert solver.row_of("b") == frozenset({"if1"})
+        assert solver.allocation.idle_interfaces == frozenset({"if2"})
 
     def test_capacity_change_in_upper_stage_is_incremental(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"]), "b": (1.0, ["if2"])},
-            debug=True,
         )
+        assert solver.rate("b") == Fraction(8_000_000)
         solver.set_capacity("if2", 12e6)
-        assert solver.incremental_solves == 1
         assert solver.rate("b") == Fraction(12_000_000)
 
     def test_outage_pins_the_confined_flow_at_zero(self):
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.0, ["if1"]), "b": (1.0, ["if2"])},
-            debug=True,
         )
+        assert solver.rate("b") == Fraction(8_000_000)
         solver.set_capacity("if2", 0)
         assert solver.rate("b") == 0
         assert solver.rate("a") == Fraction(1_000_000)
 
     def test_new_idle_interface_is_incremental(self):
-        solver = IncrementalMaxMinSolver(
-            {"if1": 1e6}, {"a": (1.0, ["if1"])}, debug=True
-        )
+        solver = IncrementalMaxMinSolver({"if1": 1e6}, {"a": (1.0, ["if1"])})
+        assert solver.allocation.idle_interfaces == frozenset()
         solver.set_capacity("if2", 2e6)
         assert solver.has_interface("if2")
-        assert solver.incremental_solves == 1
         assert "if2" in solver.allocation.idle_interfaces
 
     def test_new_interface_reachable_by_open_rows(self):
-        solver = IncrementalMaxMinSolver(
-            {"if1": 1e6}, {"a": (1.0, None)}, debug=True
-        )
+        solver = IncrementalMaxMinSolver({"if1": 1e6}, {"a": (1.0, None)})
+        assert solver.rate("a") == Fraction(1_000_000)
         solver.set_capacity("if2", 2e6)
         assert solver.rate("a") == Fraction(3_000_000)
 
 
-class TestFenceFallback:
-    """Deltas that pull the suffix level below a kept level must fall
-    back to a full solve — and still agree exactly with scratch."""
-
-    def two_stage_solver(self):
+class TestSolveOnRead:
+    def test_deltas_without_a_read_cost_no_solve(self):
         solver = IncrementalMaxMinSolver(
-            {"if1": 1e6, "if2": 10e6},
-            {"low": (1.0, ["if1"]), "high": (1.0, ["if2"])},
-            debug=True,
+            {"if1": 1e6, "if2": 8e6}, {"a": (1.0, ["if1"])}
         )
-        levels = [float(s.level) for s in solver.allocation.stages]
-        assert levels == [1e6, 10e6]
-        return solver
+        solver.add_flow("b", 2.0, None)
+        solver.set_weight("a", 3.0)
+        solver.restrict_flow("b", ["if2"])
+        solver.set_capacity("if1", 0)
+        solver.add_flow("c", 1.0, ["if2"])
+        solver.remove_flow("c")
+        assert solver.deltas_total == 6
+        assert solver.full_solves == 0
 
-    def test_reweight_below_the_fence(self):
-        solver = self.two_stage_solver()
-        # Normalized level of "high" becomes 10e6/100 = 1e5 < 1e6: the
-        # stage order inverts, which the suffix cannot decide locally.
-        solver.set_weight("high", 100.0)
-        assert solver.fence_fallbacks == 1
-        assert solver.rate("high") == Fraction(10_000_000)
-        assert solver.rate("low") == Fraction(1_000_000)
-
-    def test_capacity_collapse_below_the_fence(self):
-        solver = self.two_stage_solver()
-        solver.set_capacity("if2", 0.5e6)
-        assert solver.fence_fallbacks == 1
-        assert solver.rate("high") == Fraction(500_000)
-        assert solver.rate("low") == Fraction(1_000_000)
-
-    def test_arrival_storm_merges_clusters(self):
-        solver = self.two_stage_solver()
-        # Twenty arrivals on if2 drive its per-flow share to ~0.48e6,
-        # below if1's 1e6 level: the clusters reorder around the new
-        # bottleneck. Every post-breach delta still resolves exactly.
-        before = solver.fence_fallbacks
-        for index in range(20):
-            solver.add_flow(f"n{index}", 1.0, ["if2"])
-        assert solver.fence_fallbacks > before
-        assert solver.rate("high") == Fraction(10_000_000, 21)
-        assert solver.rate("low") == Fraction(1_000_000)
-        assert_matches_scratch(solver)
+    def test_reads_without_a_delta_cost_one_solve(self):
+        solver = IncrementalMaxMinSolver(
+            {"if1": 1e6, "if2": 8e6}, {"a": (1.0, ["if1"]), "b": (1.0, None)}
+        )
+        solver.set_capacity("if2", 4e6)
+        first = solver.allocation
+        assert solver.rate("b") == Fraction(4_000_000)
+        assert solver.allocation is first
+        assert solver.full_solves == 1
 
 
 class TestValidation:
@@ -226,24 +204,19 @@ class TestSnapshotRestore:
         solver = IncrementalMaxMinSolver(
             {"if1": 1e6, "if2": 8e6},
             {"a": (1.5, ["if1"]), "b": (1.0, None)},
-            debug=True,
         )
         solver.add_flow("c", 2.0, ["if2"])
         solver.set_capacity("if1", 0)
+        expected = solver.allocation
         snap = json.loads(json.dumps(solver.snapshot_state()))
 
-        restored = IncrementalMaxMinSolver(debug=True)
+        restored = IncrementalMaxMinSolver()
         restored.restore_state(snap)
-        assert restored.allocation.rates == solver.allocation.rates
-        assert (
-            restored.allocation.idle_interfaces
-            == solver.allocation.idle_interfaces
-        )
-        assert restored.deltas_total == solver.deltas_total
-        assert restored.incremental_solves == solver.incremental_solves
-        assert restored.full_solves == solver.full_solves
-        assert restored.fence_fallbacks == solver.fence_fallbacks
-        # Restore re-derives the allocation without counting a solve.
+        assert restored.snapshot_state() == solver.snapshot_state()
+        assert restored.allocation.rates == expected.rates
+        assert restored.allocation.idle_interfaces == expected.idle_interfaces
+        # The snapshot held a fresh cache: restoring it counts no solve.
+        assert restored.full_solves == solver.full_solves == 1
         restored.add_flow("d", 1.0, ["if2"])
         assert restored.deltas_total == solver.deltas_total + 1
 
@@ -257,62 +230,9 @@ class TestSnapshotRestore:
         assert restored.rate("a") == Fraction(1_000_000, 3)
 
 
-class TestAcceptanceSequence:
-    """The ISSUE acceptance run: a seeded 500-delta sequence where the
-    incremental path resolves >= 80% of deltas, exact throughout."""
-
-    def test_seeded_500_delta_sequence(self):
-        rng = random.Random(20260809)
-        tiers = 8
-        caps = {f"if{k}": 1e6 * (4 ** k) for k in range(tiers)}
-        flows = {f"seed{k}": (1.0, [f"if{k}"]) for k in range(tiers)}
-        solver = IncrementalMaxMinSolver(caps, flows, debug=True)
-
-        counter = itertools.count()
-        extras = {k: [] for k in range(tiers)}  # non-seed pinned flows
-        roamers = []
-
-        for _ in range(500):
-            if rng.random() < 0.08:
-                # Occasional global churn: open-row flows reach stage 0
-                # and force a full solve — the workload's noise floor.
-                if roamers and rng.random() < 0.5:
-                    solver.remove_flow(roamers.pop())
-                else:
-                    flow_id = f"r{next(counter)}"
-                    solver.add_flow(flow_id, 1.0, None)
-                    roamers.append(flow_id)
-                continue
-            # Steady-state churn lives in the upper stages: pinned
-            # flows on well-separated tiers (4x capacity steps keep
-            # every per-flow level strictly inside its tier, so the
-            # fence is never breached).
-            k = rng.randrange(1, tiers)
-            op = rng.random()
-            if op < 0.4 and not extras[k]:
-                flow_id = f"p{next(counter)}"
-                solver.add_flow(flow_id, 1.0, [f"if{k}"])
-                extras[k].append(flow_id)
-            elif op < 0.4:
-                solver.remove_flow(extras[k].pop())
-            elif op < 0.7:
-                solver.set_weight(f"seed{k}", rng.uniform(0.8, 1.25))
-            else:
-                solver.set_capacity(
-                    f"if{k}", caps[f"if{k}"] * rng.uniform(0.9, 1.1)
-                )
-
-        assert solver.deltas_total == 500
-        assert solver.incremental_ratio >= 0.8, repr(solver)
-        # Roamers parked in a tier can nudge its level across a fence;
-        # that stays a rare event on this workload, never the norm.
-        assert solver.fence_fallbacks <= 5, repr(solver)
-        assert_matches_scratch(solver)
-
-
 @st.composite
 def delta_script(draw):
-    """A small instance plus a sequence of typed deltas against it."""
+    """A small instance plus typed deltas, each flagged read-after or not."""
     iface_count = draw(st.integers(min_value=2, max_value=4))
     ifaces = [f"if{j}" for j in range(iface_count)]
     cap = st.sampled_from([0, 1e6, 2e6, 5e6, 8e6])
@@ -335,6 +255,7 @@ def delta_script(draw):
                     ["add", "remove", "reweight", "restrict", "capacity"]
                 ),
                 st.randoms(use_true_random=False),
+                st.booleans(),
             ),
             min_size=1,
             max_size=12,
@@ -343,23 +264,23 @@ def delta_script(draw):
     script = []
     live = list(flows)
     fresh = itertools.count(flow_count)
-    for op, rng in steps:
+    for op, rng, read in steps:
         if op == "add":
             flow_id = f"f{next(fresh)}"
-            script.append(("add", flow_id, rng.choice([0.5, 1.0, 2.0, 3.0]),
+            script.append((read, "add", flow_id, rng.choice([0.5, 1.0, 2.0, 3.0]),
                            rng.choice([None, frozenset(rng.sample(ifaces, rng.randint(1, iface_count)))])))
             live.append(flow_id)
         elif op == "remove" and live:
             flow_id = live.pop(rng.randrange(len(live)))
-            script.append(("remove", flow_id))
+            script.append((read, "remove", flow_id))
         elif op == "reweight" and live:
-            script.append(("reweight", rng.choice(live),
+            script.append((read, "reweight", rng.choice(live),
                            rng.choice([0.5, 1.0, 2.0, 3.0])))
         elif op == "restrict" and live:
-            script.append(("restrict", rng.choice(live),
+            script.append((read, "restrict", rng.choice(live),
                            rng.choice([None, frozenset(rng.sample(ifaces, rng.randint(1, iface_count)))])))
         elif op == "capacity":
-            script.append(("capacity", rng.choice(ifaces),
+            script.append((read, "capacity", rng.choice(ifaces),
                            rng.choice([0, 1e6, 2e6, 5e6, 8e6])))
     return caps, flows, script
 
@@ -370,25 +291,62 @@ class TestEquivalenceProperties:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(case=delta_script())
-    def test_incremental_equals_scratch_after_every_delta(self, case):
+    @given(case=delta_script(), read_first=st.booleans())
+    @example(
+        # Every delta kind, each read right after it and each moving
+        # the allocation: a kind that keeps a stale cache fails here.
+        case=(
+            {"if0": 1e6, "if1": 8e6},
+            {"f0": (1.0, frozenset({"if0"})), "f1": (1.0, None)},
+            [
+                (True, "add", "f2", 2.0, frozenset({"if1"})),
+                (True, "reweight", "f1", 3.0),
+                (True, "restrict", "f1", frozenset({"if0"})),
+                (True, "capacity", "if0", 5e6),
+                (True, "remove", "f0"),
+            ],
+        ),
+        read_first=True,
+    )
+    def test_reads_equal_scratch_on_a_mirrored_instance(self, case, read_first):
         caps, flows, script = case
-        solver = IncrementalMaxMinSolver(caps, flows, debug=True)
-        for step in script:
-            if step[0] == "add":
-                solver.add_flow(step[1], step[2], step[3])
-            elif step[0] == "remove":
-                solver.remove_flow(step[1])
-            elif step[0] == "reweight":
-                solver.set_weight(step[1], step[2])
-            elif step[0] == "restrict":
-                solver.restrict_flow(step[1], step[2])
-            elif step[0] == "capacity":
-                solver.set_capacity(step[1], step[2])
-            # debug=True already asserted; make the contract explicit
-            # at the end of the sequence too.
-        assert_matches_scratch(solver)
-        assert (
-            solver.incremental_solves + solver.full_solves
-            == solver.deltas_total
-        )
+        solver = IncrementalMaxMinSolver(caps, flows)
+        # The test's own copy of the instance, in plain dicts.
+        mirror_caps = dict(caps)
+        mirror_flows = dict(flows)
+        reads = 0
+
+        def check_read():
+            expected = weighted_maxmin(mirror_flows, mirror_caps)
+            assert solver.allocation.rates == expected.rates
+            assert solver.allocation.idle_interfaces == expected.idle_interfaces
+
+        if read_first:
+            check_read()
+            reads += 1
+        for read, op, *args in script:
+            if op == "add":
+                flow_id, weight, row = args
+                solver.add_flow(flow_id, weight, row)
+                mirror_flows[flow_id] = (weight, row)
+            elif op == "remove":
+                solver.remove_flow(args[0])
+                del mirror_flows[args[0]]
+            elif op == "reweight":
+                flow_id, weight = args
+                solver.set_weight(flow_id, weight)
+                mirror_flows[flow_id] = (weight, mirror_flows[flow_id][1])
+            elif op == "restrict":
+                flow_id, row = args
+                solver.restrict_flow(flow_id, row)
+                mirror_flows[flow_id] = (mirror_flows[flow_id][0], row)
+            elif op == "capacity":
+                interface_id, capacity = args
+                solver.set_capacity(interface_id, capacity)
+                mirror_caps[interface_id] = capacity
+            if read:
+                check_read()
+                reads += 1
+        check_read()
+        assert solver.deltas_total == len(script)
+        assert solver.full_solves <= reads + 1

@@ -1,9 +1,4 @@
-"""Inline fairness auditor: alert dedup, tracking, drift, determinism.
-
-The tier-1 smoke here runs the auditor with ``debug=True`` so the
-incremental solver cross-checks itself against a from-scratch
-``weighted_maxmin`` after every live delta the engine feeds it.
-"""
+"""Inline fairness auditor: alert dedup, tracking, drift, determinism."""
 
 import json
 
@@ -144,7 +139,7 @@ class TestAuditorSmoke:
     """Tier-1 smoke: the auditor tracks a healthy run without noise."""
 
     def test_steady_midrr_run_audits_clean(self):
-        result, auditor = audited_run(steady_scenario(), debug=True)
+        result, auditor = audited_run(steady_scenario())
         assert auditor.ticks > 0
         assert auditor.audits_total > 0
         assert auditor.alerts == []
@@ -188,7 +183,7 @@ class TestDriftDetection:
         assert auditor.drift_peak > 1.0
 
     def test_midrr_stays_clean_on_the_same_workload(self):
-        result, auditor = audited_run(skewed_scenario(), debug=True)
+        result, auditor = audited_run(skewed_scenario())
         assert auditor.audits_total > 0
         assert auditor.alerts == []
 
@@ -230,7 +225,7 @@ class TestReadOnlyDeterminism:
 
 
 def auditor_extras(run):
-    auditor = FairnessAuditor(run.sim, run.engine, period=0.5, debug=True)
+    auditor = FairnessAuditor(run.sim, run.engine, period=0.5)
     auditor.start()
     run.attach("health:auditor", auditor)
 
@@ -248,28 +243,43 @@ class TestCheckpointRestore:
         assert ref_auditor.ticks > 0
         assert ref_auditor.audits_total > 0
 
-        run = RecoverableScenarioRun(
-            scenario, MiDrrScheduler, extras=auditor_extras
-        )
-        for _ in range(400):
-            if run.finished or not run.step():
-                break
-        state = json.loads(json.dumps(run.checkpoint()))
-        prefix = list(run.trace.entries)
+        ref_state = ref_auditor.snapshot_state()
 
-        restored = RecoverableScenarioRun.restore(
-            state, MiDrrScheduler, extras=auditor_extras
-        )
-        restored.run_to_completion()
-        assert prefix + list(restored.trace.entries) == list(
-            reference.trace.entries
-        )
-        auditor = restored._components["health:auditor"]
-        assert auditor.ticks == ref_auditor.ticks
-        assert auditor.audits_total == ref_auditor.audits_total
-        assert auditor.drift_last == ref_auditor.drift_last
-        assert auditor.drift_peak == ref_auditor.drift_peak
-        assert (
-            auditor.solver.allocation.rates
-            == ref_auditor.solver.allocation.rates
-        )
+        # Checkpoint once 400 steps in, before anything has read the
+        # optimum (stale cache), and once right after the first audit
+        # read it (fresh cache: the restore rebuilds it uncounted).
+        for fresh in (False, True):
+            run = RecoverableScenarioRun(
+                scenario, MiDrrScheduler, extras=auditor_extras
+            )
+            live = run._components["health:auditor"]
+            steps = 0
+            while not run.finished and (
+                live.audits_total == 0 if fresh else steps < 400
+            ):
+                if not run.step():
+                    break
+                steps += 1
+            state = json.loads(json.dumps(run.checkpoint()))
+            solver_state = state["components"]["health:auditor"]["solver"]
+            assert solver_state["solved"] is fresh
+            prefix = list(run.trace.entries)
+
+            restored = RecoverableScenarioRun.restore(
+                state, MiDrrScheduler, extras=auditor_extras
+            )
+            restored.run_to_completion()
+            assert prefix + list(restored.trace.entries) == list(
+                reference.trace.entries
+            )
+            auditor = restored._components["health:auditor"]
+            assert auditor.ticks == ref_auditor.ticks
+            assert auditor.audits_total == ref_auditor.audits_total
+            assert auditor.drift_last == ref_auditor.drift_last
+            assert auditor.drift_peak == ref_auditor.drift_peak
+            # Whole state, solver counters included.
+            assert auditor.snapshot_state() == ref_state
+            assert (
+                auditor.solver.allocation.rates
+                == ref_auditor.solver.allocation.rates
+            )

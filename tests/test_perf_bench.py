@@ -447,6 +447,31 @@ def test_device_digest_call_budget():
     )
 
 
+#: Exact max-min solves per solver delta on the seed-7 audited chaos
+#: run (20 s, the ``midrr audit`` defaults). Solving after every delta
+#: reads 1.0 (16 solves for 16 deltas); solving the optimum only when
+#: it is read reads 0.125 (2 for 16: the six audits share two regimes).
+SOLVE_BUDGET_PER_DELTA = 0.25
+
+
+def test_auditor_solve_budget():
+    """The fairness auditor solves the fluid optimum when it is read,
+    not at each delta: a solve per delta creeping back shows here as a
+    count."""
+    from repro.faults.chaos import ChaosRun
+
+    run = ChaosRun(seed=7, duration=20.0, with_auditor=True)
+    run.run()
+    solver = run.auditor.solver
+    assert solver.deltas_total >= 8
+    assert run.auditor.audits_total > 0
+    solves = solver.full_solves / solver.deltas_total
+    assert solves <= SOLVE_BUDGET_PER_DELTA, (
+        f"{solver.full_solves} solves for {solver.deltas_total} deltas, "
+        f"budget {SOLVE_BUDGET_PER_DELTA} per delta"
+    )
+
+
 class TestFleetBench:
     @pytest.fixture(scope="class")
     def workload(self):
