@@ -29,52 +29,7 @@ Quickstart::
     print(result.rates(5, 30))   # ~1 Mb/s each (the paper's Figure 1(c))
 """
 
-from .core.device import MobileDevice
-from .core.runner import ExperimentResult, run_scenario
-from .core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
-from .core.engine import SchedulingEngine
-from .fairness.conformance import run_conformance
-from .errors import (
-    ConfigurationError,
-    FairnessError,
-    FaultError,
-    HeaderError,
-    HttpError,
-    PreferenceError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    WatchdogError,
-)
-from .fairness.waterfill import Allocation, weighted_maxmin
-from .faults.chaos import ChaosReport, build_default_chaos, run_chaos
-from .faults.processes import (
-    CapacityCollapse,
-    ChecksumVerifier,
-    GilbertElliottFlapper,
-    PacketCorruptionInjector,
-    PacketLossInjector,
-    PreferenceChurner,
-)
-from .faults.timeline import FaultEvent, FaultTimeline
-from .health.invariants import MiDrrInvariantChecker
-from .health.watchdog import Alert, Watchdog
-from .net.flow import Flow
-from .obs import (
-    MetricsRegistry,
-    SnapshotProcess,
-    instrument_engine,
-    instrument_watchdog,
-)
-from .net.interface import CapacityStep, Interface
-from .net.packet import Packet
-from .prefs.policy import AnyInterface, DevicePolicy, Except, Only, Prefer
-from .prefs.preferences import PreferenceSet
-from .schedulers.drr import DrrScheduler
-from .schedulers.midrr import MiDrrScheduler
-from .schedulers.per_interface import PerInterfaceScheduler, StaticSplitScheduler
-from .schedulers.wfq import WfqScheduler
-from .sim.simulator import Simulator
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -136,3 +91,61 @@ __all__ = [
     "weighted_maxmin",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.device": ("MobileDevice",),
+    ".core.runner": ("ExperimentResult", "run_scenario"),
+    ".core.scenario": ("FlowSpec", "InterfaceSpec", "Scenario", "TrafficSpec"),
+    ".core.engine": ("SchedulingEngine",),
+    ".fairness.conformance": ("run_conformance",),
+    ".errors": (
+        "ConfigurationError",
+        "FairnessError",
+        "FaultError",
+        "HeaderError",
+        "HttpError",
+        "PreferenceError",
+        "ReproError",
+        "SchedulingError",
+        "SimulationError",
+        "WatchdogError",
+    ),
+    ".fairness.waterfill": ("Allocation", "weighted_maxmin"),
+    ".faults.chaos": ("ChaosReport", "build_default_chaos", "run_chaos"),
+    ".faults.processes": (
+        "CapacityCollapse",
+        "ChecksumVerifier",
+        "GilbertElliottFlapper",
+        "PacketCorruptionInjector",
+        "PacketLossInjector",
+        "PreferenceChurner",
+    ),
+    ".faults.timeline": ("FaultEvent", "FaultTimeline"),
+    ".health.invariants": ("MiDrrInvariantChecker",),
+    ".health.watchdog": ("Alert", "Watchdog"),
+    ".net.flow": ("Flow",),
+    ".obs": (
+        "MetricsRegistry",
+        "SnapshotProcess",
+        "instrument_engine",
+        "instrument_watchdog",
+    ),
+    ".net.interface": ("CapacityStep", "Interface"),
+    ".net.packet": ("Packet",),
+    ".prefs.policy": (
+        "AnyInterface",
+        "DevicePolicy",
+        "Except",
+        "Only",
+        "Prefer",
+    ),
+    ".prefs.preferences": ("PreferenceSet",),
+    ".schedulers.drr": ("DrrScheduler",),
+    ".schedulers.midrr": ("MiDrrScheduler",),
+    ".schedulers.per_interface": (
+        "PerInterfaceScheduler",
+        "StaticSplitScheduler",
+    ),
+    ".schedulers.wfq": ("WfqScheduler",),
+    ".sim.simulator": ("Simulator",),
+})

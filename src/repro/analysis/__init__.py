@@ -1,31 +1,7 @@
 """Measurement post-processing: time series, CDFs, rate estimators and
 ASCII reports."""
 
-from .cdf import EmpiricalCdf
-from .rates import EwmaRateEstimator, WindowedRateEstimator
-from .report import (
-    render_comparison,
-    render_rate_table,
-    render_series,
-    render_table,
-)
-from .slo import (
-    DEFAULT_DEADLINE_BUDGETS,
-    SCHEDULER_FAMILY,
-    SloReport,
-    SloRow,
-    jain_index,
-    p99,
-    run_latency_slo,
-)
-from .timeseries import (
-    Series,
-    bin_events,
-    crossings,
-    moving_average,
-    series_mean,
-    settle_time,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_DEADLINE_BUDGETS",
@@ -49,3 +25,31 @@ __all__ = [
     "series_mean",
     "settle_time",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cdf": ("EmpiricalCdf",),
+    ".rates": ("EwmaRateEstimator", "WindowedRateEstimator"),
+    ".report": (
+        "render_comparison",
+        "render_rate_table",
+        "render_series",
+        "render_table",
+    ),
+    ".slo": (
+        "DEFAULT_DEADLINE_BUDGETS",
+        "SCHEDULER_FAMILY",
+        "SloReport",
+        "SloRow",
+        "jain_index",
+        "p99",
+        "run_latency_slo",
+    ),
+    ".timeseries": (
+        "Series",
+        "bin_events",
+        "crossings",
+        "moving_average",
+        "series_mean",
+        "settle_time",
+    ),
+})

@@ -6,21 +6,7 @@ the paper's conclusion names — datacenter task pools and heterogeneous
 (big.LITTLE-style) CPU cores.
 """
 
-from .cpu_affinity import (
-    BIG_CORE_CAPACITY,
-    COMPANION_CORE_CAPACITY,
-    CpuScheduler,
-    ThreadSpec,
-    big_cores_of,
-    tegra_cores,
-)
-from .taskpool import (
-    JobSpec,
-    MachineSpec,
-    TaskPool,
-    TaskPoolResult,
-    fair_shares,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BIG_CORE_CAPACITY",
@@ -35,3 +21,21 @@ __all__ = [
     "fair_shares",
     "tegra_cores",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cpu_affinity": (
+        "BIG_CORE_CAPACITY",
+        "COMPANION_CORE_CAPACITY",
+        "CpuScheduler",
+        "ThreadSpec",
+        "big_cores_of",
+        "tegra_cores",
+    ),
+    ".taskpool": (
+        "JobSpec",
+        "MachineSpec",
+        "TaskPool",
+        "TaskPoolResult",
+        "fair_shares",
+    ),
+})

@@ -1,9 +1,7 @@
 """Virtual-interface bridge: classifier, NAT rewriting and the bridge
 engine (the paper's Linux kernel bridge, Figure 3)."""
 
-from .bridge import MiDrrBridge, VirtualInterface
-from .classifier import FlowClassifier, MatchRule, parse_five_tuple
-from .nat import NatBinding, NatTable, rewrite_inbound, rewrite_outbound
+from .._lazy import lazy_exports
 
 __all__ = [
     "FlowClassifier",
@@ -16,3 +14,9 @@ __all__ = [
     "rewrite_inbound",
     "rewrite_outbound",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bridge": ("MiDrrBridge", "VirtualInterface"),
+    ".classifier": ("FlowClassifier", "MatchRule", "parse_five_tuple"),
+    ".nat": ("NatBinding", "NatTable", "rewrite_inbound", "rewrite_outbound"),
+})

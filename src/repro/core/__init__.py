@@ -1,16 +1,7 @@
 """Core: the engine binding schedulers to interfaces, declarative
 scenarios, and the experiment runner."""
 
-from .device import MobileDevice
-from .engine import SchedulingEngine
-from .runner import ExperimentResult, build_traffic, run_scenario
-from .scenario import (
-    TRAFFIC_KINDS,
-    FlowSpec,
-    InterfaceSpec,
-    Scenario,
-    TrafficSpec,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExperimentResult",
@@ -24,3 +15,16 @@ __all__ = [
     "build_traffic",
     "run_scenario",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".device": ("MobileDevice",),
+    ".engine": ("SchedulingEngine",),
+    ".runner": ("ExperimentResult", "build_traffic", "run_scenario"),
+    ".scenario": (
+        "TRAFFIC_KINDS",
+        "FlowSpec",
+        "InterfaceSpec",
+        "Scenario",
+        "TrafficSpec",
+    ),
+})

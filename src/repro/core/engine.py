@@ -459,10 +459,11 @@ class SchedulingEngine:
             self.stats.record_drop(flow.flow_id, packet.size_bytes)
 
     def _kick_willing(self, flow: Flow) -> None:
-        # Only up interfaces: kick() no-ops on a down interface anyway,
-        # so filtering here is behaviour-preserving and saves the call.
+        # Only up, idle interfaces: kick() no-ops on a down or busy
+        # interface anyway, so filtering here is behaviour-preserving
+        # and saves the call.
         for interface in self._willing_interfaces(flow):
-            if interface.up:
+            if interface.up and not interface.busy:
                 interface.kick()
 
     def _packet_sent(self, interface: Interface, packet: Packet) -> None:
@@ -527,9 +528,10 @@ class SchedulingEngine:
         # will pull new work when their in-flight packet completes, but
         # idle ones must be kicked now. Only the flow's own up
         # interfaces can have freed capacity — a down or unwilling
-        # interface gains nothing from this completion.
+        # interface gains nothing from this completion, and a busy one
+        # pulls when its packet completes.
         for interface in willing:
-            if interface.up:
+            if interface.up and not interface.busy:
                 interface.kick()
 
     # ------------------------------------------------------------------

@@ -15,6 +15,8 @@ Benchmarks under ``benchmarks/`` and the CLI call into these; tests
 assert the paper's qualitative claims against them.
 """
 
-from . import fct, fig1, fig6, fig7, fig9, fig10, inbound_ideal
+from .._lazy import lazy_exports
 
 __all__ = ["fct", "fig1", "fig6", "fig7", "fig9", "fig10", "inbound_ideal"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {})

@@ -7,47 +7,7 @@ read, rate-cluster extraction/validation (Definition 2, Theorem 2),
 and the paper's directional fairness metric.
 """
 
-from .conformance import (
-    ConformanceReport,
-    PropertyResult,
-    run_conformance,
-)
-from .fluid import (
-    FluidCapacityStep,
-    FluidFlow,
-    FluidResult,
-    FluidSimulator,
-    max_service_lag,
-)
-from .theory import (
-    fate_sharing_holds,
-    lemma_bounds,
-    theorem1_counterexample,
-)
-from .clusters import (
-    EmpiricalCluster,
-    check_maxmin_conditions,
-    check_rate_clustering,
-    extract_clusters,
-)
-from .incremental import IncrementalMaxMinSolver
-from .metrics import (
-    MAX_RELATIVE_ERROR,
-    ZERO_RATE_ATOL,
-    directional_fairness,
-    jain_index,
-    max_relative_error,
-    measured_rates,
-    relative_errors,
-    service_lag_bound,
-    throughput_utilization,
-)
-from .waterfill import (
-    Allocation,
-    Cluster,
-    allocation_from_prefs,
-    weighted_maxmin,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Allocation",
@@ -80,3 +40,43 @@ __all__ = [
     "throughput_utilization",
     "weighted_maxmin",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".conformance": ("ConformanceReport", "PropertyResult", "run_conformance"),
+    ".fluid": (
+        "FluidCapacityStep",
+        "FluidFlow",
+        "FluidResult",
+        "FluidSimulator",
+        "max_service_lag",
+    ),
+    ".theory": (
+        "fate_sharing_holds",
+        "lemma_bounds",
+        "theorem1_counterexample",
+    ),
+    ".clusters": (
+        "EmpiricalCluster",
+        "check_maxmin_conditions",
+        "check_rate_clustering",
+        "extract_clusters",
+    ),
+    ".incremental": ("IncrementalMaxMinSolver",),
+    ".metrics": (
+        "MAX_RELATIVE_ERROR",
+        "ZERO_RATE_ATOL",
+        "directional_fairness",
+        "jain_index",
+        "max_relative_error",
+        "measured_rates",
+        "relative_errors",
+        "service_lag_bound",
+        "throughput_utilization",
+    ),
+    ".waterfill": (
+        "Allocation",
+        "Cluster",
+        "allocation_from_prefs",
+        "weighted_maxmin",
+    ),
+})

@@ -24,24 +24,7 @@ the event heap) for the crash-equivalence harness
 :func:`run_crash_equivalence`.
 """
 
-from .chaos import ChaosReport, build_default_chaos, run_chaos
-from .crashes import (
-    CrashInjector,
-    EquivalenceReport,
-    KillPointResult,
-    SimulatedCrash,
-    run_crash_equivalence,
-)
-from .plan import PLAN_KINDS, FaultPlan, PlannedFault
-from .processes import (
-    CapacityCollapse,
-    ChecksumVerifier,
-    GilbertElliottFlapper,
-    PacketCorruptionInjector,
-    PacketLossInjector,
-    PreferenceChurner,
-)
-from .timeline import FaultEvent, FaultTimeline
+from .._lazy import lazy_exports
 
 __all__ = [
     "PLAN_KINDS",
@@ -63,3 +46,24 @@ __all__ = [
     "build_default_chaos",
     "run_chaos",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".chaos": ("ChaosReport", "build_default_chaos", "run_chaos"),
+    ".crashes": (
+        "CrashInjector",
+        "EquivalenceReport",
+        "KillPointResult",
+        "SimulatedCrash",
+        "run_crash_equivalence",
+    ),
+    ".plan": ("PLAN_KINDS", "FaultPlan", "PlannedFault"),
+    ".processes": (
+        "CapacityCollapse",
+        "ChecksumVerifier",
+        "GilbertElliottFlapper",
+        "PacketCorruptionInjector",
+        "PacketLossInjector",
+        "PreferenceChurner",
+    ),
+    ".timeline": ("FaultEvent", "FaultTimeline"),
+})

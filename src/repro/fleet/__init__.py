@@ -10,38 +10,7 @@ fairness proxies. See ``docs/architecture.md`` for the
 coordinator/worker lifecycle and the determinism contract.
 """
 
-from .codec import (
-    PAYLOAD_SCHEMA_VERSION,
-    decode_shard,
-    encode_shard,
-    read_shard_jsonl,
-    validate_shard,
-    write_shard_jsonl,
-)
-from .coordinator import (
-    EXECUTORS,
-    FLEET_REPORT_SCHEMA_VERSION,
-    REPORT_HASH_FIELDS,
-    compute_report_hash,
-    run_fleet,
-)
-from .device import (
-    DELAY_SKETCH,
-    interface_bytes_metric,
-    interface_packets_metric,
-    run_device,
-    trace_fingerprint,
-)
-from .plan import (
-    DEFAULT_MAX_SHARDS,
-    Shard,
-    ShardPlan,
-    default_shard_count,
-    device_ids,
-    device_seed,
-    plan_shards,
-)
-from .worker import run_shard
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_MAX_SHARDS",
@@ -69,3 +38,38 @@ __all__ = [
     "validate_shard",
     "write_shard_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".codec": (
+        "PAYLOAD_SCHEMA_VERSION",
+        "decode_shard",
+        "encode_shard",
+        "read_shard_jsonl",
+        "validate_shard",
+        "write_shard_jsonl",
+    ),
+    ".coordinator": (
+        "EXECUTORS",
+        "FLEET_REPORT_SCHEMA_VERSION",
+        "REPORT_HASH_FIELDS",
+        "compute_report_hash",
+        "run_fleet",
+    ),
+    ".device": (
+        "DELAY_SKETCH",
+        "interface_bytes_metric",
+        "interface_packets_metric",
+        "run_device",
+        "trace_fingerprint",
+    ),
+    ".plan": (
+        "DEFAULT_MAX_SHARDS",
+        "Shard",
+        "ShardPlan",
+        "default_shard_count",
+        "device_ids",
+        "device_seed",
+        "plan_shards",
+    ),
+    ".worker": ("run_shard",),
+})

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
@@ -103,6 +101,10 @@ def _run_pool(
     workers: int,
     progress: Optional[Callable[[int, int], None]],
 ) -> List[Dict[str, object]]:
+    # Imported here: only this executor pays for loading the pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms

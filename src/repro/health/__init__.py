@@ -11,15 +11,7 @@ Both periodic monitors share the escalating-series alert
 deduplication in :mod:`repro.health.alerts`.
 """
 
-from .alerts import Alert, AlertDeduper
-from .auditor import ALERT_FAIRNESS_DRIFT, FairnessAuditor
-from .invariants import MiDrrInvariantChecker
-from .watchdog import (
-    ALERT_FLOW_STARVATION,
-    ALERT_INTERFACE_STALL,
-    ALERT_INVARIANT_VIOLATION,
-    Watchdog,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ALERT_FAIRNESS_DRIFT",
@@ -32,3 +24,15 @@ __all__ = [
     "MiDrrInvariantChecker",
     "Watchdog",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".alerts": ("Alert", "AlertDeduper"),
+    ".auditor": ("ALERT_FAIRNESS_DRIFT", "FairnessAuditor"),
+    ".invariants": ("MiDrrInvariantChecker",),
+    ".watchdog": (
+        "ALERT_FLOW_STARVATION",
+        "ALERT_INTERFACE_STALL",
+        "ALERT_INVARIANT_VIOLATION",
+        "Watchdog",
+    ),
+})

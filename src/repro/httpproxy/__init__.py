@@ -2,19 +2,7 @@
 simulated transports and the inbound miDRR scheduling proxy
 (the paper's Figure 5)."""
 
-from .client import RepeatingDownloader
-from .http11 import (
-    ByteRange,
-    Headers,
-    HttpRequest,
-    HttpResponse,
-    parse_content_range,
-    parse_range_header,
-)
-from .proxy import HttpFetch, SchedulingHttpProxy
-from .ranges import DEFAULT_CHUNK_BYTES, Splicer, split_ranges
-from .server import HttpOriginServer, synthetic_body
-from .transport import DownlinkChannel
+from .._lazy import lazy_exports
 
 __all__ = [
     "ByteRange",
@@ -33,3 +21,19 @@ __all__ = [
     "split_ranges",
     "synthetic_body",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".client": ("RepeatingDownloader",),
+    ".http11": (
+        "ByteRange",
+        "Headers",
+        "HttpRequest",
+        "HttpResponse",
+        "parse_content_range",
+        "parse_range_header",
+    ),
+    ".proxy": ("HttpFetch", "SchedulingHttpProxy"),
+    ".ranges": ("DEFAULT_CHUNK_BYTES", "Splicer", "split_ranges"),
+    ".server": ("HttpOriginServer", "synthetic_body"),
+    ".transport": ("DownlinkChannel",),
+})

@@ -1,29 +1,6 @@
 """Network substrate: packets, flows, queues, interfaces, sources, stats."""
 
-from .addresses import MAC_BROADCAST, Ipv4Address, MacAddress
-from .flow import Flow
-from .headers import (
-    ETHERTYPE_IPV4,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-    EthernetHeader,
-    Ipv4Header,
-    TcpHeader,
-    UdpHeader,
-    internet_checksum,
-)
-from .interface import CapacityStep, Interface
-from .packet import FiveTuple, Packet
-from .queueing import FlowQueue
-from .sink import ServiceSample, StatsCollector
-from .sources import (
-    BulkSource,
-    CbrSource,
-    OnOffSource,
-    PoissonSource,
-    TraceSource,
-    sized_transfer,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BulkSource",
@@ -52,3 +29,30 @@ __all__ = [
     "internet_checksum",
     "sized_transfer",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".addresses": ("MAC_BROADCAST", "Ipv4Address", "MacAddress"),
+    ".flow": ("Flow",),
+    ".headers": (
+        "ETHERTYPE_IPV4",
+        "IPPROTO_TCP",
+        "IPPROTO_UDP",
+        "EthernetHeader",
+        "Ipv4Header",
+        "TcpHeader",
+        "UdpHeader",
+        "internet_checksum",
+    ),
+    ".interface": ("CapacityStep", "Interface"),
+    ".packet": ("FiveTuple", "Packet"),
+    ".queueing": ("FlowQueue",),
+    ".sink": ("ServiceSample", "StatsCollector"),
+    ".sources": (
+        "BulkSource",
+        "CbrSource",
+        "OnOffSource",
+        "PoissonSource",
+        "TraceSource",
+        "sized_transfer",
+    ),
+})

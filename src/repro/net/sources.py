@@ -149,11 +149,7 @@ class CbrSource:
         if self._stop_time is not None and self._sim.now >= self._stop_time:
             return
         self._flow.offer(
-            Packet(
-                flow_id=self._flow.flow_id,
-                size_bytes=self._packet_size,
-                created_at=self._sim.now,
-            )
+            Packet(self._flow.flow_id, self._packet_size, self._sim.now)
         )
         self.packets_offered += 1
         self._sim.call_later(self._interval, self._emit)
@@ -195,11 +191,7 @@ class PoissonSource:
         if self._stop_time is not None and self._sim.now >= self._stop_time:
             return
         self._flow.offer(
-            Packet(
-                flow_id=self._flow.flow_id,
-                size_bytes=self._packet_size,
-                created_at=self._sim.now,
-            )
+            Packet(self._flow.flow_id, self._packet_size, self._sim.now)
         )
         self.packets_offered += 1
         self._sim.call_later(self._rng.expovariate(self._rate_pps), self._emit)
@@ -266,11 +258,7 @@ class OnOffSource:
             self._sim.call_later(off, self._start_burst)
             return
         self._flow.offer(
-            Packet(
-                flow_id=self._flow.flow_id,
-                size_bytes=self._packet_size,
-                created_at=self._sim.now,
-            )
+            Packet(self._flow.flow_id, self._packet_size, self._sim.now)
         )
         self.packets_offered += 1
         self._sim.call_later(self._interval, self._emit)
@@ -303,13 +291,7 @@ class TraceSource:
         self.packets_offered = state["packets_offered"]
 
     def _emit(self, size: int) -> None:
-        self._flow.offer(
-            Packet(
-                flow_id=self._flow.flow_id,
-                size_bytes=size,
-                created_at=self._sim.now,
-            )
-        )
+        self._flow.offer(Packet(self._flow.flow_id, size, self._sim.now))
         self.packets_offered += 1
 
 

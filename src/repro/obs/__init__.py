@@ -13,27 +13,7 @@ perturbing the hot path (see ``docs/observability.md`` for the metric
 catalog and measured overhead).
 """
 
-from .instrument import (
-    DECISION_LATENCY_SAMPLE_EVERY,
-    EngineInstrumentation,
-    instrument_auditor,
-    instrument_engine,
-    instrument_watchdog,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-)
-from .snapshot import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SnapshotProcess,
-    read_jsonl,
-    render_final_report,
-    write_jsonl,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -52,3 +32,27 @@ __all__ = [
     "render_final_report",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".instrument": (
+        "DECISION_LATENCY_SAMPLE_EVERY",
+        "EngineInstrumentation",
+        "instrument_auditor",
+        "instrument_engine",
+        "instrument_watchdog",
+    ),
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "QuantileSketch",
+    ),
+    ".snapshot": (
+        "SNAPSHOT_SCHEMA_VERSION",
+        "SnapshotProcess",
+        "read_jsonl",
+        "render_final_report",
+        "write_jsonl",
+    ),
+})

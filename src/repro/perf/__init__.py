@@ -9,42 +9,7 @@ counts and reports events/sec, packets/sec and decisions/sec. The CLI
 every PR can compare against the previous baseline.
 """
 
-from .core_bench import (
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_FLOW_COUNTS,
-    DEFAULT_INTERFACE_COUNTS,
-    DEFAULT_TARGET_PACKETS,
-    REGRESSION_THRESHOLD,
-    build_core_scenario,
-    calibrate,
-    check_regression,
-    find_cell,
-    render_bench_table,
-    run_cell,
-    run_core_bench,
-    validate_bench_document,
-    write_bench_document,
-)
-from .fleet_bench import (
-    DEFAULT_FLEET_DEVICES,
-    DEFAULT_FLEET_WORKERS,
-    DEFAULT_FLEET_WORKLOAD,
-    FLEET_REGRESSION_THRESHOLD,
-    check_fleet_regression,
-    find_fleet_cell,
-    run_fleet_bench,
-    run_fleet_cell,
-    validate_fleet_cells,
-)
-from .obs_bench import (
-    DEFAULT_OVERHEAD_TARGET_PACKETS,
-    OVERHEAD_BUDGET,
-    OVERHEAD_NOISE_CEILING,
-    committed_baseline_cell,
-    render_overhead_table,
-    run_auditor_overhead,
-    run_metrics_overhead,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -78,3 +43,42 @@ __all__ = [
     "validate_fleet_cells",
     "write_bench_document",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core_bench": (
+        "BENCH_SCHEMA_VERSION",
+        "DEFAULT_FLOW_COUNTS",
+        "DEFAULT_INTERFACE_COUNTS",
+        "DEFAULT_TARGET_PACKETS",
+        "REGRESSION_THRESHOLD",
+        "build_core_scenario",
+        "calibrate",
+        "check_regression",
+        "find_cell",
+        "render_bench_table",
+        "run_cell",
+        "run_core_bench",
+        "validate_bench_document",
+        "write_bench_document",
+    ),
+    ".fleet_bench": (
+        "DEFAULT_FLEET_DEVICES",
+        "DEFAULT_FLEET_WORKERS",
+        "DEFAULT_FLEET_WORKLOAD",
+        "FLEET_REGRESSION_THRESHOLD",
+        "check_fleet_regression",
+        "find_fleet_cell",
+        "run_fleet_bench",
+        "run_fleet_cell",
+        "validate_fleet_cells",
+    ),
+    ".obs_bench": (
+        "DEFAULT_OVERHEAD_TARGET_PACKETS",
+        "OVERHEAD_BUDGET",
+        "OVERHEAD_NOISE_CEILING",
+        "committed_baseline_cell",
+        "render_overhead_table",
+        "run_auditor_overhead",
+        "run_metrics_overhead",
+    ),
+})

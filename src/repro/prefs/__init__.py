@@ -1,15 +1,6 @@
 """User preference model: Π matrix, rate weights, and policy builders."""
 
-from .policy import (
-    AnyInterface,
-    AppPolicy,
-    DevicePolicy,
-    Except,
-    InterfaceRule,
-    Only,
-    Prefer,
-)
-from .preferences import FlowPreference, PreferenceSet
+from .._lazy import lazy_exports
 
 __all__ = [
     "AnyInterface",
@@ -22,3 +13,16 @@ __all__ = [
     "Prefer",
     "PreferenceSet",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".policy": (
+        "AnyInterface",
+        "AppPolicy",
+        "DevicePolicy",
+        "Except",
+        "InterfaceRule",
+        "Only",
+        "Prefer",
+    ),
+    ".preferences": ("FlowPreference", "PreferenceSet"),
+})

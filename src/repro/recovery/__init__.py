@@ -27,17 +27,7 @@ Layers, bottom up:
   circuit breaker when restarts stop making progress.
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    compute_checksum,
-    load_checkpoint,
-    save_checkpoint,
-    unwrap_state,
-    wrap_state,
-)
-from .codec import CheckpointContext, decode_events, encode_events
-from .runner import DecisionTraceRecorder, RecoverableScenarioRun
-from .supervisor import RecoverySupervisor
+from .._lazy import lazy_exports
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -53,3 +43,17 @@ __all__ = [
     "unwrap_state",
     "wrap_state",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".checkpoint": (
+        "CHECKPOINT_SCHEMA_VERSION",
+        "compute_checksum",
+        "load_checkpoint",
+        "save_checkpoint",
+        "unwrap_state",
+        "wrap_state",
+    ),
+    ".codec": ("CheckpointContext", "decode_events", "encode_events"),
+    ".runner": ("DecisionTraceRecorder", "RecoverableScenarioRun"),
+    ".supervisor": ("RecoverySupervisor",),
+})

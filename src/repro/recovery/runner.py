@@ -115,6 +115,8 @@ class RecoverableScenarioRun:
                 flow_spec.flow_id,
                 weight=flow_spec.weight,
                 allowed_interfaces=flow_spec.interfaces,
+                deadline_budget=flow_spec.traffic.deadline,
+                nominal_rate_bps=flow_spec.traffic.rate_bps,
             )
             source = self._build_source(flow_spec, flow)
             self._flows[flow.flow_id] = flow

@@ -9,11 +9,7 @@ Public surface:
 * :class:`TraceLog`, :class:`TraceRecord` — structured tracing
 """
 
-from .events import DEFAULT_PRIORITY, Event, EventQueue
-from .process import PeriodicProcess, Timer
-from .randomness import RandomStreams, derive_seed
-from .simulator import Simulator
-from .tracing import TraceLog, TraceRecord
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_PRIORITY",
@@ -27,3 +23,11 @@ __all__ = [
     "TraceRecord",
     "derive_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".events": ("DEFAULT_PRIORITY", "Event", "EventQueue"),
+    ".process": ("PeriodicProcess", "Timer"),
+    ".randomness": ("RandomStreams", "derive_seed"),
+    ".simulator": ("Simulator",),
+    ".tracing": ("TraceLog", "TraceRecord"),
+})

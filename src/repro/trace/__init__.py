@@ -1,19 +1,6 @@
 """Smartphone workload model, concurrency analysis, fleet workloads."""
 
-from .concurrency import ConcurrencyStats, concurrency_stats
-from .fleet_workloads import (
-    WORKLOAD_KINDS,
-    DeviceWorkload,
-    build_device_scenario,
-)
-from .smartphone import (
-    DEFAULT_APPS,
-    WEEK_SECONDS,
-    AppProfile,
-    DeviceTraceConfig,
-    FlowInterval,
-    SmartphoneTraceGenerator,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AppProfile",
@@ -28,3 +15,20 @@ __all__ = [
     "build_device_scenario",
     "concurrency_stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".concurrency": ("ConcurrencyStats", "concurrency_stats"),
+    ".fleet_workloads": (
+        "WORKLOAD_KINDS",
+        "DeviceWorkload",
+        "build_device_scenario",
+    ),
+    ".smartphone": (
+        "DEFAULT_APPS",
+        "WEEK_SECONDS",
+        "AppProfile",
+        "DeviceTraceConfig",
+        "FlowInterval",
+        "SmartphoneTraceGenerator",
+    ),
+})

@@ -447,6 +447,127 @@ def test_device_digest_call_budget():
     )
 
 
+#: Python-level calls per packet over whole fleet devices: scenario
+#: generation, the simulation and the digest of four short, mostly
+#: active smartphone devices (deterministic for a given code path). The
+#: open-loop per-packet path dominates; it reads 16.41.
+FLEET_CALL_BUDGET_PER_PACKET = 16.5
+
+
+def _fleet_calls_per_packet() -> float:
+    """Python-level ``call`` events per packet over ``run_device``.
+
+    Devices ``d0``..``d3`` of fleet seed 1, each the smartphone workload
+    over 10 s with a 2 s mean idle gap (``perfbench``'s fleet devices),
+    counted with :func:`sys.setprofile` from ``run_device``'s call to
+    its return. The cyclic collector is off while counting.
+    """
+    import gc
+    import sys
+
+    from repro.fleet.device import run_device
+    from repro.fleet.plan import device_seed
+    from repro.trace import DeviceWorkload
+
+    workload = DeviceWorkload(kind="smartphone", duration=10.0, mean_gap=2.0)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    packets = 0
+    for device_id in ("d0", "d1", "d2", "d3"):
+        gc.collect()
+        gc.disable()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            payload = run_device(device_id, device_seed(1, device_id), workload)
+        finally:
+            sys.setprofile(previous)
+            gc.enable()
+        packets += payload["packets"]
+    assert packets > 5000
+    return calls[0] / packets
+
+
+def test_fleet_call_budget():
+    """Fleet devices stay within their per-packet call budget: a hop
+    added to the open-loop arrival, kick or transmit path shows here as
+    a count, without wall-clock noise."""
+    calls = _fleet_calls_per_packet()
+    assert calls <= FLEET_CALL_BUDGET_PER_PACKET, (
+        f"{calls:.3f} Python-level calls per fleet packet, budget "
+        f"{FLEET_CALL_BUDGET_PER_PACKET}"
+    )
+
+
+#: ``repro`` modules loaded by each entry point in a fresh interpreter.
+#: Package exports resolve on first access, so an import runs only its
+#: own dependency chain; a new eager import on one of these chains
+#: shows here as a count. ``repro.schedulers`` stays eager (every
+#: scheduler class registers on import): 9 of the engine's 26.
+IMPORT_BUDGETS = {
+    "import repro": 2,
+    "import repro.core.engine": 26,
+    "from repro.fleet import run_fleet": 46,
+}
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+exec(sys.argv[2])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "repro")))
+"""
+
+
+def _fresh_interpreter(script: str, *args: str) -> str:
+    """Standard output of *script* run in a new interpreter with
+    ``src/`` as ``sys.argv[1]``; fails the test if the script fails."""
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script, src, *args],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("statement", sorted(IMPORT_BUDGETS))
+def test_import_graph_budget(statement):
+    """Each entry point loads no more ``repro`` modules than recorded."""
+    output = _fresh_interpreter(_IMPORT_PROBE, statement)
+    loaded = json.loads(output.strip().splitlines()[-1])
+    assert len(loaded) <= IMPORT_BUDGETS[statement], (
+        f"{statement!r} loaded {len(loaded)} repro modules, budget "
+        f"{IMPORT_BUDGETS[statement]}: {loaded}"
+    )
+
+
+_POOL_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from repro.fleet import run_fleet
+from repro.trace import DeviceWorkload
+workload = DeviceWorkload(kind="bulk", duration=0.25, num_flows=2, num_interfaces=2)
+run_fleet(2, workload, fleet_seed=1, executor="serial")
+assert "concurrent.futures.process" not in sys.modules, "serial run loaded the pool"
+run_fleet(2, workload, fleet_seed=1, workers=1, executor="process")
+assert "concurrent.futures.process" in sys.modules
+"""
+
+
+def test_process_pool_loads_on_demand():
+    """Only a process-executor fleet run loads the process pool."""
+    _fresh_interpreter(_POOL_PROBE)
+
+
 #: Exact max-min solves per solver delta on the seed-7 audited chaos
 #: run (20 s, the ``midrr audit`` defaults). Solving after every delta
 #: reads 1.0 (16 solves for 16 deltas); solving the optimum only when

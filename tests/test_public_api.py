@@ -12,6 +12,7 @@ class TestExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
+            assert name in dir(repro), f"dir(repro) lacks {name}"
 
     def test_version(self):
         assert repro.__version__
@@ -35,6 +36,8 @@ class TestExports:
             "repro.trace",
             "repro.analysis",
             "repro.experiments",
+            "repro.recovery",
+            "repro.apps",
             "repro.cli",
             "repro.units",
             "repro.errors",
@@ -44,6 +47,21 @@ class TestExports:
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name} missing"
+            assert name in dir(mod), f"dir({module}) lacks {name}"
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["Simulator"] is repro.sim.simulator.Simulator
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        with pytest.raises(AttributeError):
+            repro.fleet.no_such_name
+        with pytest.raises(ImportError):
+            from repro import no_such_name  # noqa: F401
 
     def test_error_hierarchy(self):
         assert issubclass(repro.SimulationError, repro.ReproError)

@@ -254,3 +254,34 @@ class TestPeriodicExtras:
         wd = restored._components["health:watchdog"]
         assert wd.ticks == ref_wd.ticks
         assert len(wd.alerts) == len(ref_wd.alerts)
+
+
+class TestScoresLikeRunScenario:
+    """The checkpointable run declares each flow's deadline budget and
+    nominal rate as :func:`~repro.core.runner.run_scenario` does, so
+    both score the same deadline packets and misses."""
+
+    def test_deadline_scoring_matches_run_scenario(self):
+        from repro.core.runner import run_scenario
+
+        cbr = TrafficSpec("cbr", rate_bps=mbps(1.5), deadline=0.02)
+        scenario = Scenario(
+            interfaces=(InterfaceSpec("a", mbps(2)), InterfaceSpec("b", mbps(1))),
+            flows=(
+                FlowSpec("x", traffic=cbr),
+                FlowSpec("y", traffic=cbr),
+                FlowSpec("z", start_time=1.0),
+            ),
+            duration=5.0,
+        )
+        reference = run_scenario(scenario, MiDrrScheduler)
+        run = RecoverableScenarioRun(scenario, MiDrrScheduler)
+        run.run_to_completion()
+        assert reference.engine.deadline_packets_total == 915
+        assert reference.engine.deadline_misses_total == 661
+        assert run.engine.deadline_packets_total == 915
+        assert run.engine.deadline_misses_total == 661
+        for flow_id in ("x", "y", "z"):
+            assert run.engine.stats.bytes_sent(flow_id) == reference.stats.bytes_sent(
+                flow_id
+            )
