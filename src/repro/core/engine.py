@@ -29,7 +29,7 @@ from ..errors import CheckpointError, ConfigurationError
 from ..net.flow import Flow
 from ..net.interface import Interface
 from ..net.packet import Packet
-from ..net.sink import StatsCollector
+from ..net.sink import DRAIN_CHUNK, StatsCollector
 from ..schedulers.base import MultiInterfaceScheduler
 from ..sim.simulator import Simulator
 
@@ -97,8 +97,11 @@ class SchedulingEngine:
         self._probe_countdown = 1
         self.stats = stats if stats is not None else StatsCollector(sim)
         # The sent handler records each service sample by appending its
-        # raw tuple to the collector's pending log, without a call.
-        self._log_sample = self.stats.pending.append
+        # raw tuple to the collector's pending log, without a call, and
+        # drains that log into the collector's columns every
+        # DRAIN_CHUNK samples.
+        self._pending = self.stats.pending
+        self._log_sample = self._pending.append
 
     @property
     def scheduler(self) -> MultiInterfaceScheduler:
@@ -183,7 +186,7 @@ class SchedulingEngine:
         if observe is not None:
             observe(interface)
 
-    def add_flow(self, flow: Flow, source: Optional[ExhaustibleSource] = None) -> None:
+    def add_flow(self, flow: Flow, source: Optional[object] = None) -> None:
         """Register a flow; *source* (if any) drives auto-completion.
 
         When *source* exposes ``exhausted`` and the flow's backlog
@@ -197,7 +200,9 @@ class SchedulingEngine:
         if flow.flow_id in self._flows:
             raise ConfigurationError(f"flow {flow.flow_id!r} already registered")
         self._flows[flow.flow_id] = flow
-        if source is not None:
+        if source is not None and hasattr(source, "exhausted"):
+            # Open-loop sources (CBR, Poisson, on/off, trace) never run
+            # dry, so their flows never auto-complete.
             self._sources[flow.flow_id] = source
         flow.on_arrival(self._packet_arrived)
         flow.on_drop(self._packet_dropped)
@@ -499,6 +504,8 @@ class SchedulingEngine:
         self._log_sample(
             (now, flow_id, interface.interface_id, size, now - packet.created_at)
         )
+        if len(self._pending) >= DRAIN_CHUNK:
+            self.stats.drain()
 
     def _packet_consumed(self, interface: Interface, packet: Packet) -> None:
         """An egress filter ate a finished transmission: no service is

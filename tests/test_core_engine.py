@@ -12,7 +12,13 @@ from repro.faults.processes import PacketLossInjector
 from repro.net.flow import Flow
 from repro.net.interface import Interface
 from repro.net.packet import Packet
-from repro.net.sources import BulkSource
+from repro.net.sources import (
+    BulkSource,
+    CbrSource,
+    OnOffSource,
+    PoissonSource,
+    TraceSource,
+)
 from repro.schedulers.midrr import MiDrrScheduler
 
 
@@ -133,6 +139,28 @@ class TestCompletion:
         engine.start()
         sim.run(until=10.0)
         assert flow.completed_at is None
+        assert engine.stats.bytes_sent("a") > 0
+
+    @pytest.mark.parametrize("kind", ["cbr", "poisson", "onoff", "trace"])
+    def test_open_loop_source_never_completes(self, sim, kind):
+        """A source without ``exhausted`` drives no auto-completion:
+        the flow's queue drains between arrivals and the flow stays."""
+        engine = build_engine(sim, rates=(1e6,))
+        flow = Flow("a")
+        rng = random.Random(0)
+        source = {
+            "cbr": lambda: CbrSource(sim, flow, rate_bps=120_000),
+            "poisson": lambda: PoissonSource(sim, flow, rate_pps=10, rng=rng),
+            "onoff": lambda: OnOffSource(
+                sim, flow, peak_rate_bps=120_000, mean_on=1.0, mean_off=1.0, rng=rng
+            ),
+            "trace": lambda: TraceSource(sim, flow, [(0.5, 1500), (2.5, 1500)]),
+        }[kind]()
+        engine.add_flow(flow, source=source)
+        engine.start()
+        sim.run(until=5.0)
+        assert flow.completed_at is None
+        assert "a" in engine.flows
         assert engine.stats.bytes_sent("a") > 0
 
     def test_remove_flow_stops_service(self, sim):

@@ -1,10 +1,14 @@
 """Unit tests for the stats collector."""
 
+import json
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.net.interface import Interface
+from repro.net import sink
 from repro.net.packet import Packet
 from repro.net.sink import StatsCollector
 from repro.sim.simulator import Simulator
@@ -206,6 +210,95 @@ class TestInterfaceIntegration:
         assert stats.samples[0].interface_id == "if1"
 
 
+class TestServiceLog:
+    """``samples`` is a read-only sequence view over the columns."""
+
+    RECORDS = [
+        (0.5, "a", "if1", 1500, 0.25),
+        (1.0, "b", "if2", 40, None),
+        (0.75, "a", "if2", 576, 0.125),
+        (2.0, "b", "if1", 1500, 3.0),
+    ]
+
+    def _stats(self):
+        clock = _Clock()
+        stats = StatsCollector(clock)
+        for now, flow_id, interface_id, size, delay in self.RECORDS:
+            clock.now = now
+            stats.record(flow_id, interface_id, size, delay=delay)
+        return stats
+
+    def test_len_index_slice_and_iteration(self):
+        log = self._stats().samples
+        assert len(log) == 4
+        assert list(log) == self.RECORDS
+        assert [log[i] for i in range(-4, 4)] == self.RECORDS * 2
+        assert log[1:3] == self.RECORDS[1:3]
+        assert log[::-2] == self.RECORDS[::-2]
+        assert log[3].time == 2.0 and log[1].delay is None
+        with pytest.raises(IndexError):
+            log[4]
+
+    def test_columns_decode_fields(self):
+        stats = self._stats()
+        columns = [list(column) for column in stats.samples.columns(1, 3)]
+        assert columns == [list(field) for field in zip(*self.RECORDS[1:3])]
+
+    def test_delays_read_back_exactly(self):
+        stats = self._stats()
+        assert [s.delay for s in stats.samples] == [r[4] for r in self.RECORDS]
+        assert stats.delays("a", 0.0, 5.0) == [0.25, 0.125]
+        assert stats.delays("b", 0.0, 5.0) == [3.0]
+
+    def test_view_sees_samples_recorded_after_it_was_taken(self):
+        stats = self._stats()
+        log = stats.samples
+        stats.record("c", "if3", 7)
+        assert len(log) == 5 and log[-1][1:] == ("c", "if3", 7, None)
+
+
+class TestCheckpointFormat:
+    """A fixed log snapshots to the same JSON bytes the tuple-per-sample
+    collector wrote, so checkpoints written by it restore here."""
+
+    SNAPSHOT = (
+        '{"drop_bytes_by_flow": {"a": 1500}, "drops_by_flow": {"a": 1}, '
+        '"samples": [[0.5, "a", "if1", 1500, 0.25], [1.0, "b", "if2", 40, null], '
+        '[0.75, "a", "if2", 576, 0.125], [2.0, "b", "if1", 1500, 3.0], '
+        '[2.0, "a", "if1", 1500, 1e-06]]}'
+    )
+
+    def _stats(self):
+        clock = _Clock()
+        stats = StatsCollector(clock)
+        for now, flow_id, interface_id, size, delay in [
+            (0.5, "a", "if1", 1500, 0.25),
+            (1.0, "b", "if2", 40, None),
+            (0.75, "a", "if2", 576, 0.125),
+            (2.0, "b", "if1", 1500, 3.0),
+            (2.0, "a", "if1", 1500, 1e-06),
+        ]:
+            clock.now = now
+            stats.record(flow_id, interface_id, size, delay=delay)
+        stats.record_drop("a", 1500)
+        return stats
+
+    def test_snapshot_bytes_are_pinned(self):
+        assert json.dumps(self._stats().snapshot_state(), sort_keys=True) == (
+            self.SNAPSHOT
+        )
+
+    def test_pinned_snapshot_restores(self):
+        restored = StatsCollector(_Clock())
+        restored.restore_state(json.loads(self.SNAPSHOT))
+        original = self._stats()
+        assert list(restored.samples) == list(original.samples)
+        assert restored.service_matrix() == original.service_matrix()
+        assert restored.delays("b", 0.0, 5.0) == [3.0]
+        assert restored.dropped_bytes("a") == 1500
+        assert json.dumps(restored.snapshot_state(), sort_keys=True) == self.SNAPSHOT
+
+
 class _Clock:
     """A settable stand-in for the simulator clock.
 
@@ -230,12 +323,17 @@ _RECORD = st.tuples(
     st.sampled_from(_INTERFACES),
     st.sampled_from([0, 1, 40, 1500]),
     st.one_of(st.none(), st.sampled_from([0.0, 0.125, 0.5, 3.0])),
+    # Producer: record(), or the engine's way — a raw tuple through the
+    # ``pending.append`` held since the collector was built, drained
+    # once a chunk is pending.
+    st.sampled_from(["record", "append"]),
     # Read the collector after this record, or not (None). Log-only
     # reads drain the pending log mid-stream; indexed reads also bring
     # the indexes up to date, so later records — out-of-order ones
-    # included — land on a partly built index.
+    # included — land on a partly built index. "restore" snapshots the
+    # collector and restores the snapshot into it mid-chunk.
     st.sampled_from(
-        [None, None, "samples", "interface_bytes", "bytes_sent", "window"]
+        [None, None, "samples", "interface_bytes", "bytes_sent", "window", "restore"]
     ),
 )
 
@@ -248,12 +346,15 @@ def _interleaved_read(stats, kind, flow_id, interface_id, now):
         return stats.interface_bytes(interface_id)
     if kind == "bytes_sent":
         return stats.bytes_sent(flow_id)
+    if kind == "restore":
+        stats.restore_state(json.loads(json.dumps(stats.snapshot_state())))
+        return [tuple(s) for s in stats.samples]
     return stats.service_in_window(flow_id, now - 1.0, now)
 
 
 def _interleaved_expected(records, kind, flow_id, interface_id, now):
     """The same read answered by a scan of *records*."""
-    if kind == "samples":
+    if kind in ("samples", "restore"):
         return list(records)
     if kind == "interface_bytes":
         return sum(r[3] for r in records if r[2] == interface_id)
@@ -280,6 +381,7 @@ class TestCollectorMatchesBruteForce:
                 stats.interface_bytes(i) for i in _INTERFACES + ("missing",)
             ],
             "service_matrix": stats.service_matrix(),
+            "bytes_by_flow": stats.bytes_by_flow(),
             "flow_ids": stats.flow_ids(),
         }
         for start, end in windows:
@@ -357,6 +459,9 @@ class TestCollectorMatchesBruteForce:
             "service_matrix": {
                 pair: total(lambda r: (r[1], r[2]) == pair) for pair in pairs
             },
+            "bytes_by_flow": {
+                f: total(lambda r: r[1] == f) for f in {r[1] for r in records}
+            },
             "flow_ids": sorted({r[1] for r in records}),
         }
         for start, end in windows:
@@ -390,16 +495,28 @@ class TestCollectorMatchesBruteForce:
         stream=st.lists(_RECORD, max_size=40),
         windows=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=4),
         bin_width=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+        # Small chunks make producers drain mid-stream, so records cross
+        # chunk boundaries; the real chunk leaves them all pending.
+        chunk=st.sampled_from([1, 2, 3, 7, sink.DRAIN_CHUNK]),
     )
-    def test_queries_match_a_scan_of_the_log(self, stream, windows, bin_width):
-        import json
+    def test_queries_match_a_scan_of_the_log(self, stream, windows, bin_width, chunk):
+        with mock.patch.object(sink, "DRAIN_CHUNK", chunk):
+            self._check_stream(stream, windows, bin_width)
 
+    def _check_stream(self, stream, windows, bin_width):
         clock = _Clock()
         stats = StatsCollector(clock)
+        append = stats.pending.append
         records = []
-        for step, flow_id, interface_id, size, delay, read in stream:
+        for step, flow_id, interface_id, size, delay, producer, read in stream:
             clock.now += step
-            stats.record(flow_id, interface_id, size, delay=delay)
+            if producer == "record":
+                stats.record(flow_id, interface_id, size, delay=delay)
+            else:
+                append((clock.now, flow_id, interface_id, size, delay))
+                if len(stats.pending) >= sink.DRAIN_CHUNK:
+                    stats.drain()
+            assert len(stats.pending) < sink.DRAIN_CHUNK
             records.append((clock.now, flow_id, interface_id, size, delay))
             if read is not None:
                 assert _interleaved_read(

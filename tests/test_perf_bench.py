@@ -249,11 +249,14 @@ class TestAuditorOverhead:
 CALL_BUDGET_PER_PACKET = 15.6
 
 
-def _calls_per_packet() -> float:
-    """Python-level ``call`` events per packet on a fixed miDRR bulk cell.
+def _calls_per_packet(make_source=None, min_packets: int = 3000) -> float:
+    """Python-level ``call`` events per packet on a fixed miDRR cell.
 
-    200 always-backlogged flows over 4 interfaces, closed loop. The
-    count starts after a warm-up and covers ~3,000 packets, read with
+    200 flows over 4 interfaces (75 Mb/s in total). By default every
+    flow is always backlogged (closed loop); otherwise
+    ``make_source(sim, flow)`` builds each flow's source. The count
+    starts after a warm-up and covers 0.5 simulated seconds (more
+    than *min_packets* packets), read with
     :func:`sys.setprofile` (no wall clock, so no noise).
     """
     import random
@@ -265,6 +268,10 @@ def _calls_per_packet() -> float:
     from repro.net.sources import BulkSource
     from repro.schedulers.midrr import MiDrrScheduler
     from repro.sim.simulator import Simulator
+
+    if make_source is None:
+        def make_source(sim, flow):
+            return BulkSource(sim, flow, packet_size=1500)
 
     rng = random.Random(0)
     sim = Simulator()
@@ -280,9 +287,9 @@ def _calls_per_packet() -> float:
             weight=rng.choice((0.5, 1.0, 2.0, 4.0)),
             allowed_interfaces=row,
         )
-        engine.add_flow(flow, source=BulkSource(sim, flow, packet_size=1500))
+        engine.add_flow(flow, source=make_source(sim, flow))
     engine.start()
-    # 1500 B packets on 75 Mb/s in total: 6,250 packets per second.
+    # 1500 B packets on 75 Mb/s in total: up to 6,250 packets per second.
     sim.run(until=0.5)
     interfaces = list(engine.interfaces.values())
     sent_before = sum(interface.packets_sent for interface in interfaces)
@@ -299,7 +306,7 @@ def _calls_per_packet() -> float:
     finally:
         sys.setprofile(previous)
     packets = sum(interface.packets_sent for interface in interfaces) - sent_before
-    assert packets > 3000
+    assert packets > min_packets
     return calls[0] / packets
 
 
@@ -314,11 +321,110 @@ def test_per_packet_call_budget():
     )
 
 
+#: Python-level calls per transmitted packet on the open-loop path:
+#: :func:`_calls_per_packet`'s cell with Poisson sources offering 60 of
+#: its 75 Mb/s, passed to the engine as ``source=`` (deterministic for
+#: a given code path). Arrivals into empty queues wake interfaces
+#: through a deferred kick, so a packet costs more calls than in the
+#: closed loop. It reads 42.89; the drain into the stats columns adds
+#: 0.0016 of that.
+OPEN_LOOP_CALL_BUDGET_PER_PACKET = 43.0
+
+
+def _open_loop_calls_per_packet() -> float:
+    """:func:`_calls_per_packet` with 25 packets/s Poisson sources."""
+    import random
+
+    from repro.net.sources import PoissonSource
+
+    rng = random.Random(1)
+
+    def make_source(sim, flow):
+        # 200 flows × 25 packets/s × 1500 B = 60 Mb/s offered.
+        return PoissonSource(sim, flow, rate_pps=25, rng=rng, packet_size=1500)
+
+    return _calls_per_packet(make_source, min_packets=2000)
+
+
+def test_open_loop_call_budget():
+    """The open-loop per-packet path stays within its call budget."""
+    calls = _open_loop_calls_per_packet()
+    assert calls <= OPEN_LOOP_CALL_BUDGET_PER_PACKET, (
+        f"{calls:.3f} Python-level calls per open-loop packet, budget "
+        f"{OPEN_LOOP_CALL_BUDGET_PER_PACKET}"
+    )
+
+
+#: Bytes the stats collector retains per sample for
+#: :func:`_sample_log_bytes`'s log (deterministic for a given layout
+#: and CPython version). One tuple per sample read 136 in ``pending``
+#: and 146 drained into ``ServiceSample`` tuples; the typed columns
+#: read 36.0, 2.3 of it the undrained tail.
+SAMPLE_LOG_BYTES_BUDGET = 37
+
+
+def _sample_log_bytes() -> float:
+    """Bytes retained per sample by a collector fed like the engine.
+
+    100,000 samples over 100 flows and 8 interfaces, each appended to
+    ``pending`` as a raw tuple with fresh time and delay floats, the
+    log drained every ``DRAIN_CHUNK`` samples as the engine does. The
+    retained size is the growth :mod:`tracemalloc` traces from an
+    empty collector to the end of the stream, the undrained tail
+    included; no index is built.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.net.sink import DRAIN_CHUNK, StatsCollector
+    from repro.sim.simulator import Simulator
+
+    flow_ids = [f"f{index}" for index in range(100)]
+    interface_ids = [f"if{index}" for index in range(8)]
+    count = 100_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stats = StatsCollector(Simulator())
+        pending = stats.pending
+        before = tracemalloc.get_traced_memory()[0]
+        time = 0.0
+        for index in range(count):
+            time += 1e-4
+            pending.append(
+                (
+                    time,
+                    flow_ids[index % 100],
+                    interface_ids[index % 8],
+                    1500,
+                    time - 5e-3,
+                )
+            )
+            if len(pending) >= DRAIN_CHUNK:
+                stats.drain()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(stats.samples) == count
+    return retained / count
+
+
+def test_sample_log_bytes_budget():
+    """The service log stays within its bytes-per-sample budget: a
+    boxed object per sample in the retained layout shows here."""
+    retained = _sample_log_bytes()
+    assert retained <= SAMPLE_LOG_BYTES_BUDGET, (
+        f"{retained:.1f} bytes retained per sample, budget "
+        f"{SAMPLE_LOG_BYTES_BUDGET}"
+    )
+
+
 #: Python-level calls per ingested sample while the stats collector
-#: drains :func:`_calls_per_sample`'s log and builds its indexes
-#: (deterministic for a given code path). The count reads 0.051: one
-#: call per new index (250) and five for the log read, the first
-#: indexed query and their drains.
+#: drains :func:`_calls_per_sample`'s log and builds its totals and
+#: indexes (deterministic for a given code path). A log of sample
+#: tuples with an index object per key read 0.053 here: one call per
+#: new index (250) and a few per read. The columnar log reads 0.0034:
+#: no call per new id or index, a few per read.
 CALL_BUDGET_PER_SAMPLE = 0.051
 
 
@@ -326,9 +432,9 @@ def _calls_per_sample() -> float:
     """Python-level ``call`` events per sample to ingest and index a log.
 
     A fixed 5,000-sample log over 50 flows and 4 interfaces, in time
-    order as the simulator clock produces it, drained by one log read
-    and then indexed by the first indexed query, both counted with
-    :func:`sys.setprofile`. The cyclic collector is off while counting:
+    order as the simulator clock produces it, drained by one totals
+    read, then indexed per flow and per pair by the first windowed
+    queries, all counted with :func:`sys.setprofile`. The cyclic collector is off while counting:
     a collection it starts could run finalizers of objects other tests
     left behind.
     """
@@ -366,6 +472,8 @@ def _calls_per_sample() -> float:
     try:
         stats.interface_bytes("if0")
         stats.bytes_sent("f0")
+        stats.service_in_window("f0", 0.0, 1.0)
+        stats.service_in_window("f0", 0.0, 1.0, interface_id="if0")
     finally:
         sys.setprofile(previous)
         gc.enable()
