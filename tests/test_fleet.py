@@ -15,6 +15,7 @@ The contract under test (docs/architecture.md "Fleet-scale runs"):
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,8 @@ from repro.fleet import (
     validate_shard,
     write_shard_jsonl,
 )
-from repro.net.sink import ServiceSample
+from repro.fleet import device as fleet_device
+from repro.net.sink import DRAIN_CHUNK, ServiceSample, StatsCollector
 from repro.obs import (
     SNAPSHOT_SCHEMA_VERSION,
     MetricsRegistry,
@@ -169,6 +171,48 @@ class TestTraceFingerprint:
     @given(samples=st.lists(_SAMPLE, max_size=30))
     def test_matches_reference_formulation(self, samples):
         assert trace_fingerprint(samples) == reference_fingerprint(samples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(_SAMPLE, max_size=30))
+    def test_small_chunks_join_exactly(self, samples):
+        # Many chunks per trace: the joins between chunks must read as
+        # one JSON array.
+        with mock.patch.object(fleet_device, "FINGERPRINT_CHUNK", 3):
+            assert trace_fingerprint(samples) == reference_fingerprint(samples)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            0,
+            1,
+            fleet_device.FINGERPRINT_CHUNK - 1,
+            fleet_device.FINGERPRINT_CHUNK,
+            fleet_device.FINGERPRINT_CHUNK + 1,
+            2 * fleet_device.FINGERPRINT_CHUNK + 5,
+        ],
+    )
+    def test_collector_log_across_chunk_boundaries(self, rows):
+        # A collector's log, drained as the engine drains it, with
+        # missing delays mixed in, hashes as the list of its samples,
+        # whether read as samples or as column rows.
+        stats = StatsCollector(Simulator())
+        for row in range(rows):
+            stats.pending.append(
+                (
+                    row * 1e-4,
+                    f"f{row % 7}",
+                    f"if{row % 3}",
+                    40 + row % 1461,
+                    None if row % 5 == 0 else row * 1e-6,
+                )
+            )
+            if len(stats.pending) >= DRAIN_CHUNK:
+                stats.drain()
+        assert len(stats.samples) == rows
+        expected = reference_fingerprint(list(stats.samples))
+        assert trace_fingerprint(stats.samples) == expected
+        # The device digest reads the rows off the columns.
+        assert trace_fingerprint(zip(*stats.samples.columns())) == expected
 
 
 def shard_payload(device_count=2, shard_id=0):

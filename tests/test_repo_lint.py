@@ -50,6 +50,32 @@ def test_running_interpreter_matches_supported_floor():
     assert sys.version_info >= (3, 9)
 
 
+def test_source_parses_at_supported_floor():
+    """``src/`` uses no syntax or ``bisect`` ``key=`` argument newer
+    than the 3.9 floor, so a newer interpreter running the suite
+    still catches them."""
+    import ast
+
+    offenders = []
+    for directory, _, names in os.walk(SRC):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path, feature_version=(3, 9))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                function = node.func
+                called = getattr(function, "id", getattr(function, "attr", ""))
+                if called.startswith(("bisect", "insort")) and any(
+                    keyword.arg == "key" for keyword in node.keywords
+                ):
+                    offenders.append(f"{path}:{node.lineno}")
+    assert not offenders, f"bisect key= needs Python 3.10: {offenders}"
+
+
 def test_bench_smoke_regression_gate():
     """``bench smoke --check-regression`` holds against the committed
     baseline: a >20% like-for-like packets/s loss at the gated cell
