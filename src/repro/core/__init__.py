@@ -9,6 +9,7 @@ __all__ = [
     "MobileDevice",
     "InterfaceSpec",
     "Scenario",
+    "ScenarioRun",
     "SchedulingEngine",
     "TRAFFIC_KINDS",
     "TrafficSpec",
@@ -19,7 +20,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".device": ("MobileDevice",),
     ".engine": ("SchedulingEngine",),
-    ".runner": ("ExperimentResult", "build_traffic", "run_scenario"),
+    ".runner": ("ExperimentResult", "ScenarioRun", "build_traffic", "run_scenario"),
     ".scenario": (
         "TRAFFIC_KINDS",
         "FlowSpec",

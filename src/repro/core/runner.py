@@ -1,7 +1,9 @@
 """Experiment runner: scenario × scheduler → measurements.
 
-:func:`run_scenario` materializes a :class:`~repro.core.scenario.Scenario`
-against any :class:`~repro.schedulers.base.MultiInterfaceScheduler`,
+:class:`ScenarioRun` materializes a :class:`~repro.core.scenario.Scenario`
+against any :class:`~repro.schedulers.base.MultiInterfaceScheduler`;
+it is the one builder, which the checkpointable run in
+:mod:`repro.recovery.runner` extends. :func:`run_scenario` builds one,
 runs it to completion and returns an :class:`ExperimentResult` with the
 raw service samples plus the derived quantities the paper's figures
 need: per-flow rate time series, per-phase average rates, measured rate
@@ -131,11 +133,11 @@ def build_traffic(
     spec: FlowSpec,
     flow: Flow,
     streams: RandomStreams,
-) -> Optional[object]:
-    """Instantiate the traffic source described by *spec*.
+) -> object:
+    """Instantiate the traffic source described by *spec* and return it.
 
-    Returns the source object (so the engine can watch ``exhausted``)
-    or ``None`` for source kinds without completion semantics.
+    The engine watches ``exhausted`` on sources that have it (bulk) and
+    ignores the rest; a checkpoint snapshots every source.
     """
     traffic = spec.traffic
     if traffic.kind == "bulk":
@@ -148,29 +150,26 @@ def build_traffic(
         )
     if traffic.kind == "cbr":
         assert traffic.rate_bps is not None
-        CbrSource(
+        return CbrSource(
             sim,
             flow,
             rate_bps=traffic.rate_bps,
             packet_size=traffic.packet_size,
             start_time=spec.start_time,
         )
-        return None
     if traffic.kind == "poisson":
         assert traffic.rate_bps is not None
-        rate_pps = traffic.rate_bps / (traffic.packet_size * 8)
-        PoissonSource(
+        return PoissonSource(
             sim,
             flow,
-            rate_pps=rate_pps,
+            rate_pps=traffic.rate_bps / (traffic.packet_size * 8),
             rng=streams.stream(f"poisson:{spec.flow_id}"),
             packet_size=traffic.packet_size,
             start_time=spec.start_time,
         )
-        return None
     if traffic.kind == "onoff":
         assert traffic.rate_bps is not None
-        OnOffSource(
+        return OnOffSource(
             sim,
             flow,
             peak_rate_bps=traffic.rate_bps,
@@ -180,8 +179,84 @@ def build_traffic(
             packet_size=traffic.packet_size,
             start_time=spec.start_time,
         )
-        return None
     raise ConfigurationError(f"unknown traffic kind {traffic.kind!r}")
+
+
+class ScenarioRun:
+    """One :class:`~repro.core.scenario.Scenario` wired to one scheduler.
+
+    Construction builds the interfaces (with their capacity steps),
+    registers the completion listener, then builds each flow and its
+    traffic source. A flow joins the engine at its ``start_time``: at
+    once when that is ≤ 0, otherwise through an ``engine.add_flow``
+    event, so admission control reviews it against the capacity of
+    that moment. *prepare*, if given, is called with the run after
+    all of this but before the first kick — the place to attach
+    instrumentation, watchdogs or fault processes. Drive the run with
+    :meth:`step` or :meth:`run_to_completion`.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        scheduler_factory: SchedulerFactory,
+        prepare: Optional[Callable[["ScenarioRun"], None]] = None,
+    ) -> None:
+        self.scenario = scenario
+        self.sim = sim = Simulator()
+        self.streams = RandomStreams(scenario.seed)
+        self.engine = engine = SchedulingEngine(sim, scheduler_factory())
+        #: Completion time of each finished flow, by flow id.
+        self.completions: Dict[str, float] = {}
+        self.flows: Dict[str, Flow] = {}
+        self.sources: Dict[str, object] = {}
+
+        for interface_spec in scenario.interfaces:
+            interface = Interface(
+                sim, interface_spec.interface_id, interface_spec.rate_bps
+            )
+            interface.apply_capacity_schedule(interface_spec.capacity_steps)
+            engine.add_interface(interface)
+
+        engine.on_flow_completed(self._flow_completed)
+
+        for flow_spec in scenario.flows:
+            flow = Flow(
+                flow_spec.flow_id,
+                weight=flow_spec.weight,
+                allowed_interfaces=flow_spec.interfaces,
+                deadline_budget=flow_spec.traffic.deadline,
+                nominal_rate_bps=flow_spec.traffic.rate_bps,
+            )
+            source = build_traffic(sim, flow_spec, flow, self.streams)
+            self.flows[flow.flow_id] = flow
+            self.sources[flow.flow_id] = source
+            if flow_spec.start_time <= 0:
+                engine.add_flow(flow, source=source)
+            else:
+                sim.schedule(flow_spec.start_time, engine.add_flow, flow, source)
+
+        if prepare is not None:
+            prepare(self)
+        engine.start()
+
+    def _flow_completed(self, flow: Flow) -> None:
+        self.completions[flow.flow_id] = self.sim.now
+
+    @property
+    def finished(self) -> bool:
+        """No pending event lies within the scenario horizon."""
+        next_time = self.sim.queue.peek_time()
+        return next_time is None or next_time > self.scenario.duration
+
+    def step(self) -> bool:
+        """Dispatch one event; ``False`` when the queue is empty."""
+        return self.sim.step()
+
+    def run_to_completion(self, max_events: Optional[int] = None) -> None:
+        """Run every event within the scenario horizon, then set the
+        clock to exactly ``scenario.duration``."""
+        self.sim.run(until=self.scenario.duration, max_events=max_events)
 
 
 def run_scenario(
@@ -197,43 +272,17 @@ def run_scenario(
     observability and health layers use to attach instrumentation or
     watchdogs to a scenario run without rebuilding the harness.
     """
-    sim = Simulator()
-    streams = RandomStreams(scenario.seed)
-    scheduler = scheduler_factory()
-    engine = SchedulingEngine(sim, scheduler)
-    result = ExperimentResult(
-        scenario=scenario, stats=engine.stats, sim=sim, engine=engine
+    run = ScenarioRun(
+        scenario,
+        scheduler_factory,
+        prepare=None if on_engine is None
+        else lambda run: on_engine(run.sim, run.engine),
     )
-
-    for interface_spec in scenario.interfaces:
-        interface = Interface(
-            sim, interface_spec.interface_id, interface_spec.rate_bps
-        )
-        interface.apply_capacity_schedule(interface_spec.capacity_steps)
-        engine.add_interface(interface)
-
-    engine.on_flow_completed(
-        lambda flow: result.completions.__setitem__(flow.flow_id, sim.now)
+    run.run_to_completion(max_events=max_events)
+    return ExperimentResult(
+        scenario=scenario,
+        stats=run.engine.stats,
+        sim=run.sim,
+        engine=run.engine,
+        completions=run.completions,
     )
-
-    for flow_spec in scenario.flows:
-        flow = Flow(
-            flow_spec.flow_id,
-            weight=flow_spec.weight,
-            allowed_interfaces=flow_spec.interfaces,
-            deadline_budget=flow_spec.traffic.deadline,
-            nominal_rate_bps=flow_spec.traffic.rate_bps,
-        )
-        source = build_traffic(sim, flow_spec, flow, streams)
-        if flow_spec.start_time <= 0:
-            engine.add_flow(flow, source=source)
-        else:
-            sim.schedule(
-                flow_spec.start_time, engine.add_flow, flow, source
-            )
-
-    if on_engine is not None:
-        on_engine(sim, engine)
-    engine.start()
-    sim.run(until=scenario.duration, max_events=max_events)
-    return result

@@ -1,18 +1,15 @@
-"""A scenario harness whose full state survives checkpoint/restore.
+"""Checkpoint and restore for a scenario run.
 
-:class:`RecoverableScenarioRun` materializes a
-:class:`~repro.core.scenario.Scenario` much like
-:func:`~repro.core.runner.run_scenario`, with two deliberate
-differences that make the run checkpointable:
-
-* **Every flow is added to the engine at build time** (t = 0); only
-  the *traffic source* honours ``start_time``. Listener wiring
-  (arrival/drop hooks, source refill hooks) is therefore established
-  at construction in both the original and the restored process, so a
-  restore never has to re-create closures — it only overwrites state.
-* Every object whose bound methods can appear in the event queue is
-  registered in a :class:`~repro.recovery.codec.CheckpointContext`
-  under a stable name, making the pending event queue serializable.
+:class:`RecoverableScenarioRun` is a :class:`~repro.core.runner.ScenarioRun`
+(the builder :func:`~repro.core.runner.run_scenario` uses, so both
+make the same decisions) that also registers every object whose bound
+methods can appear in the event queue in a
+:class:`~repro.recovery.codec.CheckpointContext` under a stable name.
+That makes the pending event queue serializable, including the
+``engine.add_flow`` events of flows that start later. A restore
+rebuilds the run, re-adds the flows that had joined the engine by the
+snapshot, and then only overwrites state — it never re-creates
+closures.
 
 The run also records the **decision trace**: one ``(interface_id,
 flow_id | None, size_bytes)`` entry per scheduler decision, captured
@@ -20,6 +17,7 @@ through the engine's decision-probe hook. The crash-equivalence
 harness (:mod:`repro.faults.crashes`) asserts this trace is
 byte-identical between an uninterrupted run and a kill/restore/replay
 run — the paper's determinism requirement carried through a crash.
+Plain :func:`~repro.core.runner.run_scenario` runs install no probe.
 """
 
 from __future__ import annotations
@@ -27,20 +25,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.engine import SchedulingEngine
-from ..core.scenario import FlowSpec, Scenario
-from ..errors import CheckpointError, ConfigurationError
-from ..net.flow import Flow
+from ..core.runner import ScenarioRun, SchedulerFactory
+from ..core.scenario import Scenario
+from ..errors import CheckpointError
 from ..net.interface import Interface
 from ..net.packet import Packet, packet_seq_state, restore_packet_seq
-from ..net.sources import BulkSource, CbrSource, OnOffSource, PoissonSource
-from ..schedulers.base import MultiInterfaceScheduler
 from ..sim.process import PeriodicProcess
-from ..sim.randomness import RandomStreams
-from ..sim.simulator import Simulator
 from .codec import CheckpointContext, decode_events, encode_events
-
-#: Factory type: builds a fresh scheduler per (re)build.
-SchedulerFactory = Callable[[], MultiInterfaceScheduler]
 
 #: One recorded decision: (interface_id, selected flow or None, bytes).
 DecisionEntry = Tuple[str, Optional[str], int]
@@ -70,12 +61,15 @@ class DecisionTraceRecorder:
         return packet
 
 
-class RecoverableScenarioRun:
+class RecoverableScenarioRun(ScenarioRun):
     """One checkpointable scenario run.
 
-    Build it, drive it with :meth:`step` / :meth:`run_to_completion`,
-    snapshot it with :meth:`checkpoint`, and rebuild an equivalent
-    process from a snapshot with :meth:`restore`.
+    Built by :class:`~repro.core.runner.ScenarioRun`; drive it with
+    :meth:`step` / :meth:`run_to_completion`, snapshot it with
+    :meth:`checkpoint`, and rebuild an equivalent process from a
+    snapshot with :meth:`restore`. *extras*, if given, is called with
+    the run before the first kick, after the run's own objects are
+    registered for checkpointing.
     """
 
     def __init__(
@@ -84,55 +78,29 @@ class RecoverableScenarioRun:
         scheduler_factory: SchedulerFactory,
         extras: Optional[Callable[["RecoverableScenarioRun"], None]] = None,
     ) -> None:
-        self.scenario = scenario
-        self.sim = Simulator()
-        self.streams = RandomStreams(scenario.seed)
-        self.scheduler = scheduler_factory()
-        self.engine = SchedulingEngine(self.sim, self.scheduler)
         self.context = CheckpointContext()
-        self.completions: Dict[str, float] = {}
-        self.trace = DecisionTraceRecorder(self.engine)
         #: Decisions made before the snapshot this run was restored
         #: from (0 for a fresh run). ``decisions_made`` is absolute.
         self.decisions_at_restore = 0
-        self._flows: Dict[str, Flow] = {}
-        self._sources: Dict[str, Any] = {}
         self._components: Dict[str, Any] = {}
 
+        super().__init__(
+            scenario, scheduler_factory, prepare=lambda run: run._wire(extras)
+        )
+
+    def _wire(
+        self, extras: Optional[Callable[["RecoverableScenarioRun"], None]]
+    ) -> None:
+        """Register the built objects, install the decision trace and
+        run *extras*: the ``prepare`` step, before the first kick."""
         self.context.register("engine", self.engine)
-        for interface_spec in scenario.interfaces:
-            interface = Interface(
-                self.sim, interface_spec.interface_id, interface_spec.rate_bps
-            )
-            interface.apply_capacity_schedule(interface_spec.capacity_steps)
-            self.engine.add_interface(interface)
-            self.context.register(f"iface:{interface.interface_id}", interface)
-
-        self.engine.on_flow_completed(self._flow_completed)
-
-        for flow_spec in scenario.flows:
-            flow = Flow(
-                flow_spec.flow_id,
-                weight=flow_spec.weight,
-                allowed_interfaces=flow_spec.interfaces,
-                deadline_budget=flow_spec.traffic.deadline,
-                nominal_rate_bps=flow_spec.traffic.rate_bps,
-            )
-            source = self._build_source(flow_spec, flow)
-            self._flows[flow.flow_id] = flow
-            self.context.register(f"flow:{flow.flow_id}", flow)
-            self._sources[flow.flow_id] = source
-            self.context.register(f"src:{flow.flow_id}", source)
-            # Unlike run_scenario, the flow joins the engine immediately
-            # even when its traffic starts later: an empty-queue flow is
-            # never selected, and eager membership means the restored
-            # process has identical listener wiring at build time.
-            self.engine.add_flow(
-                flow, source=source if hasattr(source, "exhausted") else None
-            )
-
+        for interface_id, interface in self.engine.interfaces.items():
+            self.context.register(f"iface:{interface_id}", interface)
+        for flow_id, flow in self.flows.items():
+            self.context.register(f"flow:{flow_id}", flow)
+            self.context.register(f"src:{flow_id}", self.sources[flow_id])
+        self.trace = DecisionTraceRecorder(self.engine)
         self.engine.set_decision_probe(self.trace, every=1)
-        self.engine.start()
         if extras is not None:
             extras(self)
 
@@ -156,79 +124,10 @@ class RecoverableScenarioRun:
         self._components[name] = component
         return component
 
-    # ------------------------------------------------------------------
-    # Build helpers
-    # ------------------------------------------------------------------
-    def _build_source(self, spec: FlowSpec, flow: Flow) -> Any:
-        """Like :func:`~repro.core.runner.build_traffic`, but always
-        returns the source object — the codec needs it registered."""
-        traffic = spec.traffic
-        if traffic.kind == "bulk":
-            return BulkSource(
-                self.sim,
-                flow,
-                packet_size=traffic.packet_size,
-                total_bytes=traffic.total_bytes,
-                start_time=spec.start_time,
-            )
-        if traffic.kind == "cbr":
-            assert traffic.rate_bps is not None
-            return CbrSource(
-                self.sim,
-                flow,
-                rate_bps=traffic.rate_bps,
-                packet_size=traffic.packet_size,
-                start_time=spec.start_time,
-            )
-        if traffic.kind == "poisson":
-            assert traffic.rate_bps is not None
-            return PoissonSource(
-                self.sim,
-                flow,
-                rate_pps=traffic.rate_bps / (traffic.packet_size * 8),
-                rng=self.streams.stream(f"poisson:{spec.flow_id}"),
-                packet_size=traffic.packet_size,
-                start_time=spec.start_time,
-            )
-        if traffic.kind == "onoff":
-            assert traffic.rate_bps is not None
-            return OnOffSource(
-                self.sim,
-                flow,
-                peak_rate_bps=traffic.rate_bps,
-                mean_on=traffic.mean_on,
-                mean_off=traffic.mean_off,
-                rng=self.streams.stream(f"onoff:{spec.flow_id}"),
-                packet_size=traffic.packet_size,
-                start_time=spec.start_time,
-            )
-        raise ConfigurationError(f"unknown traffic kind {traffic.kind!r}")
-
-    def _flow_completed(self, flow: Flow) -> None:
-        self.completions[flow.flow_id] = self.sim.now
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
     @property
     def decisions_made(self) -> int:
         """Total scheduler decisions since the *original* run started."""
         return self.decisions_at_restore + len(self.trace.entries)
-
-    @property
-    def finished(self) -> bool:
-        """No pending event lies within the scenario horizon."""
-        next_time = self.sim.queue.peek_time()
-        return next_time is None or next_time > self.scenario.duration
-
-    def step(self) -> bool:
-        """Dispatch one event; ``False`` when the queue is empty."""
-        return self.sim.step()
-
-    def run_to_completion(self, max_events: Optional[int] = None) -> None:
-        """Run every event within the scenario horizon, then set the
-        clock to exactly ``scenario.duration``."""
-        self.sim.run(until=self.scenario.duration, max_events=max_events)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -255,11 +154,11 @@ class RecoverableScenarioRun:
             },
             "flows": {
                 flow_id: flow.snapshot_state()
-                for flow_id, flow in self._flows.items()
+                for flow_id, flow in self.flows.items()
             },
             "sources": {
                 flow_id: source.snapshot_state()
-                for flow_id, source in self._sources.items()
+                for flow_id, source in self.sources.items()
             },
             "completions": dict(self.completions),
             "components": {
@@ -282,22 +181,36 @@ class RecoverableScenarioRun:
 
         The scenario is reconstructed from the snapshot itself, the
         whole object graph is rebuilt through ``__init__`` (which
-        establishes every listener), and then every piece of mutable
-        state — clock, RNG streams, flow queues, scheduler deficits,
-        interface counters, pending events — is overwritten from the
-        snapshot. Construction-time events and RNG draws are discarded
-        wholesale when the snapshotted queue and stream states land.
+        establishes every listener), flows that had joined the engine
+        after t = 0 rejoin it, and then every piece of mutable state —
+        clock, RNG streams, flow queues, scheduler deficits, interface
+        counters, pending events — is overwritten from the snapshot.
+        Construction-time events and RNG draws are discarded wholesale
+        when the snapshotted queue and stream states land.
         """
         try:
             scenario = Scenario.from_dict(state["scenario"])
             run = cls(scenario, scheduler_factory, extras=extras)
+            # Rejoin before any state lands: add_flow kicks a backlogged
+            # flow's interfaces, which would pop restored packets.
+            joined = run.engine.flows
+            for flow_id in state["engine"]["flow_order"]:
+                if flow_id in joined:
+                    continue
+                flow = run.flows.get(flow_id)
+                if flow is None:
+                    raise CheckpointError(
+                        f"snapshot's engine has flow {flow_id!r} missing "
+                        "from the rebuilt scenario"
+                    )
+                run.engine.add_flow(flow, source=run.sources[flow_id])
             restore_packet_seq(state["packet_seq"])
             run.streams.restore_state(state["streams"])
             run.sim.restore_clock(
                 state["clock"]["now"], state["clock"]["events_processed"]
             )
             for flow_id, flow_state in state["flows"].items():
-                flow = run._flows.get(flow_id)
+                flow = run.flows.get(flow_id)
                 if flow is None:
                     raise CheckpointError(
                         f"snapshot has state for flow {flow_id!r} missing "
@@ -315,7 +228,7 @@ class RecoverableScenarioRun:
                     )
                 interface.restore_state(interface_state)
             for flow_id, source_state in state["sources"].items():
-                source = run._sources.get(flow_id)
+                source = run.sources.get(flow_id)
                 if source is None:
                     raise CheckpointError(
                         f"snapshot has state for source {flow_id!r} missing "

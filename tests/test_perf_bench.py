@@ -423,9 +423,9 @@ def test_sample_log_bytes_budget():
 #: drains :func:`_calls_per_sample`'s log and builds its totals and
 #: indexes (deterministic for a given code path). A log of sample
 #: tuples with an index object per key read 0.053 here: one call per
-#: new index (250) and a few per read. The columnar log reads 0.0034:
-#: no call per new id or index, a few per read.
-CALL_BUDGET_PER_SAMPLE = 0.051
+#: new index (250) and a few per read. The columnar log reads 0.0042
+#: (21 calls): no call per new id or index, a few per read.
+CALL_BUDGET_PER_SAMPLE = 0.0045
 
 
 def _calls_per_sample() -> float:

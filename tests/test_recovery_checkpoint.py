@@ -186,6 +186,13 @@ class TestRestoreFixpoint:
         with pytest.raises(CheckpointError):
             RecoverableScenarioRun.restore(state, MiDrrScheduler)
 
+    def test_restore_rejects_engine_flow_missing_from_scenario(self):
+        run = run_for(small_scenario(), 50)
+        state = json.loads(json.dumps(run.checkpoint()))
+        state["engine"]["flow_order"].append("ghost")
+        with pytest.raises(CheckpointError, match="'ghost'"):
+            RecoverableScenarioRun.restore(state, MiDrrScheduler)
+
 
 def reference_trace(scenario):
     reference = RecoverableScenarioRun(scenario, MiDrrScheduler)
@@ -257,9 +264,9 @@ class TestPeriodicExtras:
 
 
 class TestScoresLikeRunScenario:
-    """The checkpointable run declares each flow's deadline budget and
-    nominal rate as :func:`~repro.core.runner.run_scenario` does, so
-    both score the same deadline packets and misses."""
+    """The checkpointable run is built as :func:`~repro.core.runner.run_scenario`
+    builds its run: each flow declares its deadline budget and nominal
+    rate, and joins the engine at its ``start_time``."""
 
     def test_deadline_scoring_matches_run_scenario(self):
         from repro.core.runner import run_scenario
@@ -285,3 +292,49 @@ class TestScoresLikeRunScenario:
             assert run.engine.stats.bytes_sent(flow_id) == reference.stats.bytes_sent(
                 flow_id
             )
+
+    def test_late_flow_admitted_at_its_start_time(self):
+        # y (1.5 Mb/s) would not fit link a's 1 Mb/s at t=0, but starts
+        # at t=2, after a has stepped to 4 Mb/s: EDF admission control
+        # must review it then, not at build time.
+        from repro.core.runner import run_scenario
+        from repro.net.interface import CapacityStep
+        from repro.schedulers.edf import EdfScheduler
+
+        scenario = Scenario(
+            interfaces=(
+                InterfaceSpec(
+                    "a", mbps(1), capacity_steps=(CapacityStep(1.0, mbps(4)),)
+                ),
+            ),
+            flows=(
+                FlowSpec("x", traffic=TrafficSpec("cbr", rate_bps=mbps(0.5))),
+                FlowSpec(
+                    "y",
+                    start_time=2.0,
+                    traffic=TrafficSpec("cbr", rate_bps=mbps(1.5)),
+                ),
+            ),
+            duration=5.0,
+        )
+        expected = {"x": 313_500, "y": 562_500}
+        reference = run_scenario(scenario, EdfScheduler)
+        run = RecoverableScenarioRun(scenario, EdfScheduler)
+        run.run_to_completion()
+        for engine in (reference.engine, run.engine):
+            assert engine.admission_rejected_total == 0
+            assert {
+                flow_id: engine.stats.bytes_sent(flow_id) for flow_id in expected
+            } == expected
+
+        # A checkpoint taken before y joins carries its pending add_flow
+        # event; the restored run admits y at t=2 as the original does.
+        early = RecoverableScenarioRun(scenario, EdfScheduler)
+        while early.sim.queue.peek_time() <= 1.5:
+            early.step()
+        state = json.loads(json.dumps(early.checkpoint()))
+        prefix = list(early.trace.entries)
+        restored = RecoverableScenarioRun.restore(state, EdfScheduler)
+        restored.run_to_completion()
+        assert prefix + list(restored.trace.entries) == list(run.trace.entries)
+        assert restored.engine.stats.bytes_sent("y") == expected["y"]
