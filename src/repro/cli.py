@@ -35,7 +35,7 @@ import json
 # (the figure benchmarks) do not pay for it there.
 import locale  # noqa: F401
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .analysis.report import render_comparison, render_rate_table, render_table
 from .analysis.slo import SCHEDULER_FAMILY, run_latency_slo
@@ -55,23 +55,22 @@ from .obs import (
 )
 from .obs.selftest import run_selftest
 from .perf import (
-    DEFAULT_FLEET_DEVICES,
-    DEFAULT_FLEET_WORKERS,
-    DEFAULT_FLOW_COUNTS,
-    DEFAULT_INTERFACE_COUNTS,
-    DEFAULT_OVERHEAD_TARGET_PACKETS,
+    CORE_ATTEMPTS,
+    CORE_FLOWS,
+    CORE_INTERFACES,
     DEFAULT_TARGET_PACKETS,
+    FLEET_ATTEMPTS,
+    FLEET_REGRESSION_THRESHOLD,
     OVERHEAD_NOISE_CEILING,
+    REGRESSION_THRESHOLD,
     build_core_scenario,
-    calibrate,
-    check_fleet_regression,
     check_regression,
-    committed_baseline_cell,
     render_bench_table,
     render_overhead_table,
+    run_auditor_overhead,
+    run_bracketed,
     run_cell,
     run_core_bench,
-    run_auditor_overhead,
     run_fleet_cell,
     run_metrics_overhead,
     validate_bench_document,
@@ -435,36 +434,16 @@ def cmd_slo(args: argparse.Namespace) -> None:
     print("SLO report hash identical on a re-run of the same seed")
 
 
-def _parse_counts(text: str, option: str) -> List[int]:
-    try:
-        counts = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"{option} needs comma-separated integers, got {text!r}")
-    if not counts or any(count <= 0 for count in counts):
-        raise SystemExit(f"{option} needs positive integers, got {text!r}")
-    return counts
-
-
 def cmd_bench_core(args: argparse.Namespace) -> None:
-    """Run the seeded hot-path macro-benchmark and write BENCH_core.json.
+    """Measure the gated core and fleet cells and write BENCH_core.json.
 
-    The workload (event/packet/decision counts) is deterministic per
-    seed; only wall-clock rates vary between machines.
-    ``--fleet-devices`` / ``--fleet-workers`` size the devices × workers
-    fleet scaling section (``--no-fleet`` drops it).
+    The cells' work (event, packet and decision counts, the fleet
+    report hash) is deterministic per seed; only wall-clock rates and
+    the host-speed probe readings vary between machines.
     """
     document = run_core_bench(
-        flow_counts=_parse_counts(args.flows, "--flows"),
-        interface_counts=_parse_counts(args.interfaces, "--interfaces"),
         seed=args.seed,
-        target_packets=args.target_packets,
         progress=lambda message: print(message, file=sys.stderr),
-        fleet_device_counts=(
-            () if args.no_fleet else _parse_counts(args.fleet_devices, "--fleet-devices")
-        ),
-        fleet_worker_counts=(
-            () if args.no_fleet else _parse_counts(args.fleet_workers, "--fleet-workers")
-        ),
     )
     _print(render_bench_table(document))
     write_bench_document(document, args.out)
@@ -472,30 +451,28 @@ def cmd_bench_core(args: argparse.Namespace) -> None:
 
 
 def cmd_bench_smoke(args: argparse.Namespace) -> None:
-    """Fast bench sanity: a miniature grid plus an optional perf gate.
+    """Fast bench sanity plus an optional perf gate.
 
-    Always runs a small grid and validates the document shape (seconds
-    of wall time). With ``--check-regression`` it additionally measures
-    the committed baseline's gated cell (F=1000, I=8 by default) and
-    exits 2 if packets/sec fell more than 20% below ``BENCH_core.json``
-    — unless the ``MIDRR_SKIP_BENCH_REGRESSION`` environment variable
-    is set (CI machines with unpredictable load can opt out without
-    editing the test suite).
+    Always runs a miniature bench document (a few hundred packets, two
+    fleet devices) through the validator and checks that the scheduler
+    family decides reproducibly (seconds of wall time). With
+    ``--check-regression`` it also gates the fairness auditor's
+    overhead and re-runs the baseline's core and fleet cells at the
+    coordinates ``BENCH_core.json`` records, exiting 2 if a cell's
+    packets/sec fell more than its threshold (20% core, 25% fleet)
+    below the baseline — unless the ``MIDRR_SKIP_BENCH_REGRESSION``
+    environment variable is set (CI machines with unpredictable load
+    can opt out without editing the test suite).
     """
     import os
 
-    document = run_core_bench(
-        flow_counts=[10],
-        interface_counts=[2],
-        seed=args.seed,
-        target_packets=400,
-    )
+    document = run_core_bench(seed=args.seed, target_packets=400, fleet_devices=2)
     problems = validate_bench_document(document)
     if problems:
         for problem in problems:
             print(f"bench smoke: {problem}", file=sys.stderr)
         raise SystemExit(2)
-    print("bench smoke: miniature grid ok")
+    print("bench smoke: miniature document ok")
     # Family-wide decision determinism: the latency-SLO report hashes
     # every scheduler's deadline/fairness outcome, so two short runs of
     # the same seed prove the whole family decides reproducibly.
@@ -519,6 +496,17 @@ def cmd_bench_smoke(args: argparse.Namespace) -> None:
             "regression gate"
         )
         return
+    try:
+        with open(args.baseline, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+    except (OSError, ValueError) as error:
+        print(f"bench smoke: cannot read {args.baseline}: {error}", file=sys.stderr)
+        raise SystemExit(2)
+    problems = validate_bench_document(baseline)
+    if problems:
+        for problem in problems:
+            print(f"bench smoke: {args.baseline}: {problem}", file=sys.stderr)
+        raise SystemExit(2)
     # Inline-auditor gate: attaching the fairness auditor must keep
     # the chaos run's decisions byte-identical (run_auditor_overhead
     # raises on signature divergence) and cost less than the telemetry
@@ -538,133 +526,97 @@ def cmd_bench_smoke(args: argparse.Namespace) -> None:
         f"{auditor_cell['overhead_fraction']:.1%} within the "
         f"{auditor_cell['budget_fraction']:.0%} budget"
     )
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, ValueError) as error:
-        print(f"bench smoke: cannot read {args.baseline}: {error}", file=sys.stderr)
-        raise SystemExit(2)
-    # Divide out machine/interpreter speed drift: re-run the same
-    # deterministic micro-benchmark the baseline recorded right before
-    # and right after every gated attempt, and scale that attempt's
-    # floor by how much slower the host read around it. Shared hosts
-    # flip between full and ~2x slow speed within seconds, so a single
-    # reading taken before all the cells does not describe the later
-    # ones.
-    baseline_calibration = baseline.get("calibration_seconds")
-
-    def bracketed(run):
-        """*run()*'s cell and the load factor read around it."""
-        before = calibrate() if baseline_calibration else None
-        cell = run()
-        if before is None:
-            return cell, 1.0
-        load_factor = max(
-            1.0, (before + calibrate()) / 2 / float(baseline_calibration)
-        )
-        if load_factor > 1.05:
-            print(
-                f"bench smoke: host read {load_factor:.2f}x slower than "
-                "at baseline time around this attempt; floor scaled "
-                "accordingly",
-                file=sys.stderr,
-            )
-        return cell, load_factor
-
-    print(
-        f"bench smoke: gating F={args.gate_flows} I={args.gate_interfaces} ...",
-        file=sys.stderr,
-    )
-    # Up to three attempts, at 4x the baseline packet count: the gate
-    # measures the machine's capability, not its instantaneous load.
-    # Longer runs average over the sub-second load windows shared
-    # hosts exhibit (and amortize warmup, which only adds safe headroom
-    # over a baseline measured on short runs); the cell counts as
-    # regressed only when no attempt clears its own floor.
-    for _attempt in range(3):
-        cell, load_factor = bracketed(
+    seed = baseline["seed"]
+    core = baseline["core"]
+    fleet = baseline["fleet"]
+    gates = (
+        (
+            "core",
+            f"F={core['flows']} I={core['interfaces']}",
+            CORE_ATTEMPTS,
+            REGRESSION_THRESHOLD,
             lambda: run_cell(
-                args.gate_flows,
-                args.gate_interfaces,
-                seed=baseline.get("seed", 0),
-                target_packets=4
-                * baseline.get("target_packets", DEFAULT_TARGET_PACKETS),
-            )
-        )
-        failures = check_regression(
-            {"grid": [cell]},
-            baseline,
-            flows=args.gate_flows,
-            interfaces=args.gate_interfaces,
-            load_factor=load_factor,
-        )
-        if not failures:
-            break
-    if failures:
-        for failure in failures:
-            print(f"bench smoke: REGRESSION {failure}", file=sys.stderr)
-        raise SystemExit(2)
-    print("bench smoke: no hot-path regression vs " + args.baseline)
-    # Fleet gate: one devices × workers cell against the committed
-    # fleet section. Pre-fleet baselines have no such section and the
-    # gate degrades to a note rather than a failure.
-    if not baseline.get("fleet"):
-        print("bench smoke: baseline has no fleet section; skipping the fleet gate")
-        return
-    print(
-        f"bench smoke: gating fleet devices={args.gate_fleet_devices} "
-        f"workers={args.gate_fleet_workers} ...",
-        file=sys.stderr,
-    )
-    for _attempt in range(2):
-        cell, load_factor = bracketed(
+                core["flows"],
+                core["interfaces"],
+                seed=seed,
+                target_packets=core["target_packets"],
+            ),
+        ),
+        (
+            "fleet",
+            f"devices={fleet['devices']} workers={fleet['workers']}",
+            FLEET_ATTEMPTS,
+            FLEET_REGRESSION_THRESHOLD,
             lambda: run_fleet_cell(
-                args.gate_fleet_devices,
-                args.gate_fleet_workers,
-                seed=baseline.get("seed", 0),
+                fleet["devices"],
+                fleet["workers"],
+                seed=seed,
+                workload=DeviceWorkload.from_dict(fleet["workload"]),
+                executor=fleet["executor"],
+            ),
+        ),
+    )
+    # Each attempt re-runs the baseline cell's own work between two
+    # host-speed probes, the way bench core recorded it, and divides
+    # the floor by how much slower the host read around that attempt.
+    # A cell counts as regressed only when no attempt clears its own
+    # floor: the gate measures the machine's capability, not its
+    # instantaneous load.
+    for section, work, attempts, threshold, run in gates:
+        print(f"bench smoke: gating {section} {work} ...", file=sys.stderr)
+        for _attempt in range(attempts):
+            cell = run_bracketed(run)
+            load_factor = (
+                cell["calibration_seconds"]
+                / baseline[section]["calibration_seconds"]
             )
+            if load_factor > 1.05:
+                print(
+                    f"bench smoke: host read {load_factor:.2f}x slower than "
+                    "at baseline time around this attempt; floor scaled "
+                    "accordingly",
+                    file=sys.stderr,
+                )
+            failures = check_regression(
+                {section: cell},
+                baseline,
+                section,
+                threshold=threshold,
+                load_factor=load_factor,
+            )
+            if not failures:
+                break
+        if failures:
+            for failure in failures:
+                print(f"bench smoke: REGRESSION {failure}", file=sys.stderr)
+            raise SystemExit(2)
+        print(
+            f"bench smoke: no {section} regression vs {args.baseline} "
+            f"({cell['packets_per_sec']:,.0f} packets/s, load factor "
+            f"{max(load_factor, 1.0):.2f})"
         )
-        failures = check_fleet_regression(
-            {"fleet": [cell]},
-            baseline,
-            devices=args.gate_fleet_devices,
-            workers=args.gate_fleet_workers,
-            load_factor=load_factor,
-        )
-        if not failures:
-            break
-    if failures:
-        for failure in failures:
-            print(f"bench smoke: REGRESSION {failure}", file=sys.stderr)
-        raise SystemExit(2)
-    print("bench smoke: no fleet regression vs " + args.baseline)
 
 
 def cmd_bench_obs(args: argparse.Namespace) -> None:
     """Measure the packets/s cost of attaching the full obs stack.
 
-    Runs the same seeded cell bare and instrumented, prints both rates
-    plus the committed BENCH_core baseline when one is on disk, and —
-    with ``--strict`` — exits 2 if the overhead exceeds the 5% budget.
+    Runs the core cell bare and instrumented, prints both rates plus
+    the committed BENCH_core ``core`` cell (the same work) when one of
+    the same seed is on disk, and — with ``--strict`` — exits 2 if the
+    overhead exceeds the 5% budget.
     """
     print(
-        f"bench obs: F={args.flows} I={args.interfaces} "
+        f"bench obs: F={CORE_FLOWS} I={CORE_INTERFACES} "
         f"x{args.repeats} repeat(s) per variant ...",
         file=sys.stderr,
     )
-    report = run_metrics_overhead(
-        num_flows=args.flows,
-        num_interfaces=args.interfaces,
-        seed=args.seed,
-        target_packets=args.target_packets,
-        repeats=args.repeats,
-    )
+    report = run_metrics_overhead(seed=args.seed, repeats=args.repeats)
     committed = None
     try:
         with open(args.baseline, "r", encoding="utf-8") as handle:
-            committed = committed_baseline_cell(
-                json.load(handle), args.flows, args.interfaces
-            )
+            document = json.load(handle)
+        if isinstance(document, dict) and document.get("seed") == args.seed:
+            committed = document.get("core")
     except (OSError, ValueError):
         committed = None
     _print(render_overhead_table(report, committed))
@@ -1047,35 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     core.add_argument("--seed", type=int, default=0)
     core.add_argument("--out", default="BENCH_core.json")
-    core.add_argument(
-        "--flows",
-        default=",".join(str(count) for count in DEFAULT_FLOW_COUNTS),
-        metavar="F1,F2,...",
-    )
-    core.add_argument(
-        "--interfaces",
-        default=",".join(str(count) for count in DEFAULT_INTERFACE_COUNTS),
-        metavar="I1,I2,...",
-    )
-    core.add_argument(
-        "--target-packets", type=int, default=DEFAULT_TARGET_PACKETS
-    )
-    core.add_argument(
-        "--fleet-devices",
-        default=",".join(str(count) for count in DEFAULT_FLEET_DEVICES),
-        metavar="D1,D2,...",
-        help="device counts for the fleet scaling section",
-    )
-    core.add_argument(
-        "--fleet-workers",
-        default=",".join(str(count) for count in DEFAULT_FLEET_WORKERS),
-        metavar="W1,W2,...",
-        help="worker counts for the fleet scaling section",
-    )
-    core.add_argument(
-        "--no-fleet", action="store_true",
-        help="skip the fleet scaling section",
-    )
     core.set_defaults(func=cmd_bench_core)
     smoke = bench_sub.add_parser(
         "smoke", help="fast bench sanity + optional perf regression gate"
@@ -1083,26 +1006,16 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument("--seed", type=int, default=0)
     smoke.add_argument(
         "--check-regression", action="store_true",
-        help="fail (exit 2) on >20%% packets/s loss vs the baseline "
-        "(set MIDRR_SKIP_BENCH_REGRESSION to skip)",
+        help="fail (exit 2) when the baseline's core or fleet cell loses "
+        "more packets/s than its threshold (set "
+        "MIDRR_SKIP_BENCH_REGRESSION to skip)",
     )
     smoke.add_argument("--baseline", default="BENCH_core.json")
-    smoke.add_argument("--gate-flows", type=int, default=1000)
-    smoke.add_argument("--gate-interfaces", type=int, default=8)
-    smoke.add_argument(
-        "--gate-fleet-devices", type=int, default=DEFAULT_FLEET_DEVICES[0]
-    )
-    smoke.add_argument("--gate-fleet-workers", type=int, default=1)
     smoke.set_defaults(func=cmd_bench_smoke)
     obs_bench = bench_sub.add_parser(
         "obs", help="metrics-overhead comparison (bare vs instrumented)"
     )
     obs_bench.add_argument("--seed", type=int, default=0)
-    obs_bench.add_argument("--flows", type=int, default=1000)
-    obs_bench.add_argument("--interfaces", type=int, default=8)
-    obs_bench.add_argument(
-        "--target-packets", type=int, default=DEFAULT_OVERHEAD_TARGET_PACKETS
-    )
     obs_bench.add_argument(
         "--repeats", type=int, default=5,
         help="paired rounds; the median round's ratio is reported",

@@ -19,9 +19,10 @@ packets/s overhead on the F=1000, I=8 cell, asserted on two signals:
   against the budget and only *asserted* against
   :data:`OVERHEAD_NOISE_CEILING`.
 
-``midrr bench obs`` runs the comparison and, when a committed
-``BENCH_core.json`` is present, also reports the instrumented rate
-against that baseline's matching cell.
+``midrr bench obs`` runs the comparison on the core cell of
+``bench core`` (same coordinates, same packet count) and, when a
+committed ``BENCH_core.json`` is present, also reports that document's
+``core`` cell: the same work, measured by ``bench core``.
 """
 
 from __future__ import annotations
@@ -30,20 +31,12 @@ import gc
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from .core_bench import find_cell, run_cell
-
-#: Default cell for the overhead comparison — the scale PR 2 unlocked.
-DEFAULT_OVERHEAD_FLOWS = 1000
-DEFAULT_OVERHEAD_INTERFACES = 8
-
-#: The overhead cell runs longer than the core-bench default (6000
-#: packets, ~0.15s wall) so the *marginal* per-packet cost is what the
-#: comparison resolves. The snapshot count is fixed (20 ticks per run,
-#: period = duration/20), so on a very short run the constant ~5ms of
-#: snapshot work reads as several percent even though a real
-#: deployment would amortise it over a 1s+ cadence; at this length the
-#: same 20 snapshots cost <1% and wall-clock noise shrinks too.
-DEFAULT_OVERHEAD_TARGET_PACKETS = 24000
+from .core_bench import (
+    CORE_FLOWS,
+    CORE_INTERFACES,
+    DEFAULT_TARGET_PACKETS,
+    run_cell,
+)
 
 #: The acceptance bar: instrumented packets/s must be within this
 #: fraction of the bare run.
@@ -63,10 +56,10 @@ AUDITOR_SLICES = 80
 
 
 def run_metrics_overhead(
-    num_flows: int = DEFAULT_OVERHEAD_FLOWS,
-    num_interfaces: int = DEFAULT_OVERHEAD_INTERFACES,
+    num_flows: int = CORE_FLOWS,
+    num_interfaces: int = CORE_INTERFACES,
     seed: int = 0,
-    target_packets: int = DEFAULT_OVERHEAD_TARGET_PACKETS,
+    target_packets: int = DEFAULT_TARGET_PACKETS,
     repeats: int = 1,
 ) -> Dict[str, object]:
     """Run the paired bare/instrumented comparison for one cell.
@@ -91,7 +84,7 @@ def run_metrics_overhead(
     run_cell(num_flows, num_interfaces, instrument=True, **kwargs)
     def timed(instrument: bool) -> Dict[str, object]:
         # Collect before every timed run: a heap full of garbage from
-        # earlier work (e.g. a preceding bench grid in the same
+        # earlier work (e.g. preceding bench cells in the same
         # process) makes GC passes land mid-run, and they land harder
         # on the allocation-heavier instrumented variant.
         gc.collect()
@@ -160,13 +153,6 @@ def run_metrics_overhead(
         "within_budget": overhead < OVERHEAD_BUDGET,
         "telemetry_within_budget": telemetry < OVERHEAD_BUDGET,
     }
-
-
-def committed_baseline_cell(
-    document: Dict[str, object], num_flows: int, num_interfaces: int
-) -> Optional[Dict[str, object]]:
-    """The matching grid cell from a committed BENCH_core document."""
-    return find_cell(document, num_flows, num_interfaces)
 
 
 def render_overhead_table(

@@ -1,42 +1,68 @@
 """Tests for the ``repro.perf`` benchmark harness.
 
-The tier-1 smoke test runs a miniature grid end to end and validates
-the BENCH_core.json schema; the full default grid runs only under the
-``bench`` marker (``pytest -m bench``), which the default run
-deselects — benchmarks measure wall-clock and have no place gating CI.
+The tier-1 tests run a miniature bench document (a few hundred core
+packets, two fleet devices) end to end and validate the
+BENCH_core.json schema, and check that the committed document records
+the work the regression gate runs. Only the metrics-overhead
+acceptance test runs under the ``bench`` marker (``pytest -m bench``),
+which the default run deselects — it measures wall-clock and has no
+place gating CI.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.perf import (
     BENCH_SCHEMA_VERSION,
+    CORE_FLOWS,
+    CORE_INTERFACES,
+    DEFAULT_FLEET_DEVICES,
+    DEFAULT_FLEET_WORKLOAD,
+    DEFAULT_TARGET_PACKETS,
+    FLEET_EXECUTOR,
+    FLEET_REGRESSION_THRESHOLD,
+    FLEET_WORKERS,
     OVERHEAD_BUDGET,
     OVERHEAD_NOISE_CEILING,
+    REGRESSION_THRESHOLD,
     build_core_scenario,
-    check_fleet_regression,
-    committed_baseline_cell,
+    check_regression,
     render_bench_table,
     render_overhead_table,
     run_core_bench,
     run_fleet_cell,
     run_auditor_overhead,
+    run_cell,
     run_metrics_overhead,
     validate_bench_document,
-    validate_fleet_cells,
     write_bench_document,
 )
 
-#: A grid small enough for tier-1 (one cell, a few hundred packets).
-SMOKE_KWARGS = dict(
-    flow_counts=(3,), interface_counts=(2,), target_packets=200
-)
+#: A document small enough for tier-1: a few hundred core packets and
+#: two fleet devices.
+SMOKE_KWARGS = dict(target_packets=200, fleet_devices=2)
+
+COMMITTED = pathlib.Path(__file__).resolve().parent.parent / "BENCH_core.json"
+
+
+@pytest.fixture(scope="module")
+def smoke_document():
+    return run_core_bench(seed=0, **SMOKE_KWARGS)
+
+
+@pytest.fixture
+def document(smoke_document):
+    """A private copy of the miniature document, free to mutate."""
+    return copy.deepcopy(smoke_document)
 
 
 class TestScenarioBuilder:
@@ -65,29 +91,32 @@ class TestScenarioBuilder:
 
 
 class TestSmokeBench:
-    @pytest.fixture(scope="class")
-    def document(self):
-        return run_core_bench(seed=0, **SMOKE_KWARGS)
-
     def test_document_is_valid(self, document):
         assert validate_bench_document(document) == []
         assert document["schema_version"] == BENCH_SCHEMA_VERSION
         assert document["seed"] == 0
 
     def test_cell_throughput_nonzero(self, document):
-        # One cell per (F, I) coordinate.
-        assert len(document["grid"]) == 1
-        for cell in document["grid"]:
-            assert cell["packets"] > 0
-            assert cell["packets_per_sec"] > 0
-            assert cell["events_per_sec"] > 0
-            assert cell["decisions"] >= cell["packets"]
+        core = document["core"]
+        assert (core["flows"], core["interfaces"]) == (CORE_FLOWS, CORE_INTERFACES)
+        assert core["target_packets"] == 200
+        assert core["packets"] > 0
+        assert core["packets_per_sec"] > 0
+        assert core["events_per_sec"] > 0
+        assert core["decisions"] >= core["packets"]
+        fleet = document["fleet"]
+        assert fleet["devices"] == 2 and fleet["packets"] > 0
+        # Each cell carries the probe reading taken around its own run.
+        assert core["calibration_seconds"] > 0
+        assert fleet["calibration_seconds"] > 0
 
     def test_counts_are_seed_deterministic(self, document):
-        again = run_core_bench(seed=0, **SMOKE_KWARGS)
-        for first, second in zip(document["grid"], again["grid"]):
-            for key in ("events", "packets", "decisions", "virtual_seconds"):
-                assert first[key] == second[key]
+        core = run_cell(CORE_FLOWS, CORE_INTERFACES, seed=0, target_packets=200)
+        for key in ("events", "packets", "decisions", "virtual_seconds"):
+            assert document["core"][key] == core[key]
+        fleet = run_fleet_cell(2, seed=0)
+        for key in ("events", "packets", "report_hash"):
+            assert document["fleet"][key] == fleet[key]
 
     def test_write_and_render(self, document, tmp_path):
         path = tmp_path / "BENCH_core.json"
@@ -96,6 +125,7 @@ class TestSmokeBench:
         assert validate_bench_document(loaded) == []
         table = render_bench_table(loaded)
         assert "packets/s" in table
+        assert "F=1000 I=8" in table and "devices=2 workers=1" in table
 
     def test_write_refuses_invalid(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -106,49 +136,133 @@ class TestValidation:
     def test_rejects_non_object(self):
         assert validate_bench_document([]) != []
 
-    def test_reports_missing_keys_and_zero_throughput(self):
-        document = run_core_bench(seed=0, **SMOKE_KWARGS)
-        document["grid"][0]["packets"] = 0
+    def test_reports_missing_keys_and_zero_throughput(self, document):
+        document["core"]["packets"] = 0
+        document["fleet"]["packets_per_sec"] = 0
         del document["seed"]
         problems = validate_bench_document(document)
         assert any("seed" in problem for problem in problems)
-        assert any("packets" in problem for problem in problems)
+        assert "core transmitted no packets" in problems
+        assert "fleet has zero throughput" in problems
 
-    def test_rejects_other_schema_versions(self):
-        document = run_core_bench(seed=0, **SMOKE_KWARGS)
+    def test_requires_both_cells_and_their_probes(self, document):
+        del document["fleet"]
+        del document["core"]["calibration_seconds"]
+        problems = validate_bench_document(document)
+        assert "fleet must be an object" in problems
+        assert any(
+            problem.startswith("core missing keys")
+            and "calibration_seconds" in problem
+            for problem in problems
+        )
+
+    def test_rejects_other_schema_versions(self, document):
         document["schema_version"] = BENCH_SCHEMA_VERSION - 1
         problems = validate_bench_document(document)
         assert any("schema_version" in problem for problem in problems)
 
     def test_committed_document_is_valid(self):
-        path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_core.json"
-        document = json.loads(path.read_text())
+        document = json.loads(COMMITTED.read_text())
         assert validate_bench_document(document) == []
+
+    def test_committed_cells_are_the_gated_work(self):
+        """The committed baseline was recorded on exactly the work the
+        gate re-runs: a cell recorded at another packet count, seed or
+        fleet shape compares unlike with unlike and blinds the gate."""
+        document = json.loads(COMMITTED.read_text())
+        assert document["seed"] == 0
+        core = document["core"]
+        assert (core["flows"], core["interfaces"], core["target_packets"]) == (
+            CORE_FLOWS,
+            CORE_INTERFACES,
+            DEFAULT_TARGET_PACKETS,
+        )
+        fleet = document["fleet"]
+        assert (fleet["devices"], fleet["workers"], fleet["executor"]) == (
+            DEFAULT_FLEET_DEVICES,
+            FLEET_WORKERS,
+            FLEET_EXECUTOR,
+        )
+        assert fleet["workload"] == DEFAULT_FLEET_WORKLOAD.to_dict()
 
 
 class TestCli:
     def test_bench_core_parses(self):
         args = build_parser().parse_args(
-            ["bench", "core", "--seed", "3", "--flows", "5", "--interfaces", "2"]
+            ["bench", "core", "--seed", "3", "--out", "x.json"]
         )
         assert callable(args.func)
-        assert args.seed == 3
-
-    def test_bench_core_writes_document(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_core.json"
-        exit_code = main(
-            [
-                "bench",
-                "core",
-                "--flows", "3",
-                "--interfaces", "2",
-                "--target-packets", "200",
-                "--out", str(out),
-            ]
+        assert (args.seed, args.out) == (3, "x.json")
+        args = build_parser().parse_args(
+            ["bench", "smoke", "--check-regression", "--baseline", "b.json"]
         )
-        assert exit_code == 0
-        assert validate_bench_document(json.loads(out.read_text())) == []
+        assert args.check_regression and args.baseline == "b.json"
+        args = build_parser().parse_args(
+            ["bench", "obs", "--repeats", "2", "--strict"]
+        )
+        assert args.repeats == 2 and args.strict
+
+    def test_bench_options_are_the_gated_ones(self):
+        """``bench`` picks no coordinates: the cells' work lives in the
+        module constants and the committed document."""
+        parser = build_parser()
+        bench = next(
+            action.choices["bench"]
+            for action in parser._actions
+            if getattr(action, "choices", None) and "bench" in action.choices
+        )
+        subparsers = next(
+            action.choices
+            for action in bench._actions
+            if getattr(action, "choices", None)
+        )
+        options = {
+            name: sorted(
+                action.option_strings[-1]
+                for action in subparser._actions
+                if action.option_strings and action.dest != "help"
+            )
+            for name, subparser in subparsers.items()
+        }
+        assert options == {
+            "core": ["--out", "--seed"],
+            "smoke": ["--baseline", "--check-regression", "--seed"],
+            "obs": ["--baseline", "--repeats", "--seed", "--strict"],
+        }
+
+    def test_bench_core_writes_document(
+        self, document, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli, "run_core_bench", lambda seed, progress: document
+        )
+        out = tmp_path / "BENCH_core.json"
+        assert main(["bench", "core", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == document
         assert "packets/s" in capsys.readouterr().out
+
+    def test_gate_refuses_a_baseline_without_a_cell(
+        self, document, tmp_path, capsys, monkeypatch
+    ):
+        """A baseline missing its fleet cell fails the gate instead of
+        skipping the fleet floor."""
+        monkeypatch.delenv("MIDRR_SKIP_BENCH_REGRESSION", raising=False)
+        monkeypatch.setattr(
+            cli, "run_core_bench", lambda seed, **kwargs: document
+        )
+        monkeypatch.setattr(
+            cli,
+            "run_latency_slo",
+            lambda seed, duration: SimpleNamespace(report_hash=lambda: "same"),
+        )
+        baseline = copy.deepcopy(document)
+        del baseline["fleet"]
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "smoke", "--check-regression", "--baseline", str(path)])
+        assert raised.value.code == 2
+        assert "fleet must be an object" in capsys.readouterr().err
 
 
 class TestMetricsOverhead:
@@ -177,26 +291,32 @@ class TestMetricsOverhead:
         with pytest.raises(ConfigurationError):
             run_metrics_overhead(repeats=0)
 
-    def test_committed_baseline_lookup(self):
-        document = run_core_bench(seed=0, **SMOKE_KWARGS)
-        cell = committed_baseline_cell(document, 3, 2)
-        assert cell is not None and cell["flows"] == 3
-        assert committed_baseline_cell(document, 999, 2) is None
-        assert committed_baseline_cell({}, 3, 2) is None
+    def test_bench_obs_cli(self, document, tmp_path, capsys, monkeypatch):
+        """``bench obs`` shows the committed core cell, the same work it
+        ran, when the baseline has the same seed."""
+        calls = []
 
-    def test_bench_obs_cli(self, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "obs",
-                "--flows", "5",
-                "--interfaces", "2",
-                "--target-packets", "200",
-                "--repeats", "1",
-                "--baseline", "does-not-exist.json",
-            ]
-        )
-        assert exit_code == 0
+        def small_overhead(seed, repeats):
+            calls.append((seed, repeats))
+            return run_metrics_overhead(
+                num_flows=5, num_interfaces=2, target_packets=200,
+                seed=seed, repeats=repeats,
+            )
+
+        monkeypatch.setattr(cli, "run_metrics_overhead", small_overhead)
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(document))
+        assert main(["bench", "obs", "--repeats", "1", "--baseline", str(path)]) == 0
+        assert calls == [(0, 1)]
+        assert "committed baseline" in capsys.readouterr().out
+        # Another seed's baseline is other work: no committed row.
+        assert main(
+            ["bench", "obs", "--seed", "1", "--repeats", "1", "--baseline", str(path)]
+        ) == 0
+        assert "committed baseline" not in capsys.readouterr().out
+        assert main(
+            ["bench", "obs", "--repeats", "1", "--baseline", "does-not-exist.json"]
+        ) == 0
         assert "bench obs" in capsys.readouterr().out
 
 
@@ -714,50 +834,55 @@ class TestFleetBench:
     def cell(self, workload):
         return run_fleet_cell(2, 1, workload=workload, executor="serial")
 
-    def test_cell_shape(self, cell):
-        assert validate_fleet_cells([cell]) == []
+    def test_cell_shape(self, cell, workload):
         assert cell["devices"] == 2 and cell["workers"] == 1
+        assert cell["executor"] == "serial"
+        assert cell["workload"] == workload.to_dict()
         assert cell["packets"] > 0 and cell["packets_per_sec"] > 0
 
-    def test_hash_mismatch_across_workers_detected(self, cell):
-        """Two cells at the same device count must have simulated the
-        identical fleet; a hash drift is a determinism bug, not noise."""
-        other = dict(cell, workers=2, report_hash="0" * 64)
-        problems = validate_fleet_cells([cell, other])
-        assert any("report_hash differs" in problem for problem in problems)
+    def test_validation_reports_broken_cells(self, document, cell):
+        document["fleet"] = {
+            key: value for key, value in cell.items() if key != "packets"
+        }
+        problems = validate_bench_document(document)
+        assert any(problem.startswith("fleet missing keys") for problem in problems)
+        document["fleet"] = "nope"
+        assert validate_bench_document(document) == ["fleet must be an object"]
+        document["fleet"] = dict(cell, calibration_seconds=0)
+        assert validate_bench_document(document) == [
+            "fleet calibration_seconds must be a positive number"
+        ]
 
-    def test_validation_reports_broken_cells(self, cell):
-        missing = {key: value for key, value in cell.items() if key != "packets"}
-        problems = validate_fleet_cells([missing, "nope"])
-        assert any("missing keys" in problem for problem in problems)
-        assert any("not an object" in problem for problem in problems)
-        assert validate_fleet_cells({}) == ["fleet must be a list"]
+    def test_regression_gate(self, document):
+        """One function gates both cells, each at its own threshold: a
+        halved rate fails, a load factor forgives it, and a missing
+        cell is reported rather than skipped."""
+        for section, threshold in (
+            ("core", REGRESSION_THRESHOLD),
+            ("fleet", FLEET_REGRESSION_THRESHOLD),
+        ):
+            base = document[section]
+            slow = {section: dict(base, packets_per_sec=base["packets_per_sec"] / 2)}
+            failures = check_regression(slow, document, section, threshold)
+            assert len(failures) == 1 and "below the floor" in failures[0]
+            assert failures[0].startswith(f"{section}:")
+            assert check_regression(document, document, section, threshold) == []
+            assert check_regression(
+                slow, document, section, threshold, load_factor=4.0
+            ) == []
+            missing = check_regression({}, document, section, threshold)
+            assert missing == [
+                f"no comparable {section} cell between the current run and "
+                "the baseline document"
+            ]
 
-    def test_regression_gate(self, cell):
-        current = {"fleet": [dict(cell, packets_per_sec=cell["packets_per_sec"] / 2)]}
-        baseline = {"fleet": [cell]}
-        failures = check_fleet_regression(current, baseline, 2, 1)
-        assert failures and "below the floor" in failures[0]
-        assert check_fleet_regression(baseline, baseline, 2, 1) == []
-        # A generous load factor forgives the same slowdown.
-        assert check_fleet_regression(
-            current, baseline, 2, 1, load_factor=4.0
-        ) == []
-
-    def test_regression_needs_comparable_cell(self, cell):
-        failures = check_fleet_regression({"fleet": [cell]}, {}, 2, 1)
+    def test_regression_needs_comparable_cell(self, document):
+        baseline = dict(document)
+        del baseline["fleet"]
+        failures = check_regression(document, baseline, "fleet")
         assert failures and "no comparable fleet" in failures[0]
         with pytest.raises(ConfigurationError):
-            check_fleet_regression({}, {}, 2, 1, threshold=1.5)
-
-
-@pytest.mark.bench
-def test_full_default_grid():
-    """The committed BENCH_core.json workload, end to end (slow)."""
-    document = run_core_bench(seed=0)
-    assert validate_bench_document(document) == []
-    # 3 flow counts × 3 interface counts.
-    assert len(document["grid"]) == 9
+            check_regression(document, document, "fleet", threshold=1.5)
 
 
 @pytest.mark.bench
