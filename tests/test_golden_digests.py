@@ -25,7 +25,7 @@ from repro.analysis.slo import run_latency_slo
 from repro.core.engine import SchedulingEngine
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
-from repro.experiments import fig1, fig6
+from repro.experiments import fig1, fig6, fig10
 from repro.faults.crashes import run_crash_equivalence
 from repro.fleet import run_fleet
 from repro.fleet.coordinator import REPORT_HASH_FIELDS
@@ -297,6 +297,36 @@ class TestWiredDigests:
         )
         assert wired_digest(8, flows=flows, until=3.0) == (
             "62b92e7fbca870c8969d0d873af4f7002d8a9e91a14c72f33d00592bb3c24ffd"
+        )
+
+
+def pair_rows(matrix):
+    """A ``{(flow, interface): bytes}`` matrix as sorted JSON-safe rows."""
+    return sorted([flow, interface, size] for (flow, interface), size in matrix.items())
+
+
+class TestServiceWindowDigests:
+    """The cluster matrices the Figure 8 and Figure 11 panels read, on
+    the figures' own service logs."""
+
+    def test_figure_cluster_windows(self):
+        fig6_result = fig6.run()
+        fig6_windows = fig6.phase_windows(fig6_result)
+        fig10_stats = fig10.run().proxy.stats
+        value = {
+            "fig6": {
+                phase: pair_rows(fig6_result.stats.pair_service_in_window(start, end))
+                for phase, (start, end) in fig6_windows.items()
+            },
+            "fig10": [
+                pair_rows(fig10_stats.pair_service_in_window(start + 2, end - 0.5))
+                for start, end, _, _ in fig10.CAPACITY_PHASES
+            ],
+            "fig6_matrix": pair_rows(fig6_result.stats.service_matrix()),
+        }
+        canonical = json.dumps(value, sort_keys=True)
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
+            "2d35781404fdd7643783308e7e476a793c9a9351776bcf29f1c83490449d6158"
         )
 
 
