@@ -119,6 +119,7 @@ class MobileDevice:
             raise PreferenceError(f"weight must be positive, got {weight}")
         self._prefs.set_weight(app_id, weight)
         self.app_flow(app_id).weight = float(weight)
+        self.engine.notify_preferences_changed(app_id)
 
     def set_rule(self, app_id: str, rule: InterfaceRule) -> None:
         """Change an app's interface preference mid-run."""
@@ -130,11 +131,9 @@ class MobileDevice:
         else:
             self._prefs.set_interfaces(app_id, willing)
             flow.restrict_to(set(willing))
-        # Wake interfaces that just became usable for this flow.
-        self.scheduler.notify_backlogged(flow)
-        for interface in self._interfaces.values():
-            if flow.willing_to_use(interface.interface_id):
-                interface.kick()
+        # Quarantines the flow if its new Π-set is all down, otherwise
+        # wakes the interfaces that just became usable.
+        self.engine.notify_preferences_changed(app_id)
 
     # ------------------------------------------------------------------
     # Planning

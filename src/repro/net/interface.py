@@ -47,7 +47,6 @@ from ..errors import ConfigurationError, SimulationError
 from ..units import BITS_PER_BYTE
 from .packet import Packet
 from ..sim.simulator import Simulator
-from ..sim.tracing import TraceLog
 
 #: Signature of the scheduler hook: given the interface, return the next
 #: packet to transmit or ``None`` to go idle.
@@ -89,7 +88,6 @@ class Interface:
         sim: Simulator,
         interface_id: str,
         rate_bps: float,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         if not interface_id:
             raise ConfigurationError("interface_id must be non-empty")
@@ -100,7 +98,6 @@ class Interface:
         self._sim = sim
         self.interface_id = interface_id
         self._rate_bps = float(rate_bps)
-        self._trace = trace
         self._source: Optional[PacketSource] = None
         self._sent_listeners: List[SentListener] = []
         self._state_listeners: List[StateListener] = []
@@ -186,10 +183,6 @@ class Interface:
                 f"interface {self.interface_id!r}: rate must be positive, got {rate_bps}"
             )
         self._rate_bps = float(rate_bps)
-        if self._trace is not None:
-            self._trace.emit(
-                self._sim.now, self.interface_id, "rate_change", rate_bps=rate_bps
-            )
         for listener in self._rate_listeners:
             listener(self, self._rate_bps)
 
@@ -223,8 +216,6 @@ class Interface:
         self._up = False
         self.down_count += 1
         self._down_since = self._sim.now
-        if self._trace is not None:
-            self._trace.emit(self._sim.now, self.interface_id, "down")
         for listener in self._state_listeners:
             listener(self, False)
 
@@ -236,8 +227,6 @@ class Interface:
         if self._down_since is not None:
             self.down_time += self._sim.now - self._down_since
             self._down_since = None
-        if self._trace is not None:
-            self._trace.emit(self._sim.now, self.interface_id, "up")
         for listener in self._state_listeners:
             listener(self, True)
         self.kick()
@@ -271,14 +260,6 @@ class Interface:
             self._busy = False
             self.bytes_sent += packet.size_bytes
             self.packets_sent += 1
-            if self._trace is not None:
-                self._trace.emit(
-                    self._sim.now,
-                    self.interface_id,
-                    "tx_done",
-                    flow_id=packet.flow_id,
-                    size_bytes=packet.size_bytes,
-                )
             for egress_filter in self._egress_filters:
                 if not egress_filter(self, packet):
                     self.packets_consumed += 1
@@ -319,14 +300,6 @@ class Interface:
         self._busy = True
         self.busy_time += duration
         sim = self._sim
-        if self._trace is not None:
-            self._trace.emit(
-                sim.now,
-                self.interface_id,
-                "tx_start",
-                flow_id=packet.flow_id,
-                size_bytes=packet.size_bytes,
-            )
         # Simulator.call_later() inlined (the clock read skips the
         # property; duration > 0 needs no negative-delay check).
         self._events.push(

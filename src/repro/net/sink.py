@@ -2,22 +2,21 @@
 
 :class:`StatsCollector` records per-flow, per-interface service: the
 scheduling engine appends one sample per delivered packet, and
-:meth:`StatsCollector.watch` subscribes it to interfaces used without
-an engine. It answers the questions the paper's figures ask: achieved
-rate per flow over time (Figure 6/10), total service per flow
-(fairness metrics), and the flow→interface service matrix ``r_ij``
-used to extract rate clusters (Figure 8/11).
+substrates that deliver service by other means call
+:meth:`StatsCollector.record`. It answers the questions the paper's
+figures ask: achieved rate per flow over time (Figure 6/10), total
+service per flow (fairness metrics), and the flow→interface service
+matrix ``r_ij`` used to extract rate clusters (Figure 8/11).
 
 Log layout
 ----------
 Recording a sample appends one raw ``(time, flow_id, interface_id,
 size_bytes, delay)`` tuple to :attr:`StatsCollector.pending`; nothing
 else happens per packet. Once :data:`DRAIN_CHUNK` samples are pending
-the producer (the scheduling engine, :meth:`~StatsCollector.record` or
-a :meth:`~StatsCollector.watch` subscription) calls
-:meth:`StatsCollector.drain`, and every read drains first. A query
-therefore sees every sample recorded before it, and the raw log never
-holds more than one chunk.
+the producer (the scheduling engine or :meth:`~StatsCollector.record`)
+calls :meth:`StatsCollector.drain`, and every read drains first. A
+query therefore sees every sample recorded before it, and the raw log
+never holds more than one chunk.
 
 The drain moves a chunk into five typed ``array`` columns: time
 (``'d'``), flow code and interface code (``'I'``), size (``'q'``) and
@@ -33,6 +32,14 @@ read-only :class:`ServiceLog` view that decodes rows into
 :class:`ServiceSample` tuples on access; :meth:`ServiceLog.columns`
 reads the fields without building them.
 
+Time order
+----------
+The log is in time order: every producer stamps the simulator clock,
+which never runs backwards. :meth:`StatsCollector.restore_state` is
+the one way a log can enter from outside, and it refuses a sample list
+that is out of time order. A window ``(start, end]`` is therefore a
+range of rows, found by bisecting the time column.
+
 Derived data
 ------------
 Each kind of derived data is carried forward from its own cursor into
@@ -41,43 +48,41 @@ the columns, and only when a query needs it:
 * per-flow and per-interface byte totals (``bytes_sent``,
   ``interface_bytes``): one loop adds each new row's size to two lists
   indexed by code;
-* the per-flow time index (windows, ``service_timeseries``,
-  ``delays``);
-* the per-(flow, interface) pair index (``service_matrix``, windows on
-  one interface, ``pair_service_in_window``).
+* the per-flow index (windows, ``service_timeseries``, ``delays``):
+  per flow, an ``array('I')`` of its row numbers and an ``array('q')``
+  of prefix sums with a leading zero. A window's bytes are the
+  difference of two prefix sums, found by bisecting the flow's rows on
+  the window's row bounds, O(log S) per query; the last prefix sum is
+  the flow's total.
 
-A time index holds an ``array('I')`` of row numbers in time order and
-an ``array('q')`` of prefix sums with a leading zero. The bytes in a
-half-open window ``(start, end]`` are the difference of two prefix
-sums found by bisecting the rows on their times, O(log S) per query,
-and the last prefix sum is the key's total. Completion times are the
-simulator clock, which never runs backwards, so rows arrive
-time-sorted; direct :meth:`StatsCollector.record` calls may arrive out
-of time order, and those rows are inserted in place and the later
-prefix sums shifted.
+The per-(flow, interface) queries (``service_matrix``,
+``pair_service_in_window``, windows on one interface) keep no index:
+each is one pass over the rows in its window. The figures read a few
+such windows per run.
 
 Measured with ``tracemalloc`` over 100,000 samples (100 flows, 8
 interfaces, CPython 3.11), appended to ``pending`` and drained every
 :data:`DRAIN_CHUNK` samples as the engine does, the collector retains
 36 bytes per sample, the undrained tail included and no index built
-(``test_sample_log_bytes_budget``). One tuple per sample retained 136
-bytes in ``pending`` and 146 once drained into :class:`ServiceSample`
-tuples; a frozen-dataclass sample with per-key sample lists and boxed
-prefix sums retained 239.
+(``test_sample_log_bytes_budget``), and 48 once the per-flow index is
+built (``test_indexed_log_bytes_budget``). One tuple per sample
+retained 136 bytes in ``pending`` and 146 once drained into
+:class:`ServiceSample` tuples; a frozen-dataclass sample with per-key
+sample lists and boxed prefix sums retained 239.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import count, filterfalse, repeat
+from itertools import compress, count, filterfalse, islice, repeat
 from math import isnan, nan
-from operator import getitem, itemgetter, lshift, or_
+from operator import and_, eq, getitem, gt, itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+from ..errors import CheckpointError
 from ..sim.simulator import Simulator
-from .interface import Interface
-from .packet import Packet
 
 #: Raw samples a producer lets accumulate in
 #: :attr:`StatsCollector.pending` before it drains them into the columns.
@@ -85,10 +90,6 @@ DRAIN_CHUNK = 4096
 
 # ``map(_NAN_FOR_NONE, delays, delays)`` stores a missing delay as NaN.
 _NAN_FOR_NONE = {None: nan}.get
-
-# A pair index key packs the flow code above the interface code.
-_PAIR_SHIFT = 32
-_PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 
 
 class ServiceSample(NamedTuple):
@@ -122,42 +123,12 @@ def _intern(table: Dict[str, int], names: List[str], ids: Tuple[str, ...]) -> ar
     return array("I", codes if len(ids) > 1 else (codes,))
 
 
-# Time-sorted service for one flow or (flow, interface) pair: a
-# ``(rows, cumulative)`` tuple. ``rows`` are the key's row numbers in
-# the collector's columns, in time order (ties in ingestion order);
-# ``cumulative[k]`` is the byte total of the first *k* rows
-# (``cumulative[0] == 0``), so ``cumulative[-1]`` is the key's total.
+# One flow's service: a ``(rows, cumulative)`` tuple. ``rows`` are the
+# flow's row numbers in the collector's columns, ascending, hence in
+# time order; ``cumulative[k]`` is the byte total of the first *k* rows
+# (``cumulative[0] == 0``), so ``cumulative[-1]`` is the flow's total.
 # A tuple of two arrays is built without a Python-level call.
 _ServiceIndex = Tuple[array, array]
-
-
-def _bisect_rows(rows: array, times: array, time: float, left: bool = False) -> int:
-    """Where *time* falls in *rows*, ordered by ``times[row]``: after
-    the rows at *time*, or before them if *left*.
-
-    ``bisect_right``/``bisect_left`` with ``key=times.__getitem__``,
-    which the supported Python 3.9 lacks.
-    """
-    low, high = 0, len(rows)
-    while low < high:
-        middle = (low + high) // 2
-        moment = times[rows[middle]]
-        if moment < time or (moment == time and not left):
-            low = middle + 1
-        else:
-            high = middle
-    return low
-
-
-def _bytes_between(index: _ServiceIndex, times: array, start: float, end: float) -> int:
-    """Total bytes with ``start < time <= end``; *times* is the time
-    column."""
-    rows, cumulative = index
-    low = _bisect_rows(rows, times, start)
-    high = _bisect_rows(rows, times, end)
-    if high <= low:
-        return 0
-    return cumulative[high] - cumulative[low]
 
 
 class ServiceLog:
@@ -272,29 +243,6 @@ class StatsCollector:
         self._interface_bytes: List[int] = []
         self._flows_indexed = 0
         self._flow_index: Dict[int, _ServiceIndex] = {}
-        self._pairs_indexed = 0
-        self._pair_index: Dict[int, _ServiceIndex] = {}
-
-    def watch(self, *interfaces: Interface) -> "StatsCollector":
-        """Subscribe to the given interfaces' completion events."""
-        for interface in interfaces:
-            interface.on_sent(self._record)
-        return self
-
-    def _record(self, interface: Interface, packet: Packet) -> None:
-        now = self._sim.now
-        pending = self.pending
-        pending.append(
-            (
-                now,
-                packet.flow_id,
-                interface.interface_id,
-                packet.size_bytes,
-                now - packet.created_at,
-            )
-        )
-        if len(pending) >= DRAIN_CHUNK:
-            self.drain()
 
     def record(
         self,
@@ -305,11 +253,10 @@ class StatsCollector:
     ) -> None:
         """Record one unit of service directly.
 
-        The scheduling engine records every delivered packet itself,
-        and :meth:`watch` subscribes to interfaces directly; substrates
-        that deliver service by other means (e.g. the HTTP proxy's
-        range responses) call it themselves. *size_bytes* must be an
-        integer.
+        The scheduling engine records every delivered packet itself;
+        substrates that deliver service by other means (e.g. the HTTP
+        proxy's range responses) call this. The sample is stamped with
+        the simulator clock. *size_bytes* must be an integer.
         """
         pending = self.pending
         pending.append((self._sim.now, flow_id, interface_id, size_bytes, delay))
@@ -377,55 +324,22 @@ class StatsCollector:
         self._totalled = len(self._sizes)
 
     def _index_flows(self) -> Dict[int, _ServiceIndex]:
-        """The per-flow time index, brought to the log's end."""
+        """The per-flow index, brought to the log's end."""
         if self.pending:
             self.drain()
+        indexes = self._flow_index
         cursor = self._flows_indexed
-        if cursor < len(self._times):
-            self._flows_indexed = self._extend_index(
-                self._flow_index, cursor, self._flow_codes[cursor:]
-            )
-        return self._flow_index
-
-    def _index_pairs(self) -> Dict[int, _ServiceIndex]:
-        """The per-pair time index, brought to the log's end."""
-        if self.pending:
-            self.drain()
-        cursor = self._pairs_indexed
-        if cursor < len(self._times):
-            keys = map(
-                or_,
-                map(lshift, self._flow_codes[cursor:], repeat(_PAIR_SHIFT)),
-                self._interface_codes[cursor:],
-            )
-            self._pairs_indexed = self._extend_index(self._pair_index, cursor, keys)
-        return self._pair_index
-
-    def _extend_index(
-        self, indexes: Dict[int, _ServiceIndex], cursor: int, keys: Iterable[int]
-    ) -> int:
-        """Add rows ``cursor:`` to *indexes* under *keys*; return the
-        new cursor."""
-        times = self._times
-        for row, key, time, size in zip(
-            count(cursor), keys, times[cursor:], self._sizes[cursor:]
+        for row, flow, size in zip(
+            count(cursor), self._flow_codes[cursor:], self._sizes[cursor:]
         ):
-            index = indexes.get(key)
+            index = indexes.get(flow)
             if index is None:
-                index = indexes[key] = (array("I"), array("q", (0,)))
+                index = indexes[flow] = (array("I"), array("q", (0,)))
             rows, cumulative = index
-            if rows and time < times[rows[-1]]:
-                # Older than the key's newest row: only direct record()
-                # calls do this. Every later prefix sum grows by size.
-                position = _bisect_rows(rows, times, time)
-                rows.insert(position, row)
-                cumulative.insert(position + 1, cumulative[position] + size)
-                for k in range(position + 2, len(cumulative)):
-                    cumulative[k] += size
-            else:
-                rows.append(row)
-                cumulative.append(cumulative[-1] + size)
-        return len(times)
+            rows.append(row)
+            cumulative.append(cumulative[-1] + size)
+        self._flows_indexed = len(self._times)
+        return indexes
 
     def record_drop(self, flow_id: str, size_bytes: int) -> None:
         """Account one packet discarded before service (queue overflow).
@@ -465,20 +379,28 @@ class StatsCollector:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild the collector from :meth:`snapshot_state` output."""
+        """Rebuild the collector from :meth:`snapshot_state` output.
+
+        Raises :class:`~repro.errors.CheckpointError`, leaving the
+        collector as it was, if the samples are out of time order.
+        """
+        samples = state["samples"]
+        times = list(map(itemgetter(0), samples))
+        if any(map(gt, times, times[1:])):
+            raise CheckpointError("stats snapshot samples are out of time order")
         self._reset()
         self._drops_by_flow = defaultdict(int, state["drops_by_flow"])
         self._drop_bytes_by_flow = defaultdict(int, state["drop_bytes_by_flow"])
         self.pending.clear()
-        if state["samples"]:
-            self._ingest(state["samples"])
+        if samples:
+            self._ingest(samples)
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     @property
     def samples(self) -> ServiceLog:
-        """Every recorded transmission, in ingestion order."""
+        """Every recorded transmission, in time (and ingestion) order."""
         return self._log
 
     def bytes_sent(self, flow_id: str) -> int:
@@ -499,14 +421,11 @@ class StatsCollector:
         return 0 if code is None else self._interface_bytes[code]
 
     def service_matrix(self) -> Dict[Tuple[str, str], int]:
-        """``r_ij`` in bytes: service of flow *i* on interface *j*."""
-        indexes = self._index_pairs()
-        flows = self._flow_names
-        interfaces = self._interface_names
-        return {
-            (flows[key >> _PAIR_SHIFT], interfaces[key & _PAIR_MASK]): cumulative[-1]
-            for key, (_, cumulative) in indexes.items()
-        }
+        """``r_ij`` in bytes: service of flow *i* on interface *j*
+        (pairs served only zero-byte samples included)."""
+        if self.pending:
+            self.drain()
+        return self._pair_bytes(0, None)
 
     def flow_ids(self) -> List[str]:
         """Flows that received any service, sorted."""
@@ -517,11 +436,50 @@ class StatsCollector:
     # ------------------------------------------------------------------
     # Windowed queries (figures plot rates over time)
     # ------------------------------------------------------------------
-    def _flow_entry(self, flow_id: str) -> Optional[_ServiceIndex]:
-        """*flow_id*'s time index, or ``None`` if it has no samples."""
+    def _rows_between(
+        self, start: float, end: float, closed: bool = False
+    ) -> Tuple[int, int]:
+        """Row bounds ``(low, high)`` of ``(start, end]``, or of
+        ``[start, end]`` if *closed*; ``high < low`` if ``end < start``."""
+        times = self._times
+        low = (bisect_left if closed else bisect_right)(times, start)
+        return low, bisect_right(times, end)
+
+    def _flow_rows(
+        self, flow_id: str, start: float, end: float, closed: bool = False
+    ) -> Optional[Tuple[_ServiceIndex, int, int]]:
+        """*flow_id*'s index and the positions in it of its rows in
+        the window (see :meth:`_rows_between`), or ``None`` if the flow
+        has no samples."""
         indexes = self._index_flows()
         code = self._flow_code.get(flow_id)
-        return None if code is None else indexes[code]
+        if code is None:
+            return None
+        index = indexes[code]
+        rows = index[0]
+        low, high = self._rows_between(start, end, closed)
+        return index, bisect_left(rows, low), bisect_left(rows, high)
+
+    def _pair_bytes(
+        self, low: int, high: Optional[int]
+    ) -> Dict[Tuple[str, str], int]:
+        """Bytes per ``(flow_id, interface_id)`` pair over rows
+        ``low:high``, pairs in order of first appearance.
+
+        The columns are read through ``islice``, not copied: a window
+        can span most of the log.
+        """
+        flows = islice(self._flow_codes, low, high)
+        interfaces = islice(self._interface_codes, low, high)
+        pairs = zip(
+            map(self._flow_names.__getitem__, flows),
+            map(self._interface_names.__getitem__, interfaces),
+        )
+        totals: Dict[Tuple[str, str], int] = {}
+        get = totals.get
+        for pair, size in zip(pairs, islice(self._sizes, low, high)):
+            totals[pair] = get(pair, 0) + size
+        return totals
 
     def service_in_window(
         self,
@@ -532,23 +490,29 @@ class StatsCollector:
     ) -> int:
         """Bytes served to *flow_id* in ``(start, end]``.
 
-        ``S_i(t1, t2)`` from the paper's Definition 3. O(log S) via the
-        per-key cumulative index.
+        ``S_i(t1, t2)`` from the paper's Definition 3: O(log S) via
+        the per-flow prefix sums, or one pass over the window's rows
+        when restricted to *interface_id*.
         """
-        if interface_id is None:
-            index = self._flow_entry(flow_id)
-        else:
-            indexes = self._index_pairs()
+        if interface_id is not None:
+            if self.pending:
+                self.drain()
             flow = self._flow_code.get(flow_id)
             interface = self._interface_code.get(interface_id)
-            index = (
-                None
-                if flow is None or interface is None
-                else indexes.get(flow << _PAIR_SHIFT | interface)
+            if flow is None or interface is None:
+                return 0
+            low, high = self._rows_between(start, end)
+            matches = map(
+                and_,
+                map(eq, islice(self._flow_codes, low, high), repeat(flow)),
+                map(eq, islice(self._interface_codes, low, high), repeat(interface)),
             )
-        if index is None:
+            return sum(compress(islice(self._sizes, low, high), matches))
+        found = self._flow_rows(flow_id, start, end)
+        if found is None:
             return 0
-        return _bytes_between(index, self._times, start, end)
+        (_, cumulative), low, high = found
+        return cumulative[high] - cumulative[low] if high > low else 0
 
     def rate_in_window(self, flow_id: str, start: float, end: float) -> float:
         """Average service rate (bits/s) of *flow_id* over ``(start, end]``."""
@@ -576,7 +540,6 @@ class StatsCollector:
         sample whose float-divided index equalled the bin count —
         silently truncating figure tails.
         """
-        index = self._flow_entry(flow_id)
         horizon = end if end is not None else self._sim.now
         if bin_width <= 0 or horizon <= start:
             return []
@@ -590,12 +553,11 @@ class StatsCollector:
             # Horizon closer than one bin: everything is one partial bin.
             num_bins, remainder = 1, span
         totals = [0] * num_bins
-        if index is not None:
+        found = self._flow_rows(flow_id, start, horizon, closed=True)
+        if found is not None:
+            (rows, _), low, high = found
             times = self._times
             sizes = self._sizes
-            rows = index[0]
-            low = _bisect_rows(rows, times, start, left=True)
-            high = _bisect_rows(rows, times, horizon)
             for row in rows[low:high]:
                 position = int((times[row] - start) / bin_width)
                 if position >= num_bins:
@@ -645,14 +607,11 @@ class StatsCollector:
         latency view behind the paper's "VoIP prefers WiFi because 3G
         latency is higher" motivation.
         """
-        index = self._flow_entry(flow_id)
         horizon = end if end is not None else self._sim.now
-        if index is None:
+        found = self._flow_rows(flow_id, start, horizon)
+        if found is None:
             return []
-        times = self._times
-        rows = index[0]
-        low = _bisect_rows(rows, times, start)
-        high = _bisect_rows(rows, times, horizon)
+        (rows, _), low, high = found
         delays = map(self._delays.__getitem__, rows[low:high])
         if self._missing_delays:
             return list(filterfalse(isnan, delays))
@@ -661,14 +620,9 @@ class StatsCollector:
     def pair_service_in_window(
         self, start: float, end: float
     ) -> Dict[Tuple[str, str], int]:
-        """The ``r_ij`` matrix restricted to ``(start, end]`` (bytes)."""
-        indexes = self._index_pairs()
-        times = self._times
-        flows = self._flow_names
-        interfaces = self._interface_names
-        matrix: Dict[Tuple[str, str], int] = {}
-        for key, index in indexes.items():
-            total = _bytes_between(index, times, start, end)
-            if total:
-                matrix[flows[key >> _PAIR_SHIFT], interfaces[key & _PAIR_MASK]] = total
-        return matrix
+        """The ``r_ij`` matrix restricted to ``(start, end]`` (bytes),
+        pairs with no bytes in the window left out."""
+        if self.pending:
+            self.drain()
+        matrix = self._pair_bytes(*self._rows_between(start, end))
+        return {pair: total for pair, total in matrix.items() if total}

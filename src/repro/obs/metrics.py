@@ -503,15 +503,14 @@ class MetricsRegistry:
         }
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # Shard state
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Dict[str, object]]:
-        """Serialize every metric's internals so telemetry survives a
-        restart.
+        """Serialize every metric's internals as a JSON-safe dict, the
+        shard payload :meth:`merge_state` folds into another registry.
 
         Callback-backed gauges are skipped: they read live component
-        state and recompute correctly the moment the restored run's
-        components are rebuilt.
+        state, which does not travel with the payload.
         """
         state: Dict[str, Dict[str, object]] = {}
         for name, metric in self._metrics.items():
@@ -544,46 +543,6 @@ class MetricsRegistry:
                 }
         return state
 
-    def restore_state(self, state: Dict[str, Dict[str, object]]) -> None:
-        """Overwrite (creating where needed) metrics from a snapshot.
-
-        Metrics the snapshot knows but the current registry has not
-        re-registered yet are created from the recorded shape (bounds,
-        growth); help text is re-attached when instrumentation
-        re-registers them, since creation is idempotent.
-        """
-        for name, doc in state.items():
-            kind = doc["kind"]
-            if kind == "counter":
-                self.counter(name)._value = doc["value"]
-            elif kind == "gauge":
-                metric = self._metrics.get(name)
-                if metric is None:
-                    metric = self.gauge(name)
-                if not metric.callback_backed:
-                    metric._value = doc["value"]
-            elif kind == "histogram":
-                metric = self.histogram(name, doc["bounds"])
-                metric._counts = list(doc["counts"])
-                metric._count = doc["count"]
-                metric._sum = doc["sum"]
-                metric._min = doc["min"]
-                metric._max = doc["max"]
-            elif kind == "sketch":
-                metric = self.sketch(name, growth=doc["growth"])
-                metric._buckets = {
-                    int(key): count for key, count in doc["buckets"].items()
-                }
-                metric._zero = doc["zero"]
-                metric._count = doc["count"]
-                metric._sum = doc["sum"]
-                metric._min = doc["min"]
-                metric._max = doc["max"]
-            else:
-                raise ConfigurationError(
-                    f"metric snapshot {name!r} has unknown kind {kind!r}"
-                )
-
     # ------------------------------------------------------------------
     # Cross-process aggregation
     # ------------------------------------------------------------------
@@ -610,7 +569,7 @@ class MetricsRegistry:
         Merging is commutative and associative (the hypothesis suite
         pins this), so shard arrival order never changes the fleet
         report. Metrics absent here are created from the incoming
-        shape, exactly like :meth:`restore_state`.
+        shape (bounds, growth).
         """
         for name, doc in state.items():
             kind = doc["kind"]

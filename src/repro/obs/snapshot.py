@@ -79,10 +79,6 @@ class SnapshotProcess:
         """``True`` between :meth:`start` and :meth:`stop`."""
         return self._process.running
 
-    def add_pre_sample(self, hook: Callable[[float], None]) -> None:
-        """Register a hook run before each collection (gets ``now``)."""
-        self._pre_sample.append(hook)
-
     def start(self) -> None:
         """Begin sampling. Idempotent."""
         self._process.start()

@@ -223,13 +223,6 @@ class MultiInterfaceScheduler(ABC):
         """Whether *flow_id* is registered."""
         return flow_id in self._flows
 
-    def get_flow(self, flow_id: str) -> Flow:
-        """Look up a registered flow."""
-        flow = self._flows.get(flow_id)
-        if flow is None:
-            raise SchedulingError(f"unknown flow {flow_id!r}")
-        return flow
-
     def notify_backlogged(self, flow: Flow) -> None:
         """Tell the scheduler *flow* just went from empty to backlogged.
 

@@ -6,7 +6,6 @@ Public surface:
 * :class:`Event`, :class:`EventQueue` — scheduling primitives
 * :class:`Timer`, :class:`PeriodicProcess` — common patterns
 * :class:`RandomStreams` — named, seeded RNG streams
-* :class:`TraceLog`, :class:`TraceRecord` — structured tracing
 """
 
 from .._lazy import lazy_exports
@@ -19,8 +18,6 @@ __all__ = [
     "RandomStreams",
     "Simulator",
     "Timer",
-    "TraceLog",
-    "TraceRecord",
     "derive_seed",
 ]
 
@@ -29,5 +26,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".process": ("PeriodicProcess", "Timer"),
     ".randomness": ("RandomStreams", "derive_seed"),
     ".simulator": ("Simulator",),
-    ".tracing": ("TraceLog", "TraceRecord"),
 })

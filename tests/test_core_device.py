@@ -107,3 +107,22 @@ class TestLiveEdits:
         device = make_device(sim)
         with pytest.raises(PreferenceError):
             device.set_weight("sync", 0.0)
+
+    def test_rule_onto_downed_interfaces_quarantines(self, sim):
+        device = make_device(sim)
+        device.saturate("sync")
+        device.start()
+        sim.run(until=1.0)
+        device.interface("lte").bring_down()
+        device.set_rule("sync", Only("lte"))
+        assert "sync" in device.engine.quarantined_flows
+        device.interface("lte").bring_up()
+        assert "sync" not in device.engine.quarantined_flows
+
+    def test_edits_reach_preference_listeners(self, sim):
+        device = make_device(sim)
+        heard = []
+        device.engine.on_preferences_changed(lambda flow: heard.append(flow.flow_id))
+        device.set_weight("video", 3.0)
+        device.set_rule("sync", Only("wifi"))
+        assert heard == ["video", "sync"]

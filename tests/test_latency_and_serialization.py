@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.analysis.cdf import EmpiricalCdf
+from repro.core.engine import SchedulingEngine
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from repro.errors import ConfigurationError
+from repro.net.flow import Flow
 from repro.net.interface import CapacityStep, Interface
 from repro.net.packet import Packet
 from repro.net.sink import StatsCollector
@@ -15,29 +17,34 @@ from repro.schedulers.midrr import MiDrrScheduler
 from repro.units import mbps
 
 
+def deliver(sim, packets):
+    """Stats of a scheduling engine that sends *packets* (flow ``a``)
+    over one 12 kb/s interface: 1 s per 1500 B packet."""
+    engine = SchedulingEngine(sim, MiDrrScheduler())
+    engine.add_interface(Interface(sim, "if1", 12_000))
+    flow = Flow("a")
+    engine.add_flow(flow)
+    engine.start()
+    for packet in packets:
+        flow.offer(packet)
+    sim.run()
+    return engine.stats
+
+
 class TestDelayAccounting:
-    def test_delay_recorded_by_interface_watch(self, sim):
-        stats = StatsCollector(sim)
-        interface = Interface(sim, "if1", 12_000)  # 1 s per 1500 B
-        packets = [Packet(flow_id="a", size_bytes=1500, created_at=0.0)]
-        interface.attach_source(lambda i: packets.pop(0) if packets else None)
-        stats.watch(interface)
-        interface.kick()
-        sim.run()
+    def test_delay_recorded_by_engine(self, sim):
+        stats = deliver(sim, [Packet(flow_id="a", size_bytes=1500, created_at=0.0)])
         delays = stats.delays("a")
         assert delays == [pytest.approx(1.0)]
 
     def test_queueing_delay_included(self, sim):
-        stats = StatsCollector(sim)
-        interface = Interface(sim, "if1", 12_000)
-        queue = [
-            Packet(flow_id="a", size_bytes=1500, created_at=0.0),
-            Packet(flow_id="a", size_bytes=1500, created_at=0.0),
-        ]
-        interface.attach_source(lambda i: queue.pop(0) if queue else None)
-        stats.watch(interface)
-        interface.kick()
-        sim.run()
+        stats = deliver(
+            sim,
+            [
+                Packet(flow_id="a", size_bytes=1500, created_at=0.0),
+                Packet(flow_id="a", size_bytes=1500, created_at=0.0),
+            ],
+        )
         delays = stats.delays("a")
         # Second packet waited one transmission behind the first.
         assert delays == [pytest.approx(1.0), pytest.approx(2.0)]

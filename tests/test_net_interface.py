@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.interface import CapacityStep, Interface
 from repro.net.packet import Packet
-from repro.sim.tracing import TraceLog
 
 
 def supply_n(packets):
@@ -144,15 +143,6 @@ class TestUpDown:
         interface.bring_up()  # kicks internally
         sim.run()
         assert interface.packets_sent == 1
-
-    def test_trace_records(self, sim):
-        trace = TraceLog()
-        interface = Interface(sim, "if1", 12_000, trace=trace)
-        interface.attach_source(supply_n([pkt()]))
-        interface.kick()
-        sim.run()
-        kinds = [r.kind for r in trace]
-        assert kinds == ["tx_start", "tx_done"]
 
 
 class TestStateListeners:

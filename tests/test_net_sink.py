@@ -7,10 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import SchedulingEngine
+from repro.errors import CheckpointError
+from repro.net.flow import Flow
 from repro.net.interface import Interface
 from repro.net import sink
 from repro.net.packet import Packet
 from repro.net.sink import StatsCollector
+from repro.schedulers.midrr import MiDrrScheduler
 from repro.sim.simulator import Simulator
 
 
@@ -196,15 +200,16 @@ class TestByteConservation:
         assert sum(width for _, width, _ in series) == pytest.approx(horizon)
 
 
-class TestInterfaceIntegration:
-    def test_watch_records_transmissions(self, sim):
-        stats = StatsCollector(sim)
-        interface = Interface(sim, "if1", 12_000)
-        packets = [Packet(flow_id="a", size_bytes=1500)]
-        interface.attach_source(lambda i: packets.pop(0) if packets else None)
-        stats.watch(interface)
-        interface.kick()
+class TestEngineIntegration:
+    def test_engine_records_transmissions(self, sim):
+        engine = SchedulingEngine(sim, MiDrrScheduler())
+        engine.add_interface(Interface(sim, "if1", 12_000))
+        flow = Flow("a")
+        engine.add_flow(flow)
+        engine.start()
+        flow.offer(Packet(flow_id="a", size_bytes=1500))
         sim.run()
+        stats = engine.stats
         assert stats.bytes_sent("a") == 1500
         assert stats.samples[0].time == pytest.approx(1.0)
         assert stats.samples[0].interface_id == "if1"
@@ -215,8 +220,8 @@ class TestServiceLog:
 
     RECORDS = [
         (0.5, "a", "if1", 1500, 0.25),
-        (1.0, "b", "if2", 40, None),
         (0.75, "a", "if2", 576, 0.125),
+        (1.0, "b", "if2", 40, None),
         (2.0, "b", "if1", 1500, 3.0),
     ]
 
@@ -235,7 +240,7 @@ class TestServiceLog:
         assert [log[i] for i in range(-4, 4)] == self.RECORDS * 2
         assert log[1:3] == self.RECORDS[1:3]
         assert log[::-2] == self.RECORDS[::-2]
-        assert log[3].time == 2.0 and log[1].delay is None
+        assert log[3].time == 2.0 and log[2].delay is None
         with pytest.raises(IndexError):
             log[4]
 
@@ -263,8 +268,8 @@ class TestCheckpointFormat:
 
     SNAPSHOT = (
         '{"drop_bytes_by_flow": {"a": 1500}, "drops_by_flow": {"a": 1}, '
-        '"samples": [[0.5, "a", "if1", 1500, 0.25], [1.0, "b", "if2", 40, null], '
-        '[0.75, "a", "if2", 576, 0.125], [2.0, "b", "if1", 1500, 3.0], '
+        '"samples": [[0.5, "a", "if1", 1500, 0.25], [0.75, "a", "if2", 576, 0.125], '
+        '[1.0, "b", "if2", 40, null], [2.0, "b", "if1", 1500, 3.0], '
         '[2.0, "a", "if1", 1500, 1e-06]]}'
     )
 
@@ -273,8 +278,8 @@ class TestCheckpointFormat:
         stats = StatsCollector(clock)
         for now, flow_id, interface_id, size, delay in [
             (0.5, "a", "if1", 1500, 0.25),
-            (1.0, "b", "if2", 40, None),
             (0.75, "a", "if2", 576, 0.125),
+            (1.0, "b", "if2", 40, None),
             (2.0, "b", "if1", 1500, 3.0),
             (2.0, "a", "if1", 1500, 1e-06),
         ]:
@@ -298,14 +303,36 @@ class TestCheckpointFormat:
         assert restored.dropped_bytes("a") == 1500
         assert json.dumps(restored.snapshot_state(), sort_keys=True) == self.SNAPSHOT
 
+    def test_out_of_order_snapshot_refused(self):
+        """A sample list out of time order is refused and the collector,
+        its pending samples included, answers as before."""
+        stats = self._stats()
+        stats.record("c", "if1", 7)
+
+        def answers():
+            return (
+                list(stats.samples),
+                stats.service_matrix(),
+                stats.pair_service_in_window(0.0, 1.0),
+                stats.service_in_window("a", 0.5, 2.0),
+                stats.service_in_window("a", 0.0, 2.0, interface_id="if2"),
+                stats.delays("a"),
+                stats.dropped_bytes("a"),
+            )
+
+        before = answers()
+        state = json.loads(self.SNAPSHOT)
+        samples = state["samples"]
+        samples[1], samples[2] = samples[2], samples[1]
+        state["drop_bytes_by_flow"] = {}
+        with pytest.raises(CheckpointError, match="time order"):
+            stats.restore_state(state)
+        assert answers() == before
+
 
 class _Clock:
-    """A settable stand-in for the simulator clock.
-
-    The collector only reads ``now``; moving it backwards drives the
-    out-of-order path that direct :meth:`StatsCollector.record` calls
-    may take.
-    """
+    """A settable stand-in for the simulator clock; the collector only
+    reads ``now``. Like the simulator's, it is only moved forward."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -317,8 +344,8 @@ _GRID = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.75, 4.0, 9.0])
 
 _RECORD = st.tuples(
     # Clock step before the record: mostly forward, sometimes none
-    # (repeated timestamps), sometimes backwards (out of order).
-    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, -0.75, -2.0]),
+    # (repeated timestamps).
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
     st.sampled_from(_FLOWS),
     st.sampled_from(_INTERFACES),
     st.sampled_from([0, 1, 40, 1500]),
@@ -328,10 +355,10 @@ _RECORD = st.tuples(
     # once a chunk is pending.
     st.sampled_from(["record", "append"]),
     # Read the collector after this record, or not (None). Log-only
-    # reads drain the pending log mid-stream; indexed reads also bring
-    # the indexes up to date, so later records — out-of-order ones
-    # included — land on a partly built index. "restore" snapshots the
-    # collector and restores the snapshot into it mid-chunk.
+    # reads drain the pending log mid-stream; windowed reads also bring
+    # the per-flow index up to date, so later records land on a partly
+    # built index. "restore" snapshots the collector and restores the
+    # snapshot into it mid-chunk.
     st.sampled_from(
         [None, None, "samples", "interface_bytes", "bytes_sent", "window", "restore"]
     ),

@@ -483,7 +483,7 @@ def test_open_loop_call_budget():
 SAMPLE_LOG_BYTES_BUDGET = 37
 
 
-def _sample_log_bytes() -> float:
+def _sample_log_bytes(indexed: bool = False) -> float:
     """Bytes retained per sample by a collector fed like the engine.
 
     100,000 samples over 100 flows and 8 interfaces, each appended to
@@ -491,7 +491,8 @@ def _sample_log_bytes() -> float:
     log drained every ``DRAIN_CHUNK`` samples as the engine does. The
     retained size is the growth :mod:`tracemalloc` traces from an
     empty collector to the end of the stream, the undrained tail
-    included; no index is built.
+    included. No index is built unless *indexed*: then the first
+    windowed read and the first pair read run before the reading.
     """
     import gc
     import tracemalloc
@@ -522,6 +523,9 @@ def _sample_log_bytes() -> float:
             )
             if len(pending) >= DRAIN_CHUNK:
                 stats.drain()
+        if indexed:
+            stats.service_in_window("f0", 0.0, time)
+            stats.pair_service_in_window(0.0, time)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -539,13 +543,34 @@ def test_sample_log_bytes_budget():
     )
 
 
+#: Bytes the stats collector retains per sample for
+#: :func:`_sample_log_bytes`'s log once the first window and pair reads
+#: have run (deterministic for a given layout and CPython version). The
+#: per-flow index adds a row number and a prefix sum per sample to the
+#: columns: it reads 47.9. A per-(flow, interface) index kept beside it
+#: read 60.6.
+INDEXED_LOG_BYTES_BUDGET = 48.5
+
+
+def test_indexed_log_bytes_budget():
+    """The service log and its derived indexes stay within their
+    bytes-per-sample budget: a second time index shows here."""
+    retained = _sample_log_bytes(indexed=True)
+    assert retained <= INDEXED_LOG_BYTES_BUDGET, (
+        f"{retained:.1f} bytes retained per indexed sample, budget "
+        f"{INDEXED_LOG_BYTES_BUDGET}"
+    )
+
+
 #: Python-level calls per ingested sample while the stats collector
-#: drains :func:`_calls_per_sample`'s log and builds its totals and
-#: indexes (deterministic for a given code path). A log of sample
-#: tuples with an index object per key read 0.053 here: one call per
-#: new index (250) and a few per read. The columnar log reads 0.0042
-#: (21 calls): no call per new id or index, a few per read.
-CALL_BUDGET_PER_SAMPLE = 0.0045
+#: drains :func:`_calls_per_sample`'s log, builds its totals and index
+#: and answers its first windows (deterministic for a given code path).
+#: A log of sample tuples with an index object per key read 0.053 here:
+#: one call per new index (250) and a few per read. The columnar log
+#: with per-flow and per-pair indexes read 0.0042 (21 calls); with the
+#: per-flow index alone it reads 0.0028 (14 calls): no call per new id,
+#: index entry or row in a window, a few per read.
+CALL_BUDGET_PER_SAMPLE = 0.003
 
 
 def _calls_per_sample() -> float:
@@ -553,10 +578,10 @@ def _calls_per_sample() -> float:
 
     A fixed 5,000-sample log over 50 flows and 4 interfaces, in time
     order as the simulator clock produces it, drained by one totals
-    read, then indexed per flow and per pair by the first windowed
-    queries, all counted with :func:`sys.setprofile`. The cyclic collector is off while counting:
-    a collection it starts could run finalizers of objects other tests
-    left behind.
+    read, then indexed per flow by the first windowed query and read
+    on one interface, all counted with :func:`sys.setprofile`. The
+    cyclic collector is off while counting: a collection it starts
+    could run finalizers of objects other tests left behind.
     """
     import gc
     import random
@@ -735,11 +760,11 @@ def test_fleet_call_budget():
 #: Package exports resolve on first access, so an import runs only its
 #: own dependency chain; a new eager import on one of these chains
 #: shows here as a count. ``repro.schedulers`` stays eager (every
-#: scheduler class registers on import): 9 of the engine's 26.
+#: scheduler class registers on import): 9 of the engine's 25.
 IMPORT_BUDGETS = {
     "import repro": 2,
-    "import repro.core.engine": 26,
-    "from repro.fleet import run_fleet": 46,
+    "import repro.core.engine": 25,
+    "from repro.fleet import run_fleet": 45,
 }
 
 _IMPORT_PROBE = """
