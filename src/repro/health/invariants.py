@@ -16,9 +16,9 @@ arbitrary interface churn:
   flow;
 * no stale state keys: every deficit counter and service flag belongs
   to a currently-registered flow and interface. Drained flows are
-  popped by the scheduler's deactivation path and removed flows by its
-  removal hook, so surviving keys for departed flows would be a state
-  leak (dicts growing with every flow ever served);
+  dropped by the scheduler's deactivation path and removed flows by its
+  removal hook, so surviving entries for departed flows would be a
+  state leak (state growing with every flow ever served);
 * quarantined flows are absent from the scheduler (no deficit accrual
   while parked — the graceful-degradation contract).
 """
@@ -115,14 +115,10 @@ class MiDrrInvariantChecker:
     def _check_turns(self) -> List[str]:
         found: List[str] = []
         scheduler = self._scheduler
-        for interface_id, state in scheduler._states.items():
-            if state.turn_open and state.current is None:
-                found.append(
-                    f"interface {interface_id!r} has an open turn with no flow"
-                )
-            if state.current is not None and not scheduler.has_flow(state.current):
+        for interface_id, flow_id in scheduler.open_turns().items():
+            if not scheduler.has_flow(flow_id):
                 found.append(
                     f"interface {interface_id!r} turn names unknown flow "
-                    f"{state.current!r}"
+                    f"{flow_id!r}"
                 )
         return found

@@ -27,6 +27,7 @@ pre-sample hook.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -244,12 +245,12 @@ class EngineInstrumentation:
             fn=lambda i=interface: i.down_time,
         )
         scheduler = self.engine.scheduler
-        states = getattr(scheduler, "_states", None)
-        if states is not None and interface_id in states:
+        round_size = getattr(scheduler, "round_size", None)
+        if round_size is not None and interface_id in scheduler.interface_ids():
             registry.gauge(
                 f"{prefix}.active_flows",
                 "Backlogged willing flows in this interface's round",
-                fn=lambda s=states[interface_id]: len(s.active),
+                fn=partial(round_size, interface_id),
             )
 
     def _wire_scheduler(self) -> None:

@@ -207,8 +207,10 @@ class TestStarvationAndStall:
         watchdog.start()
         engine.start()
         sim.run(until=1.0)
-        # A key no live scheduling touches, so it survives until the tick.
-        scheduler._states["if1"].deficit["ghost"] = -5.0
+        # State of a flow that was never registered: no live scheduling
+        # touches it, so it survives until the tick.
+        scheduler._on_flow_added(Flow("ghost"))
+        scheduler._slot("ghost", "if1").deficit = -5.0
         sim.run(until=1.6)
         alerts = watchdog.alerts_of(ALERT_INVARIANT_VIOLATION)
         assert alerts
@@ -229,7 +231,7 @@ class TestInvariantChecker:
         engine, scheduler, _ = build_rig(sim)
         engine.start()
         sim.run(until=1.0)
-        scheduler._states["if1"].deficit["a"] = -5.0
+        scheduler._slot("a", "if1").deficit = -5.0
         violations = MiDrrInvariantChecker(scheduler).check()
         assert any("negative deficit" in v for v in violations)
 
@@ -237,7 +239,7 @@ class TestInvariantChecker:
         engine, scheduler, _ = build_rig(sim)
         engine.start()
         sim.run(until=1.0)
-        scheduler._states["if1"].flags["a"] = 7
+        scheduler._slot("a", "if1").flag = 7
         violations = MiDrrInvariantChecker(scheduler).check()
         assert any("service flag" in v for v in violations)
 
@@ -245,7 +247,7 @@ class TestInvariantChecker:
         engine, scheduler, _ = build_rig(sim)
         idle = Flow("idle")  # no source: never backlogged
         engine.add_flow(idle)
-        scheduler._states["if1"].deficit["idle"] = 10.0
+        scheduler._slot("idle", "if1").deficit = 10.0
         violations = MiDrrInvariantChecker(scheduler).check()
         assert any("drained flow 'idle'" in v for v in violations)
 

@@ -365,8 +365,9 @@ class TestAuditorOverhead:
 
 #: Python-level calls per transmitted packet on the per-packet path of
 #: :func:`_calls_per_packet`'s cell (deterministic for a given code
-#: path; the engine-owned transmit chain reads 15.5).
-CALL_BUDGET_PER_PACKET = 15.6
+#: path). It reads 14.00: miDRR's turn grant inlines the quantum and
+#: rule 1 over the flow's willing slots.
+CALL_BUDGET_PER_PACKET = 14.1
 
 
 def _calls_per_packet(make_source=None, min_packets: int = 3000) -> float:
@@ -446,9 +447,9 @@ def test_per_packet_call_budget():
 #: its 75 Mb/s, passed to the engine as ``source=`` (deterministic for
 #: a given code path). Arrivals into empty queues wake interfaces
 #: through a deferred kick, so a packet costs more calls than in the
-#: closed loop. It reads 42.89; the drain into the stats columns adds
+#: closed loop. It reads 37.28; the drain into the stats columns adds
 #: 0.0016 of that.
-OPEN_LOOP_CALL_BUDGET_PER_PACKET = 43.0
+OPEN_LOOP_CALL_BUDGET_PER_PACKET = 37.4
 
 
 def _open_loop_calls_per_packet() -> float:
@@ -703,8 +704,8 @@ def test_device_digest_call_budget():
 #: Python-level calls per packet over whole fleet devices: scenario
 #: generation, the simulation and the digest of four short, mostly
 #: active smartphone devices (deterministic for a given code path). The
-#: open-loop per-packet path dominates; it reads 16.41.
-FLEET_CALL_BUDGET_PER_PACKET = 16.5
+#: open-loop per-packet path dominates; it reads 14.67.
+FLEET_CALL_BUDGET_PER_PACKET = 14.75
 
 
 def _fleet_calls_per_packet() -> float:

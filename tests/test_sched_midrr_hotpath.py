@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import make_flow
+from tests.midrr_reference import ReferenceMiDrrScheduler
 
 from repro.core.engine import SchedulingEngine
 from repro.errors import CheckpointError
@@ -23,7 +24,7 @@ from repro.health.invariants import MiDrrInvariantChecker
 from repro.net.flow import Flow
 from repro.net.interface import Interface
 from repro.net.packet import Packet
-from repro.schedulers.midrr import MiDrrScheduler
+from repro.schedulers.midrr import DEAD_ENTRY_SLACK, MiDrrScheduler
 
 
 def flow_keys(items, flow_id):
@@ -123,14 +124,16 @@ class TestStateLeaks:
     def test_checker_reports_injected_stale_key(self):
         scheduler = MiDrrScheduler()
         scheduler.register_interface("if0")
-        scheduler._states["if0"].flags["ghost"] = 1
-        scheduler._states["if0"].deficit["ghost"] = 0.0
+        # Bookkeeping for a flow the base class never registered: a
+        # flag entry (zero, from add) and a deficit entry.
+        scheduler._on_flow_added(Flow("ghost"))
+        scheduler._slot("ghost", "if0").deficit = 0.0
         violations = MiDrrInvariantChecker(scheduler).check()
         assert sum("stale" in violation for violation in violations) == 2
 
 
 class TestStateLayout:
-    """Per-interface flag/deficit dicts, read through the accessors."""
+    """One slot per (flow, interface), read through the accessors."""
 
     INTERFACES = ("if0", "if1", "if2")
     ROWS = {"a": None, "b": ("if0", "if1"), "c": ("if1", "if2"), "d": ("if2",)}
@@ -156,14 +159,14 @@ class TestStateLayout:
         scheduler.restore_state(snapshot, flows)
         return scheduler
 
-    def test_flow_scope_shares_one_deficit_dict(self):
+    def test_flow_scope_shares_one_deficit_account(self):
         scheduler = MiDrrScheduler(deficit_scope="flow")
         scheduler.register_interface("if0")
         scheduler.register_interface("if1")
         scheduler.add_flow(make_flow("a", backlog_packets=3))
         assert scheduler.select("if0").flow_id == "a"
-        states = scheduler._states
-        assert states["if0"].deficit is states["if1"].deficit
+        account = scheduler._slot("a", "if0").account
+        assert account is scheduler._slot("a", "if1").account
         assert list(scheduler.deficit_items()) == [(("a", None), 0.0)]
 
     def test_total_deficit_reads_interfaces_left_by_narrowing(self):
@@ -178,6 +181,49 @@ class TestStateLayout:
         assert scheduler.deficit("a", "if0") == 1500.0
         assert scheduler.deficit("a") == 1500.0
 
+    def test_resumed_turn_leaves_round_when_pi_narrows(self):
+        scheduler = MiDrrScheduler(quantum_base=1000)
+        scheduler.register_interface("if0")
+        scheduler.register_interface("if1")
+        a = make_flow("a", weight=2.0, backlog_packets=3, packet_size=700)
+        b = make_flow("b", interfaces=("if0",), backlog_packets=3, packet_size=700)
+        scheduler.add_flow(a)
+        scheduler.add_flow(b)
+        assert scheduler.select("if0").flow_id == "a"
+        assert scheduler.open_turns() == {"if0": "a"}
+        assert scheduler.round_size("if0") == 2
+        a.restrict_to({"if1"})
+        # The resumed turn is closed and a leaves if0's round at once.
+        assert scheduler.select("if0").flow_id == "b"
+        assert scheduler.open_turns() == {"if0": "b"}
+        assert scheduler.round_size("if0") == 1
+
+    @pytest.mark.parametrize("deficit_scope", ["flow_interface", "flow"])
+    def test_deficit_backlog_is_the_generator_sum(self, deficit_scope):
+        """The one-pass sum adds the counters in deficit_items() order,
+        so it equals the generator sum bit for bit, even with weights
+        whose quanta do not add exactly in binary."""
+        scheduler = MiDrrScheduler(quantum_base=1000, deficit_scope=deficit_scope)
+        for interface_id in ("if0", "if1", "if2"):
+            scheduler.register_interface(interface_id)
+        for index, weight in enumerate((0.1, 0.3, 1 / 3, 0.7, 2.9)):
+            scheduler.add_flow(
+                make_flow(
+                    f"f{index}",
+                    weight=weight,
+                    backlog_packets=20,
+                    packet_size=100 + 37 * index,
+                )
+            )
+        counters = 0
+        for step in range(40):
+            scheduler.select(("if0", "if1", "if2")[step % 3])
+            total = sum(value for _, value in scheduler.deficit_items())
+            assert scheduler.deficit_backlog() == total
+            assert type(scheduler.deficit_backlog()) is type(total)
+            counters = max(counters, len(list(scheduler.deficit_items())))
+        assert counters >= 3
+
     @pytest.mark.parametrize(
         "knobs",
         [{}, {"flag_on": "packet"}, {"deficit_scope": "flow"}, {"exclusion": "counter"}],
@@ -191,9 +237,11 @@ class TestStateLayout:
         assert restored.snapshot_state() == snapshot
         assert list(restored.flag_items()) == list(scheduler.flag_items())
         assert list(restored.deficit_items()) == list(scheduler.deficit_items())
-        # The restored rounds hold the registered Flow objects.
-        for state in restored._states.values():
-            assert all(flow is flows[flow_id] for flow_id, flow in state.active.items())
+        # The restored slots hold the registered Flow objects.
+        for flow_id, flow in flows.items():
+            for interface_id in self.INTERFACES:
+                slot = restored._slot(flow_id, interface_id)
+                assert slot is None or slot.flow is flow
 
     def test_restore_rejects_unknown_flow_in_round(self):
         scheduler, flows = self.build()
@@ -201,6 +249,48 @@ class TestStateLayout:
         snapshot["state"]["interfaces"]["if0"]["active"].append("ghost")
         with pytest.raises(CheckpointError):
             self.restored(snapshot, flows)
+
+
+class TestRoundCompaction:
+    """Dead round entries stay bounded at an interface that never selects."""
+
+    def churn(self, scheduler, cycles):
+        """Flow ``w`` joins and drains *cycles* times, served by if0 only."""
+        w = scheduler.flows()[-1]
+        for _ in range(cycles):
+            w.offer(Packet(flow_id="w", size_bytes=1500))
+            scheduler.notify_backlogged(w)
+            while w.backlogged:
+                assert scheduler.select("if0") is not None
+
+    def build(self, scheduler_class):
+        scheduler = scheduler_class()
+        scheduler.register_interface("if0")
+        scheduler.register_interface("if1")
+        for flow_id in ("x", "y", "z"):
+            scheduler.add_flow(
+                make_flow(flow_id, interfaces=("if1",), backlog_packets=2)
+            )
+        scheduler.add_flow(make_flow("w"))
+        return scheduler
+
+    def test_unselected_interface_round_stays_bounded(self):
+        scheduler = self.build(MiDrrScheduler)
+        self.churn(scheduler, 500)
+        state = scheduler._states["if1"]
+        assert scheduler.round_size("if1") == 3
+        assert len(state.round) <= 2 * state.live + DEAD_ENTRY_SLACK + 1
+
+    @pytest.mark.parametrize("cycles", [DEAD_ENTRY_SLACK + 10, 100])
+    def test_compaction_keeps_round_order(self, cycles):
+        served = []
+        for scheduler_class in (MiDrrScheduler, ReferenceMiDrrScheduler):
+            scheduler = self.build(scheduler_class)
+            self.churn(scheduler, cycles)
+            served.append(
+                [scheduler.select("if1").flow_id for _ in range(6)]
+            )
+        assert served[0] == served[1] == ["x", "y", "z", "x", "y", "z"]
 
 
 class TestActivationContract:
@@ -294,8 +384,9 @@ class TestKickScope:
         assert interfaces["if2"].kick_calls == 0  # down
 
 
-class RescanMiDrrScheduler(MiDrrScheduler):
-    """Reference model: the pre-refactor per-decision table rescan."""
+class RescanMiDrrScheduler(ReferenceMiDrrScheduler):
+    """Reference model: the per-decision flow-table rescan, on the
+    flow-id-keyed reference layout."""
 
     def select(self, interface_id):
         state = self._states.get(interface_id)
