@@ -29,7 +29,7 @@ from ..errors import CheckpointError, ConfigurationError
 from ..net.flow import Flow
 from ..net.interface import Interface
 from ..net.packet import Packet
-from ..net.sink import DRAIN_CHUNK, StatsCollector
+from ..net.sink import DRAIN_CHUNK, SAMPLE_WIDTH, StatsCollector
 from ..schedulers.base import MultiInterfaceScheduler
 from ..sim.simulator import Simulator
 
@@ -96,12 +96,12 @@ class SchedulingEngine:
         self._probe_stride = 1
         self._probe_countdown = 1
         self.stats = stats if stats is not None else StatsCollector(sim)
-        # The sent handler records each service sample by appending its
-        # raw tuple to the collector's pending log, without a call, and
-        # drains that log into the collector's columns every
-        # DRAIN_CHUNK samples.
+        # The sent handler records each service sample by extending the
+        # collector's flat pending log by its five fields, without a
+        # Python-level call, and drains that log into the collector's
+        # columns every DRAIN_CHUNK samples.
         self._pending = self.stats.pending
-        self._log_sample = self._pending.append
+        self._log_sample = self._pending.extend
 
     @property
     def scheduler(self) -> MultiInterfaceScheduler:
@@ -204,7 +204,7 @@ class SchedulingEngine:
             # Open-loop sources (CBR, Poisson, on/off, trace) never run
             # dry, so their flows never auto-complete.
             self._sources[flow.flow_id] = source
-        flow.on_arrival(self._packet_arrived)
+        flow.on_backlogged(self._flow_backlogged)
         flow.on_drop(self._packet_dropped)
         # Fired as soon as the flow is registered — before the
         # quarantine/admission branches — so topology-tracking
@@ -437,11 +437,10 @@ class SchedulingEngine:
                 return self._decision_probe(interface)
         return self._scheduler.select(interface.interface_id)
 
-    def _packet_arrived(self, flow: Flow, packet: Packet) -> None:
-        if len(flow.queue.packets) != 1:
-            # Only the empty → backlogged transition wakes anyone; an
-            # always-backlogged flow's refills stop here.
-            return
+    def _flow_backlogged(self, flow: Flow) -> None:
+        # Only the empty → backlogged transition wakes anyone; the flow
+        # fires this listener for no other arrival, so an
+        # always-backlogged flow's refills make no call here.
         flow_id = flow.flow_id
         if flow_id not in self._flows:
             return
@@ -501,10 +500,12 @@ class SchedulingEngine:
                         listener(flow, packet, lateness)
             if not flow.queue.packets and flow.completed_at is None:
                 self._complete_if_exhausted(flow)
+        # The tuple is freed as soon as the list has copied its fields:
+        # nothing allocated here outlives the packet.
         self._log_sample(
             (now, flow_id, interface.interface_id, size, now - packet.created_at)
         )
-        if len(self._pending) >= DRAIN_CHUNK:
+        if len(self._pending) >= DRAIN_CHUNK * SAMPLE_WIDTH:
             self.stats.drain()
 
     def _packet_consumed(self, interface: Interface, packet: Packet) -> None:

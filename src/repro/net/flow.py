@@ -33,6 +33,7 @@ class Flow:
         "packets_sent",
         "completed_at",
         "_arrival_listeners",
+        "_backlogged_listeners",
         "_dequeue_listeners",
         "_drop_listeners",
         "_prefs_listeners",
@@ -94,6 +95,7 @@ class Flow:
         self.packets_sent = 0
         self.completed_at: Optional[float] = None
         self._arrival_listeners: List[Callable[["Flow", Packet], None]] = []
+        self._backlogged_listeners: List[Callable[["Flow"], None]] = []
         self._dequeue_listeners: List[Callable[["Flow", Packet], None]] = []
         self._drop_listeners: List[Callable[["Flow", Packet], None]] = []
         self._prefs_listeners: List[Callable[["Flow"], None]] = []
@@ -143,10 +145,21 @@ class Flow:
     def on_arrival(self, listener: Callable[["Flow", Packet], None]) -> None:
         """Register a callback fired on each accepted packet arrival.
 
-        The engine uses this to kick idle interfaces when a flow goes
-        from empty to backlogged.
+        The FIFO scheduler and the HTTP proxy use this to follow every
+        arrival.
         """
         self._arrival_listeners.append(listener)
+
+    def on_backlogged(self, listener: Callable[["Flow"], None]) -> None:
+        """Register a callback fired when an accepted arrival leaves the
+        backlog at exactly one packet (the flow went from empty to
+        backlogged).
+
+        The engine uses this to kick idle interfaces; a refill into a
+        non-empty backlog makes no call. These listeners run before the
+        :meth:`on_arrival` listeners.
+        """
+        self._backlogged_listeners.append(listener)
 
     def offer(self, packet: Packet) -> bool:
         """Enqueue *packet*; returns ``False`` if drop-tail discarded it.
@@ -158,11 +171,28 @@ class Flow:
         """
         if packet.deadline is None and self.deadline_budget is not None:
             packet.deadline = packet.created_at + self.deadline_budget
-        accepted = self.queue.enqueue(packet)
-        if accepted:
-            for listener in self._arrival_listeners:
-                listener(self, packet)
-        return accepted
+        queue = self.queue
+        packets = queue.packets
+        if queue.max_bytes is None:
+            # FlowQueue.enqueue()'s accept path for an unbounded queue,
+            # inlined: this runs once per packet. Change the two
+            # together.
+            if packet.flow_id != queue.flow_id:
+                raise ConfigurationError(
+                    f"packet for flow {packet.flow_id!r} enqueued on queue "
+                    f"for flow {queue.flow_id!r}"
+                )
+            packets.append(packet)
+            queue._backlog_bytes += packet.size_bytes
+            queue._enqueued_packets += 1
+        elif not queue.enqueue(packet):
+            return False
+        if len(packets) == 1:
+            for listener in self._backlogged_listeners:
+                listener(self)
+        for listener in self._arrival_listeners:
+            listener(self, packet)
+        return True
 
     def on_drop(self, listener: Callable[["Flow", Packet], None]) -> None:
         """Register a callback fired when the backlog discards a packet.

@@ -145,6 +145,8 @@ class FlowQueue:
         ``"drop-head"`` queued packets are evicted oldest-first until
         the arrival fits (an arrival larger than ``max_bytes`` by
         itself is still rejected — there is no room to make).
+        :meth:`Flow.offer <repro.net.flow.Flow.offer>` inlines the
+        unbounded accept path; change the two together.
         """
         if packet.flow_id != self.flow_id:
             raise ConfigurationError(

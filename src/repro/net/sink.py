@@ -10,13 +10,18 @@ matrix ``r_ij`` used to extract rate clusters (Figure 8/11).
 
 Log layout
 ----------
-Recording a sample appends one raw ``(time, flow_id, interface_id,
-size_bytes, delay)`` tuple to :attr:`StatsCollector.pending`; nothing
-else happens per packet. Once :data:`DRAIN_CHUNK` samples are pending
-the producer (the scheduling engine or :meth:`~StatsCollector.record`)
-calls :meth:`StatsCollector.drain`, and every read drains first. A
-query therefore sees every sample recorded before it, and the raw log
-never holds more than one chunk.
+Recording a sample extends :attr:`StatsCollector.pending` by five
+scalars, ``time, flow_id, interface_id, size_bytes, delay``, in
+:class:`ServiceSample` field order; nothing else happens per packet.
+The list holds no container per sample: floats, ints and interned id
+strings are not tracked by the cyclic garbage collector, so a sample
+waiting for the drain does not count toward a collection (see
+``docs/architecture.md``, "Nothing on the per-packet path outlives its
+packet"). Once :data:`DRAIN_CHUNK` samples are pending the producer
+(the scheduling engine or :meth:`~StatsCollector.record`) calls
+:meth:`StatsCollector.drain`, and every read drains first. A query
+therefore sees every sample recorded before it, and the raw log never
+holds more than one chunk.
 
 The drain moves a chunk into five typed ``array`` columns: time
 (``'d'``), flow code and interface code (``'I'``), size (``'q'``) and
@@ -25,12 +30,13 @@ small integer codes, and a table per column maps them back to the ids,
 which are coded in order of first appearance. A missing delay
 (``None``) is stored as NaN and counted; while that count is nonzero,
 reads map NaN back to ``None``, so a log that mixes ``None`` and NaN
-delays reads both back as ``None``. The drain is a transpose
-(``zip(*pending)``) followed by C-level ``map`` and ``array`` passes,
-with no per-sample Python loop. :attr:`StatsCollector.samples` is a
-read-only :class:`ServiceLog` view that decodes rows into
-:class:`ServiceSample` tuples on access; :meth:`ServiceLog.columns`
-reads the fields without building them.
+delays reads both back as ``None``. The drain reads each field as a
+strided slice of the flat list (``pending[k::SAMPLE_WIDTH]``) and
+converts it with C-level ``map`` and ``array`` passes, with no
+per-sample Python loop. :attr:`StatsCollector.samples` is a read-only
+:class:`ServiceLog` view that decodes rows into :class:`ServiceSample`
+tuples on access; :meth:`ServiceLog.columns` reads the fields without
+building them.
 
 Time order
 ----------
@@ -61,12 +67,13 @@ each is one pass over the rows in its window. The figures read a few
 such windows per run.
 
 Measured with ``tracemalloc`` over 100,000 samples (100 flows, 8
-interfaces, CPython 3.11), appended to ``pending`` and drained every
+interfaces, CPython 3.11), recorded into ``pending`` and drained every
 :data:`DRAIN_CHUNK` samples as the engine does, the collector retains
-36 bytes per sample, the undrained tail included and no index built
-(``test_sample_log_bytes_budget``), and 48 once the per-flow index is
-built (``test_indexed_log_bytes_budget``). One tuple per sample
-retained 136 bytes in ``pending`` and 146 once drained into
+35 bytes per sample, the undrained tail included and no index built
+(``test_sample_log_bytes_budget``), and 46 once the per-flow index is
+built (``test_indexed_log_bytes_budget``). A tuple per pending sample
+read 36 and 48: the tail held a container per sample. One tuple per
+sample retained 136 bytes in ``pending`` and 146 once drained into
 :class:`ServiceSample` tuples; a frozen-dataclass sample with per-key
 sample lists and boxed prefix sums retained 239.
 """
@@ -79,7 +86,16 @@ from collections import defaultdict
 from itertools import compress, count, filterfalse, islice, repeat
 from math import isnan, nan
 from operator import and_, eq, getitem, gt, itemgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import CheckpointError
 from ..sim.simulator import Simulator
@@ -87,6 +103,11 @@ from ..sim.simulator import Simulator
 #: Raw samples a producer lets accumulate in
 #: :attr:`StatsCollector.pending` before it drains them into the columns.
 DRAIN_CHUNK = 4096
+
+#: Scalars per sample in :attr:`StatsCollector.pending` (the
+#: :class:`ServiceSample` fields). A producer drains once the list holds
+#: ``DRAIN_CHUNK * SAMPLE_WIDTH`` items.
+SAMPLE_WIDTH = 5
 
 # ``map(_NAN_FOR_NONE, delays, delays)`` stores a missing delay as NaN.
 _NAN_FOR_NONE = {None: nan}.get
@@ -107,7 +128,7 @@ class ServiceSample(NamedTuple):
     delay: Optional[float] = None
 
 
-def _intern(table: Dict[str, int], names: List[str], ids: Tuple[str, ...]) -> array:
+def _intern(table: Dict[str, int], names: List[str], ids: Sequence[str]) -> array:
     """Codes of *ids*, giving each id not yet in *table* the next code.
 
     The passes are C-level, so coding a new id costs no Python call.
@@ -212,13 +233,12 @@ class StatsCollector:
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        # Producers append raw ``(time, flow_id, interface_id,
-        # size_bytes, delay)`` tuples (timestamp captured at record
-        # time) and drain them every DRAIN_CHUNK samples; every read
-        # drains them first. The list is never rebound (drains and
-        # restores empty it in place), so the engine's sent handler
-        # holds its ``append``.
-        self.pending: List[tuple] = []
+        # Producers extend this flat list by the five fields of each
+        # sample (timestamp captured at record time) and drain it every
+        # DRAIN_CHUNK samples; every read drains it first. The list is
+        # never rebound (drains and restores empty it in place), so the
+        # engine's sent handler holds its ``extend``.
+        self.pending: List[object] = []
         self._drops_by_flow: Dict[str, int] = defaultdict(int)
         self._drop_bytes_by_flow: Dict[str, int] = defaultdict(int)
         self._log = ServiceLog(self)
@@ -259,8 +279,8 @@ class StatsCollector:
         the simulator clock. *size_bytes* must be an integer.
         """
         pending = self.pending
-        pending.append((self._sim.now, flow_id, interface_id, size_bytes, delay))
-        if len(pending) >= DRAIN_CHUNK:
+        pending.extend((self._sim.now, flow_id, interface_id, size_bytes, delay))
+        if len(pending) >= DRAIN_CHUNK * SAMPLE_WIDTH:
             self.drain()
 
     def drain(self) -> None:
@@ -272,17 +292,23 @@ class StatsCollector:
         pending = self.pending
         if pending:
             try:
-                self._ingest(pending)
+                self._ingest(
+                    pending[0::SAMPLE_WIDTH],
+                    pending[1::SAMPLE_WIDTH],
+                    pending[2::SAMPLE_WIDTH],
+                    pending[3::SAMPLE_WIDTH],
+                    pending[4::SAMPLE_WIDTH],
+                )
             finally:
                 pending.clear()
 
-    def _ingest(self, records) -> None:
-        """Append raw sample records (tuples or lists) to the columns.
+    def _ingest(self, times, flow_ids, interface_ids, sizes, delays) -> None:
+        """Append samples, given as five equal-length field sequences in
+        :class:`ServiceSample` field order, to the columns.
 
         The columns that can reject a value are converted before any
-        column grows, so a bad record leaves the log as it was.
+        column grows, so a bad sample leaves the log as it was.
         """
-        times, flow_ids, interface_ids, sizes, delays = zip(*records)
         times = array("d", times)
         sizes = array("q", sizes)
         try:
@@ -393,7 +419,7 @@ class StatsCollector:
         self._drop_bytes_by_flow = defaultdict(int, state["drop_bytes_by_flow"])
         self.pending.clear()
         if samples:
-            self._ingest(samples)
+            self._ingest(*zip(*samples))
 
     # ------------------------------------------------------------------
     # Aggregates

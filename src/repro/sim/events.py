@@ -13,8 +13,16 @@ event)`` tuples rather than the events themselves: ``heapq`` compares
 tuples in C, and because ``seq`` is unique a comparison never reaches
 the :class:`Event` (which defines no ordering of its own); ordering
 events through a Python ``__lt__`` would cost ~5 interpreted calls per
-packet. ``pop_ready`` fuses the peek/pop pair the simulator loop needs
-into a single scan over cancelled heads.
+packet. :meth:`EventQueue.push` builds its :class:`Event` without an
+``__init__`` frame. :meth:`Simulator.run
+<repro.sim.simulator.Simulator.run>` pops the heap entries itself and
+calls ``event.callback(*event.args)``, so neither
+:meth:`EventQueue.pop_ready` nor :meth:`Event.fire` runs per event;
+:meth:`Simulator.step <repro.sim.simulator.Simulator.step>` and direct
+queue users keep them.
+The heap list is never rebound (:meth:`EventQueue.compact` and
+:meth:`EventQueue.restore` rebuild it in place), so the run loop holds
+it across callbacks that compact or restore the queue.
 
 Cancelled events are *lazily* discarded when they surface during a pop
 or peek; ``cancel`` additionally counts live cancellations and compacts
@@ -38,6 +46,9 @@ from ..errors import SimulationError
 
 #: Default event priority. Lower numbers fire first at equal timestamps.
 DEFAULT_PRIORITY = 0
+
+# ``_new_object(Event)`` allocates an event without running __init__.
+_new_object = object.__new__
 
 #: Compaction threshold: rebuild the heap when it holds more than
 #: this many queue-cancelled events *and* they outnumber the live ones.
@@ -65,6 +76,7 @@ class Event:
         args: tuple = (),
         cancelled: bool = False,
     ) -> None:
+        # EventQueue.push() inlines this body; change the two together.
         self.time = time
         self.priority = priority
         self.seq = seq
@@ -103,6 +115,7 @@ class EventQueue:
     __slots__ = ("_heap", "_seq", "_cancelled_count", "compactions_total")
 
     def __init__(self) -> None:
+        # Bound once and never rebound: the simulator's run loop holds it.
         self._heap: List[_Entry] = []
         self._seq = 0
         # Live queue-cancelled events still in the heap. Direct
@@ -128,7 +141,17 @@ class EventQueue:
         """Schedule *callback* at absolute *time* and return the event."""
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args)
+        # Event.__init__ inlined: this runs once per scheduled callback,
+        # and a slot store costs less than a Python frame. Change the
+        # two together.
+        event = _new_object(Event)
+        event.time = time
+        event.priority = priority
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.qcancelled = False
         heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
@@ -161,12 +184,13 @@ class EventQueue:
     def compact(self) -> int:
         """Drop every cancelled event and re-heapify; returns the count
         of events removed. Called automatically by :meth:`cancel`."""
-        before = len(self._heap)
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
         self._cancelled_count = 0
         self.compactions_total += 1
-        return before - len(self._heap)
+        return before - len(heap)
 
     def _discard_head(self) -> None:
         """Drop the (cancelled) head, maintaining the live-dead count."""
@@ -205,9 +229,10 @@ class EventQueue:
         """Pop the next live event with ``time <= until`` in one scan.
 
         Returns ``None`` when the queue is empty or the next live event
-        lies beyond *until* (the event is left in place). This is the
-        simulator main-loop primitive: the peek/pop pair as one pass
-        over any cancelled heads.
+        lies beyond *until* (the event is left in place): the peek/pop
+        pair as one pass over any cancelled heads. :meth:`Simulator.step
+        <repro.sim.simulator.Simulator.step>` uses it; ``Simulator.run``
+        inlines the same scan. Change the two together.
         """
         heap = self._heap
         while heap:
@@ -257,9 +282,8 @@ class EventQueue:
         the restored queue fires — and breaks future ties — exactly
         like the snapshotted one.
         """
-        self._heap = [
-            (event.time, event.priority, event.seq, event) for event in events
-        ]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [(event.time, event.priority, event.seq, event) for event in events]
+        heapq.heapify(heap)
         self._seq = next_seq
         self._cancelled_count = 0

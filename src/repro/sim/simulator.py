@@ -17,12 +17,19 @@ Design notes
   engine's sent handler, the bulk refill) reads ``_now`` directly to
   skip a Python-level property call per read; nothing outside this
   class writes it.
+* :meth:`Simulator.run` pops the queue's ``(time, priority, seq,
+  event)`` heap entries itself and calls ``event.callback(*event.args)``:
+  an event costs its callback's frame and nothing else.
+  :meth:`Simulator.step` keeps the :meth:`EventQueue.pop_ready
+  <repro.sim.events.EventQueue.pop_ready>` / :meth:`Event.fire
+  <repro.sim.events.Event.fire>` pair.
 * The simulator is deliberately single-threaded. Determinism — given a
   seed — is a core requirement for reproducing the paper's experiments.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -169,19 +176,28 @@ class Simulator:
         self._stopped = False
         dispatched = 0
         # The dispatch loop is the hottest code in the repository: one
-        # iteration per simulated event. pop_ready() folds the old
-        # peek/pop pair (each of which re-scanned cancelled heads) into
-        # a single heap access, and the queue/counter lookups are bound
-        # to locals outside the loop.
-        pop_ready = self._queue.pop_ready
+        # iteration per simulated event. It runs EventQueue.pop_ready()'s
+        # scan and Event.fire()'s call inline, so an event costs no
+        # Python frame beyond its callback's; change the three together.
+        # The heap list is never rebound, so it is bound once here even
+        # though a callback may compact or restore the queue.
+        queue = self._queue
+        heap = queue._heap
+        heappop = heapq.heappop
         try:
-            while not self._stopped:
-                event = pop_ready(until)
-                if event is None:
+            while heap and not self._stopped:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
+                    queue._discard_head()
+                    continue
+                time = entry[0]
+                if until is not None and time > until:
                     break
-                self._now = event.time
+                heappop(heap)
+                self._now = time
                 self._events_processed += 1
-                event.fire()
+                event.callback(*event.args)
                 dispatched += 1
                 if max_events is not None and dispatched > max_events:
                     raise SimulationError(

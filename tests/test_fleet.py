@@ -43,7 +43,7 @@ from repro.fleet import (
     write_shard_jsonl,
 )
 from repro.fleet import device as fleet_device
-from repro.net.sink import DRAIN_CHUNK, ServiceSample, StatsCollector
+from repro.net.sink import DRAIN_CHUNK, SAMPLE_WIDTH, ServiceSample, StatsCollector
 from repro.obs import (
     SNAPSHOT_SCHEMA_VERSION,
     MetricsRegistry,
@@ -197,7 +197,7 @@ class TestTraceFingerprint:
         # whether read as samples or as column rows.
         stats = StatsCollector(Simulator())
         for row in range(rows):
-            stats.pending.append(
+            stats.pending.extend(
                 (
                     row * 1e-4,
                     f"f{row % 7}",
@@ -206,7 +206,7 @@ class TestTraceFingerprint:
                     None if row % 5 == 0 else row * 1e-6,
                 )
             )
-            if len(stats.pending) >= DRAIN_CHUNK:
+            if len(stats.pending) >= DRAIN_CHUNK * SAMPLE_WIDTH:
                 stats.drain()
         assert len(stats.samples) == rows
         expected = reference_fingerprint(list(stats.samples))

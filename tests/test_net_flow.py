@@ -125,6 +125,39 @@ class TestBacklogAndListeners:
         assert not flow.offer(pkt(size=100))
         assert seen == []
 
+    @pytest.mark.parametrize("max_queue_bytes", [None, 1000])
+    def test_backlogged_listener_fires_on_empty_to_backlogged(self, max_queue_bytes):
+        # The unbounded queue takes Flow.offer's inlined accept path,
+        # the bounded one FlowQueue.enqueue: both wake on the first
+        # packet only, ahead of the arrival listeners, and a rejected
+        # arrival wakes nobody.
+        flow = Flow("f", max_queue_bytes=max_queue_bytes)
+        calls = []
+        flow.on_backlogged(lambda f: calls.append(("backlogged", len(f.queue))))
+        flow.on_arrival(lambda f, p: calls.append(("arrival", len(f.queue))))
+        flow.offer(pkt())
+        flow.offer(pkt())
+        assert calls == [("backlogged", 1), ("arrival", 1), ("arrival", 2)]
+        flow.pull()
+        flow.pull()
+        calls.clear()
+        flow.offer(pkt())
+        assert calls == [("backlogged", 1), ("arrival", 1)]
+        assert flow.queue.enqueued_packets == 3
+        assert flow.backlog_bytes == 100
+        if max_queue_bytes is not None:
+            calls.clear()
+            flow.pull()
+            assert not flow.offer(pkt(size=max_queue_bytes + 1))
+            assert calls == []
+            assert not flow.backlogged
+
+    def test_offer_rejects_a_packet_of_another_flow(self):
+        flow = Flow("f")
+        with pytest.raises(ConfigurationError, match="enqueued on queue"):
+            flow.offer(pkt(flow="g"))
+        assert not flow.backlogged
+
     def test_pull_fires_dequeue_listener(self):
         flow = Flow("f")
         seen = []

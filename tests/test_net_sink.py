@@ -350,10 +350,10 @@ _RECORD = st.tuples(
     st.sampled_from(_INTERFACES),
     st.sampled_from([0, 1, 40, 1500]),
     st.one_of(st.none(), st.sampled_from([0.0, 0.125, 0.5, 3.0])),
-    # Producer: record(), or the engine's way — a raw tuple through the
-    # ``pending.append`` held since the collector was built, drained
-    # once a chunk is pending.
-    st.sampled_from(["record", "append"]),
+    # Producer: record(), or the engine's way — the sample's five fields
+    # through the ``pending.extend`` held since the collector was built,
+    # drained once a chunk is pending.
+    st.sampled_from(["record", "extend"]),
     # Read the collector after this record, or not (None). Log-only
     # reads drain the pending log mid-stream; windowed reads also bring
     # the per-flow index up to date, so later records land on a partly
@@ -533,17 +533,18 @@ class TestCollectorMatchesBruteForce:
     def _check_stream(self, stream, windows, bin_width):
         clock = _Clock()
         stats = StatsCollector(clock)
-        append = stats.pending.append
+        extend = stats.pending.extend
+        limit = sink.DRAIN_CHUNK * sink.SAMPLE_WIDTH
         records = []
         for step, flow_id, interface_id, size, delay, producer, read in stream:
             clock.now += step
             if producer == "record":
                 stats.record(flow_id, interface_id, size, delay=delay)
             else:
-                append((clock.now, flow_id, interface_id, size, delay))
-                if len(stats.pending) >= sink.DRAIN_CHUNK:
+                extend((clock.now, flow_id, interface_id, size, delay))
+                if len(stats.pending) >= limit:
                     stats.drain()
-            assert len(stats.pending) < sink.DRAIN_CHUNK
+            assert len(stats.pending) < limit
             records.append((clock.now, flow_id, interface_id, size, delay))
             if read is not None:
                 assert _interleaved_read(

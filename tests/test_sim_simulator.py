@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 
 
@@ -145,3 +146,38 @@ class TestCancellation:
         assert sim.pending_events < 500
         sim.run()
         assert sim.events_processed == 1
+
+    def test_compaction_inside_a_callback(self, sim):
+        # A callback whose cancellations compact the heap mid-run: the
+        # run loop keeps dispatching the live events, in order.
+        fired = []
+        doomed = [sim.schedule(2.0 + i, fired.append, i) for i in range(100)]
+
+        def cancel_all():
+            fired.append("cancel")
+            for event in doomed:
+                sim.cancel(event)
+
+        sim.schedule(1.0, cancel_all)
+        sim.schedule(50.5, fired.append, "kept")
+        sim.schedule(200.0, fired.append, "last")
+        sim.run()
+        assert fired == ["cancel", "kept", "last"]
+        assert sim.queue.compactions_total == 1
+        assert sim.events_processed == 3
+
+    def test_queue_restore_inside_a_callback(self, sim):
+        # Restoring the queue from a callback replaces what the run
+        # loop dispatches next.
+        fired = []
+        replacement = Event(3.0, 0, 7, fired.append, ("restored",))
+
+        def restore():
+            fired.append("restore")
+            sim.queue.restore([replacement], next_seq=8)
+
+        sim.schedule(1.0, restore)
+        sim.schedule(2.0, fired.append, "dropped")
+        sim.run()
+        assert fired == ["restore", "restored"]
+        assert sim.queue.next_seq == 8
