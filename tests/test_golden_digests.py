@@ -4,8 +4,8 @@ Each test runs one workload and compares a SHA-256 digest of what it
 decided against a literal. The literals pin the per-interface decision
 streams (observed through the engine's decision probe, the tap the
 figure traces use), the service samples and counters, the latency-SLO
-report hash, a crash-equivalence decision trace and the simulated part
-of a fleet report. A change that alters any tie-break — event order,
+report hash, a crash-equivalence decision trace, the simulated part
+of a fleet report and the fairness auditor's state over chaos runs. A change that alters any tie-break — event order,
 interface registration order, the DRR turn — moves a digest; a
 refactor that claims "same behaviour" must leave every one of them
 unchanged.
@@ -26,6 +26,7 @@ from repro.core.engine import SchedulingEngine
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from repro.experiments import fig1, fig6, fig10
+from repro.faults.chaos import ChaosRun
 from repro.faults.crashes import run_crash_equivalence
 from repro.fleet import run_fleet
 from repro.fleet.coordinator import REPORT_HASH_FIELDS
@@ -327,6 +328,26 @@ class TestServiceWindowDigests:
         canonical = json.dumps(value, sort_keys=True)
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
             "2d35781404fdd7643783308e7e476a793c9a9351776bcf29f1c83490449d6158"
+        )
+
+
+class TestAuditorDigests:
+    """Everything the fairness auditor tracked and concluded over three
+    chaos runs: ticks, audits, drift, alerts, the quiescence clock, the
+    masked set and the solver instance with its counters. The read
+    cursor is left out: it counts journal entries, not conclusions."""
+
+    def test_chaos_auditor_state(self):
+        states = []
+        for seed in (0, 1, 2):
+            run = ChaosRun(seed, 30.0, with_auditor=True)
+            run.run()
+            state = run.auditor.snapshot_state()
+            state.pop("cursor", None)
+            states.append(state)
+        canonical = json.dumps(states, sort_keys=True)
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
+            "8ed5eb034c807847b7fd80fab9eae3c4a8555b16aeed548aa1cdb00ba9432a6b"
         )
 
 
