@@ -71,7 +71,6 @@ class SchedulingEngine:
         self._deadline_listeners: List[
             Callable[[Flow, Packet, float], None]
         ] = []
-        self._admission_listeners: List[Callable[[object], None]] = []
         # Willing-interface index: flow_id -> ((prefs_version,
         # topology_version), willing Interface objects in registration
         # order). Mirrors the scheduler-side index so every hot kick /
@@ -84,9 +83,17 @@ class SchedulingEngine:
         ] = {}
         self._completion_listeners: List[Callable[[Flow], None]] = []
         self._quarantine_listeners: List[Callable[[Flow, bool], None]] = []
-        self._flow_added_listeners: List[Callable[[Flow], None]] = []
-        self._flow_removed_listeners: List[Callable[[Flow], None]] = []
-        self._prefs_changed_listeners: List[Callable[[Flow], None]] = []
+        #: The regime journal: append-only, time-ordered
+        #: ``(time, kind, subject, value)`` entries, in JSON-native
+        #: values, written at each chokepoint that can edit the weighted
+        #: max-min instance. Kinds: ``"capacity"`` (interface rate while
+        #: up, 0 while down), ``"flow"`` (``(weight, sorted Π row or
+        #: None, shed)``) and ``"remove"``. Quarantine is no kind of its
+        #: own: the fluid model already sees it as zero capacity.
+        #: Readers (the fairness auditor) keep a cursor into it and diff
+        #: each entry against what they hold, so one that changes
+        #: nothing (a rate step while down) is harmless.
+        self.regimes: List[Tuple[float, str, str, object]] = []
         # Optional select() wrapper installed by the telemetry layer
         # (decision-latency sampling). None keeps the supply path at a
         # single attribute check, so uninstrumented runs pay nothing.
@@ -179,6 +186,8 @@ class SchedulingEngine:
         interface.on_sent(self._packet_sent)
         interface.on_consumed(self._packet_consumed)
         interface.on_state_change(self._interface_state_changed)
+        interface.on_rate_change(self._journal_capacity)
+        self._journal_capacity(interface)
         # Capacity-aware schedulers (EDF admission control, QAware
         # steering) read live interface rates through this optional
         # hook; schedulers without it stay capacity-blind.
@@ -206,12 +215,10 @@ class SchedulingEngine:
             self._sources[flow.flow_id] = source
         flow.on_backlogged(self._flow_backlogged)
         flow.on_drop(self._packet_dropped)
-        # Fired as soon as the flow is registered — before the
-        # quarantine/admission branches — so topology-tracking
-        # listeners (the fairness auditor) see every flow the engine
-        # knows about, including ones parked at rate 0.
-        for listener in self._flow_added_listeners:
-            listener(flow)
+        # Journaled before the quarantine/admission branches: the fluid
+        # instance holds every flow the engine knows about, parked ones
+        # at rate 0 included.
+        self._journal_flow(flow)
         willing = self._willing_interfaces(flow)
         if willing and not any(interface.up for interface in willing):
             # The whole Π-set is dark right now: park the flow instead
@@ -221,13 +228,12 @@ class SchedulingEngine:
         review = getattr(self._scheduler, "review_admission", None)
         if review is not None:
             verdict = review(flow)
-            for listener in self._admission_listeners:
-                listener(verdict)
             for shed_id in getattr(verdict, "shed", ()):
                 self._apply_shed(shed_id)
             if not verdict.admitted:
                 self._shed[flow.flow_id] = flow
                 self.admission_rejected_total += 1
+                self._journal_flow(flow)
                 return
         self._scheduler.add_flow(flow)
         if flow.backlogged:
@@ -244,8 +250,7 @@ class SchedulingEngine:
         if flow is not None and not was_shed:
             self._scheduler.remove_flow(flow_id)
         if flow is not None:
-            for listener in self._flow_removed_listeners:
-                listener(flow)
+            self.regimes.append((self._sim.now, "remove", flow_id, None))
 
     def on_flow_completed(self, listener: Callable[[Flow], None]) -> None:
         """Register a callback fired when a flow's transfer finishes."""
@@ -259,32 +264,6 @@ class SchedulingEngine:
         """
         self._quarantine_listeners.append(listener)
 
-    def on_flow_added(self, listener: Callable[[Flow], None]) -> None:
-        """Register a callback fired when a flow registers with the engine.
-
-        Fires for every :meth:`add_flow`, including flows that go
-        straight into quarantine or are rejected by admission control.
-        """
-        self._flow_added_listeners.append(listener)
-
-    def on_flow_removed(self, listener: Callable[[Flow], None]) -> None:
-        """Register a callback fired when a flow deregisters.
-
-        Fires for every :meth:`remove_flow` of a known flow, whatever
-        its state (active, quarantined, or shed).
-        """
-        self._flow_removed_listeners.append(listener)
-
-    def on_preferences_changed(self, listener: Callable[[Flow], None]) -> None:
-        """Register a callback fired by :meth:`notify_preferences_changed`.
-
-        This is the one chokepoint live φ/Π edits are required to pass
-        through (weight writes on :class:`~repro.net.flow.Flow` have no
-        listener of their own), so fairness-tracking observers hook it
-        to stay current.
-        """
-        self._prefs_changed_listeners.append(listener)
-
     def on_deadline_miss(
         self, listener: Callable[[Flow, Packet, float], None]
     ) -> None:
@@ -296,15 +275,6 @@ class SchedulingEngine:
         sketch from here.
         """
         self._deadline_listeners.append(listener)
-
-    def on_admission_verdict(self, listener: Callable[[object], None]) -> None:
-        """Register ``listener(verdict)`` for admission-control events.
-
-        Fired once per :meth:`add_flow` reviewed by a scheduler exposing
-        ``review_admission`` — whether the flow was admitted, rejected,
-        or its arrival forced existing flows to be shed.
-        """
-        self._admission_listeners.append(listener)
 
     def _apply_shed(self, flow_id: str) -> None:
         """Evict an admitted flow on the scheduler's shed verdict."""
@@ -320,6 +290,18 @@ class SchedulingEngine:
             self._scheduler.remove_flow(flow_id)
         self._shed[flow_id] = flow
         self.admission_shed_total += 1
+        self._journal_flow(flow)
+
+    def _journal_flow(self, flow: Flow) -> None:
+        row = flow.allowed_interfaces
+        row = sorted(row) if row is not None else None
+        value = (flow.weight, row, flow.flow_id in self._shed)
+        self.regimes.append((self._sim.now, "flow", flow.flow_id, value))
+
+    def _journal_capacity(self, interface: Interface, *_: object) -> None:
+        capacity = interface.rate_bps if interface.up else 0.0
+        entry = (self._sim.now, "capacity", interface.interface_id, capacity)
+        self.regimes.append(entry)
 
     # ------------------------------------------------------------------
     # Graceful degradation under interface churn
@@ -366,6 +348,9 @@ class SchedulingEngine:
     def notify_preferences_changed(self, flow_id: str) -> None:
         """Re-evaluate a flow after a live Π/φ edit (preference churn).
 
+        Every φ/Π edit of a registered flow must pass through here: a
+        write to :class:`~repro.net.flow.Flow` has no listener of its
+        own, and this is where the edit enters the regime journal.
         Quarantines the flow if its new Π-set is entirely down, resumes
         it if the edit re-opened a path, and otherwise wakes the
         interfaces that just became usable.
@@ -373,8 +358,7 @@ class SchedulingEngine:
         flow = self._flows.get(flow_id)
         if flow is None:
             return
-        for listener in self._prefs_changed_listeners:
-            listener(flow)
+        self._journal_flow(flow)
         if flow_id in self._shed:
             return
         alive = self._any_willing_interface_up(flow)
@@ -389,6 +373,7 @@ class SchedulingEngine:
         self._kick_willing(flow)
 
     def _interface_state_changed(self, interface: Interface, is_up: bool) -> None:
+        self._journal_capacity(interface)
         if is_up:
             for flow in list(self._quarantined.values()):
                 if flow.willing_to_use(interface.interface_id):
@@ -546,7 +531,8 @@ class SchedulingEngine:
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Engine membership, quarantine, scheduler and stats state.
+        """Engine membership, quarantine, scheduler and stats state, and
+        the regime journal.
 
         Flows appear as ids only; their own mutable state is
         snapshotted per flow by the checkpoint layer. Interfaces are
@@ -568,6 +554,7 @@ class SchedulingEngine:
             },
             "scheduler": self._scheduler.snapshot_state(),
             "stats": self.stats.snapshot_state(),
+            "regimes": list(self.regimes),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -607,6 +594,7 @@ class SchedulingEngine:
         self.deadline_packets_total = deadline.get("packets_total", 0)
         self.deadline_misses_total = deadline.get("misses_total", 0)
         self.deadline_misses_by_flow = dict(deadline.get("misses_by_flow", {}))
+        self.regimes = [tuple(entry) for entry in state["regimes"]]
         self._willing_cache.clear()
         self._scheduler.restore_state(state["scheduler"], restored)
         self.stats.restore_state(state["stats"])

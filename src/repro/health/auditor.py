@@ -1,13 +1,16 @@
 """Inline fairness-drift auditor: live fluid optimum vs measured rates.
 
 The :class:`FairnessAuditor` keeps an exact weighted max-min reference
-allocation *alive* alongside a running engine. It subscribes to the
-engine's topology and preference events — flow add/remove, φ/Π churn
-through :meth:`~repro.core.engine.SchedulingEngine
-.notify_preferences_changed`, interface up/down transitions and
-capacity steps — and feeds each as a delta into an
-:class:`~repro.fairness.incremental.IncrementalMaxMinSolver`, which
-solves the fluid optimum only when something reads it. On a periodic
+allocation *alive* alongside a running engine. The engine records every
+edit of that instance once, in its regime journal
+(:attr:`~repro.core.engine.SchedulingEngine.regimes`): flow add/remove,
+admission shedding, interface capacity steps and up/down transitions,
+and φ/Π edits, which must pass through
+:meth:`~repro.core.engine.SchedulingEngine.notify_preferences_changed`.
+The auditor replays the journal from a cursor, at each tick and on each
+read of :attr:`FairnessAuditor.solver`, feeding every entry as a delta
+into an :class:`~repro.fairness.incremental.IncrementalMaxMinSolver`,
+which solves the fluid optimum only when something reads it. On a periodic
 stride it then compares each flow's *measured* service rate (from the
 engine's :class:`~repro.net.sink.StatsCollector` over a trailing window)
 against its fluid-optimal rate and raises a structured
@@ -29,23 +32,22 @@ where the relative ``margin`` term absorbs convergence transients and
 WRR-style cross-traffic jitter. Anything beyond it is *drift*: the
 packetized scheduler is no longer tracking the max-min allocation.
 
-The auditor is strictly read-only with respect to scheduling: its
-callbacks only edit the solver's instance and its tick is an ordinary
-priority-0 periodic event, so enabling it cannot change a run's
-packet-level decisions (chaos report hashes stay byte-identical).
+The auditor is strictly read-only with respect to scheduling: it
+registers no listener, only reads the journal and edits its own solver,
+and its tick is an ordinary priority-0 periodic event, so enabling it
+cannot change a run's packet-level decisions (chaos report hashes stay
+byte-identical).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, List, Optional, Set
 
 from ..core.engine import SchedulingEngine
 from ..errors import WatchdogError
 from ..fairness.incremental import IncrementalMaxMinSolver
 from ..fairness.metrics import service_lag_bound
 from ..fairness.waterfill import _as_fraction
-from ..net.flow import Flow
-from ..net.interface import Interface
 from ..schedulers.drr import DEFAULT_QUANTUM
 from ..sim.process import PeriodicProcess
 from ..sim.simulator import Simulator
@@ -61,10 +63,16 @@ DEFAULT_MAX_PACKET = 1500
 class FairnessAuditor:
     """Tracks the live fluid optimum and alerts on fairness drift.
 
+    The instance is whatever the engine's regime journal says up to the
+    auditor's cursor: construction replays the journal from its start,
+    and each tick (and each read of :attr:`solver`) applies the entries
+    appended since. An entry that changes the instance restarts the
+    quiescence clock at the entry's own time.
+
     Parameters
     ----------
     period:
-        Tick stride in seconds (reconciliation + drift audit).
+        Tick stride in seconds (journal catch-up + drift audit).
     window:
         Trailing measurement window in seconds; defaults to
         ``4 × period``. The audit is skipped while any topology or
@@ -137,15 +145,12 @@ class FairnessAuditor:
         # instance — admission-shed, or willing to use no registered
         # interface. Their expected rate is exactly 0.
         self._masked: Set[str] = set()
+        self._solver = IncrementalMaxMinSolver()
+        self._cursor = 0
+        self._catch_up()
+        # Replaying the journal's past is setup, not live churn.
+        self._solver.deltas_total = 0
         self._last_change_at = sim.now
-
-        self.solver = IncrementalMaxMinSolver()
-        self._bootstrap()
-        engine.on_flow_added(self._flow_added)
-        engine.on_flow_removed(self._flow_removed)
-        engine.on_preferences_changed(self._prefs_changed)
-        for interface in engine.interfaces.values():
-            self._watch_interface(interface)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -178,128 +183,84 @@ class FairnessAuditor:
         self._listeners.append(listener)
 
     # ------------------------------------------------------------------
-    # Topology tracking (event-driven, reconciled every tick)
+    # Regime journal
     # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        """Load the engine's current instance into the solver."""
-        for interface in self._engine.interfaces.values():
-            self.solver.set_capacity(
-                interface.interface_id, self._capacity_of(interface)
-            )
-        for flow in self._engine.flows.values():
-            self._sync_flow(flow)
-        # Bootstrap deltas are setup, not live churn.
-        self.solver.deltas_total = 0
+    @property
+    def solver(self) -> IncrementalMaxMinSolver:
+        """The live fluid instance, caught up with the engine's journal."""
+        self._catch_up()
+        return self._solver
 
-    def _watch_interface(self, interface: Interface) -> None:
-        interface.on_state_change(self._interface_state_changed)
-        interface.on_rate_change(self._interface_rate_changed)
+    def _catch_up(self) -> None:
+        """Apply the journal entries appended since the last call."""
+        regimes = self._engine.regimes
+        while self._cursor < len(regimes):
+            time, kind, subject, value = regimes[self._cursor]
+            self._cursor += 1
+            if self._apply(kind, subject, value):
+                self._last_change_at = time
 
-    @staticmethod
-    def _capacity_of(interface: Interface) -> float:
-        """The interface's capacity as the fluid model sees it."""
-        return interface.rate_bps if interface.up else 0.0
-
-    def _note_change(self) -> None:
-        self._last_change_at = self._sim.now
-
-    def _flow_added(self, flow: Flow) -> None:
-        self._sync_flow(flow)
-
-    def _flow_removed(self, flow: Flow) -> None:
-        if self.solver.has_flow(flow.flow_id):
-            self.solver.remove_flow(flow.flow_id)
-            self._note_change()
-        if flow.flow_id in self._masked:
-            self._masked.discard(flow.flow_id)
-            self._note_change()
-        self._deduper.clear(ALERT_FAIRNESS_DRIFT, flow.flow_id)
-
-    def _prefs_changed(self, flow: Flow) -> None:
-        self._sync_flow(flow)
-
-    def _interface_state_changed(self, interface: Interface, is_up: bool) -> None:
-        self._sync_interface(interface)
-
-    def _interface_rate_changed(self, interface: Interface, rate: float) -> None:
-        self._sync_interface(interface)
-
-    def _sync_interface(self, interface: Interface) -> None:
-        capacity = _as_fraction(self._capacity_of(interface))
-        if (
-            self.solver.has_interface(interface.interface_id)
-            and self.solver.capacity(interface.interface_id) == capacity
-        ):
-            return
-        self.solver.set_capacity(interface.interface_id, capacity)
-        self._note_change()
-
-    def _sync_flow(self, flow: Flow) -> None:
-        """Mirror one engine flow into the solver (or mask it)."""
-        flow_id = flow.flow_id
-        row = flow.allowed_interfaces
-        # Judge servability against the *solver's* interface set: it can
-        # briefly lag the engine's (interfaces registered after attach
-        # surface at the next reconcile tick), and the solver rejects
-        # rows it cannot resolve.
-        known = set(self.solver.interface_ids)
-        servable = bool(known) and (row is None or bool(row & known))
-        shed = flow_id in self._engine.shed_flows
-        if shed or not servable:
-            if self.solver.has_flow(flow_id):
-                self.solver.remove_flow(flow_id)
-                self._note_change()
-            if flow_id not in self._masked:
-                self._masked.add(flow_id)
-                self._note_change()
-            return
-        if flow_id in self._masked:
-            self._masked.discard(flow_id)
-            self._note_change()
-        if not self.solver.has_flow(flow_id):
-            self.solver.add_flow(flow_id, flow.weight, row)
-            self._note_change()
-            return
-        if self.solver.weight_of(flow_id) != _as_fraction(flow.weight):
-            self.solver.set_weight(flow_id, flow.weight)
-            self._note_change()
-        if self.solver.row_of(flow_id) != row:
-            self.solver.restrict_flow(flow_id, row)
-            self._note_change()
-
-    def _reconcile(self) -> None:
-        """Safety net for edits that bypass the event hooks.
-
-        Direct ``flow.weight`` writes without
-        ``notify_preferences_changed``, interfaces registered after
-        attach, and admission shedding all surface here at the latest.
-        """
-        engine_flows = self._engine.flows
-        for interface in self._engine.interfaces.values():
-            if not self.solver.has_interface(interface.interface_id):
-                self._watch_interface(interface)
-            self._sync_interface(interface)
-        for flow in engine_flows.values():
-            self._sync_flow(flow)
-        for flow_id in list(self.solver.flow_ids):
-            if flow_id not in engine_flows:
-                self.solver.remove_flow(flow_id)
-                self._note_change()
-        self._masked &= set(engine_flows)
+    def _apply(self, kind: str, subject: str, value: Any) -> bool:
+        """Edit the solver by one journal entry; ``True`` if it changed."""
+        solver = self._solver
+        if kind == "capacity":
+            capacity = _as_fraction(value)
+            new = not solver.has_interface(subject)
+            if not new and solver.capacity(subject) == capacity:
+                return False
+            solver.set_capacity(subject, capacity)
+            if new and self._masked:
+                # A new interface may make masked flows servable: replay
+                # each one's latest entry.
+                past = self._engine.regimes[: self._cursor]
+                latest = {name: flow for _, k, name, flow in past if k == "flow"}
+                for flow_id in sorted(self._masked):
+                    self._apply("flow", flow_id, latest[flow_id])
+            return True
+        # A masked flow is never in the solver, and vice versa.
+        was_masked = subject in self._masked
+        self._masked.discard(subject)
+        in_solver = solver.has_flow(subject)
+        if kind == "remove":
+            if in_solver:
+                solver.remove_flow(subject)
+            self._deduper.clear(ALERT_FAIRNESS_DRIFT, subject)
+            return was_masked or in_solver
+        weight, row, shed = value
+        row = frozenset(row) if row is not None else None
+        # Servability is judged against the solver's interface set,
+        # which rejects rows it cannot resolve.
+        known = set(solver.interface_ids)
+        if shed or not known or (row is not None and not row & known):
+            self._masked.add(subject)
+            if in_solver:
+                solver.remove_flow(subject)
+            return in_solver or not was_masked
+        if not in_solver:
+            solver.add_flow(subject, weight, row)
+            return True
+        changed = False
+        if solver.weight_of(subject) != _as_fraction(weight):
+            solver.set_weight(subject, weight)
+            changed = True
+        if solver.row_of(subject) != row:
+            solver.restrict_flow(subject, row)
+            changed = True
+        return changed
 
     # ------------------------------------------------------------------
     # Drift audit
     # ------------------------------------------------------------------
     def _tick(self, now: float) -> None:
         self.ticks += 1
-        self._reconcile()
+        self._catch_up()
         if now < self._window or now - self._last_change_at < self._window:
             # The window straddles a topology/preference change (or the
             # start of time): the fluid optimum was not in force for the
             # whole window, so a comparison would be noise.
             return
         self.audits_total += 1
-        allocation = self.solver.allocation
+        allocation = self._solver.allocation
         stats = self._engine.stats
         weights = [flow.weight for flow in self._engine.iter_flows()]
         max_quantum = self._quantum_bytes * max(weights, default=1.0)
@@ -350,10 +311,13 @@ class FairnessAuditor:
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Solver instance, alert history and audit counters, JSON-safe.
+        """Solver instance, journal cursor, alert history and audit
+        counters, JSON-safe.
 
-        The pending tick event itself is restored by the event-queue
-        codec (which re-arms the periodic process).
+        A pure read: the journal is not caught up, so the snapshot
+        pairs the solver with the cursor it reflects. The pending tick
+        event itself is restored by the event-queue codec (which
+        re-arms the periodic process).
         """
         return {
             "ticks": self.ticks,
@@ -368,7 +332,8 @@ class FairnessAuditor:
                 for alert in self.alerts
             ],
             "series": self._deduper.snapshot_series(),
-            "solver": self.solver.snapshot_state(),
+            "solver": self._solver.snapshot_state(),
+            "cursor": self._cursor,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -378,6 +343,7 @@ class FairnessAuditor:
         self.drift_last = state["drift_last"]
         self.drift_peak = state["drift_peak"]
         self._last_change_at = state["last_change_at"]
+        self._cursor = state["cursor"]
         self._masked = set(state["masked"])
         self._deduper.suppressed_total = state["alerts_suppressed"]
         self.alerts = [
@@ -385,4 +351,4 @@ class FairnessAuditor:
             for time, kind, subject, detail in state["alerts"]
         ]
         self._deduper.restore_series(state["series"])
-        self.solver.restore_state(state["solver"])
+        self._solver.restore_state(state["solver"])

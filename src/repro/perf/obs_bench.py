@@ -243,7 +243,7 @@ def run_auditor_overhead(
         walls = [0.0, 0.0]  # [bare, audited]
         order = (0, 1) if bare_first else (1, 0)
         runs: Dict[int, ChaosRun] = {}
-        # Construction and start-up (the auditor's bootstrap deltas)
+        # Construction and start-up (the auditor's journal replay)
         # count, as do the final report: everything a plain run() does.
         for which in order:
             start = perf_counter()

@@ -25,13 +25,18 @@ class FifoScheduler(SingleInterfaceScheduler):
     def __init__(self) -> None:
         super().__init__()
         self._arrival_order: Deque[str] = deque()
+        # The flow object whose arrivals are followed, per id: a flow
+        # re-added (quarantine resume, Π churn) keeps its one listener.
+        self._following: Dict[str, Flow] = {}
 
     def _on_flow_added(self, flow: Flow) -> None:
         # Register future arrivals; pre-existing backlog is ordered by
         # flow registration, which is the best FIFO can reconstruct.
         for _ in range(len(flow.queue)):
             self._arrival_order.append(flow.flow_id)
-        flow.on_arrival(self._record_arrival)
+        if self._following.get(flow.flow_id) is not flow:
+            self._following[flow.flow_id] = flow
+            flow.on_arrival(self._record_arrival)
 
     def _record_arrival(self, flow: Flow, packet: Packet) -> None:
         if self.has_flow(flow.flow_id):

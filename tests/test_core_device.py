@@ -121,8 +121,11 @@ class TestLiveEdits:
 
     def test_edits_reach_preference_listeners(self, sim):
         device = make_device(sim)
-        heard = []
-        device.engine.on_preferences_changed(lambda flow: heard.append(flow.flow_id))
+        start = len(device.engine.regimes)
         device.set_weight("video", 3.0)
         device.set_rule("sync", Only("wifi"))
-        assert heard == ["video", "sync"]
+        heard = [entry[1:] for entry in device.engine.regimes[start:]]
+        assert heard == [
+            ("flow", "video", (3.0, ["wifi"], False)),
+            ("flow", "sync", (1.0, ["wifi"], False)),
+        ]

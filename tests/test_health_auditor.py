@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.engine import SchedulingEngine
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from repro.errors import WatchdogError
@@ -14,9 +15,13 @@ from repro.health import (
     AlertDeduper,
     FairnessAuditor,
 )
+from repro.net.flow import Flow
+from repro.net.interface import Interface
 from repro.recovery import RecoverableScenarioRun
+from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.midrr import MiDrrScheduler
 from repro.schedulers.per_interface import PerInterfaceScheduler
+from repro.sim.simulator import Simulator
 from repro.units import mbps
 
 
@@ -159,7 +164,7 @@ class TestAuditorSmoke:
             run_scenario(scenario, MiDrrScheduler, on_engine=attach_bad)
 
     def test_quiescence_gating_skips_early_windows(self):
-        # Shorter than the window: every tick reconciles, none audits.
+        # Shorter than the window: every tick catches up, none audits.
         result, auditor = audited_run(steady_scenario(duration=1.5))
         assert auditor.ticks > 0
         assert auditor.audits_total == 0
@@ -222,6 +227,140 @@ class TestReadOnlyDeterminism:
         _, second = audited_run(scenario)
         assert first.snapshot_state()["audits_total"] > 0
         assert second.snapshot_state() == first.snapshot_state()
+
+
+def reweight(engine, flow_id, weight):
+    engine.flows[flow_id].weight = weight
+    engine.notify_preferences_changed(flow_id)
+
+
+def restrict(engine, flow_id, row):
+    engine.flows[flow_id].restrict_to(row)
+    engine.notify_preferences_changed(flow_id)
+
+
+def collapse(engine):
+    # Capacity falls under the admitted demand (1 Mb/s on 0.5 Mb/s): the
+    # next arrival makes EDF admission control shed "young".
+    for interface in engine.interfaces.values():
+        interface.set_rate(250_000.0)
+
+
+def wifi(engine):
+    return engine.interfaces["wifi"]
+
+
+#: name -> (edit at 0.5 s or None, edit at 1.3 s, check on the solver,
+#: expected last_change_at). Every change must reach the solver stamped
+#: with its own event time, not the time of the tick that read it.
+CHOKEPOINTS = {
+    "phi": (
+        None,
+        lambda engine: reweight(engine, "old", 3.0),
+        lambda solver: solver.weight_of("old") == 3,
+        1.3,
+    ),
+    "pi": (
+        None,
+        lambda engine: restrict(engine, "old", {"cell"}),
+        lambda solver: solver.row_of("old") == {"cell"},
+        1.3,
+    ),
+    "late-interface": (
+        # Willing to use no registered interface yet: quarantined by the
+        # engine, masked by the auditor until "sat" registers.
+        lambda engine: restrict(engine, "old", {"sat"}),
+        lambda engine: engine.add_interface(
+            Interface(engine.sim, "sat", 500_000.0)
+        ),
+        lambda solver: solver.capacity("sat") == 500_000
+        and solver.row_of("old") == {"sat"},
+        1.3,
+    ),
+    "rate-while-up": (
+        None,
+        lambda engine: wifi(engine).set_rate(2_000_000.0),
+        lambda solver: solver.capacity("wifi") == 2_000_000,
+        1.3,
+    ),
+    "rate-while-down": (
+        lambda engine: wifi(engine).bring_down(),
+        lambda engine: wifi(engine).set_rate(2_000_000.0),
+        lambda solver: solver.capacity("wifi") == 0,
+        0.5,
+    ),
+    "bring-down": (
+        None,
+        lambda engine: wifi(engine).bring_down(),
+        lambda solver: solver.capacity("wifi") == 0,
+        1.3,
+    ),
+    "bring-up": (
+        lambda engine: wifi(engine).bring_down(),
+        lambda engine: wifi(engine).bring_up(),
+        lambda solver: solver.capacity("wifi") == 1_000_000,
+        1.3,
+    ),
+    "admission-rejection": (
+        None,
+        lambda engine: engine.add_flow(
+            Flow("greedy", nominal_rate_bps=1_500_000.0)
+        ),
+        lambda solver: not solver.has_flow("greedy"),
+        1.3,
+    ),
+    "shed": (
+        collapse,
+        lambda engine: engine.add_flow(Flow("elastic")),
+        lambda solver: solver.has_flow("elastic")
+        and not solver.has_flow("young"),
+        1.3,
+    ),
+    "remove": (
+        None,
+        lambda engine: engine.remove_flow("old"),
+        lambda solver: not solver.has_flow("old"),
+        1.3,
+    ),
+}
+
+
+@pytest.mark.audit
+class TestRegimeJournal:
+    @pytest.mark.parametrize("case", sorted(CHOKEPOINTS))
+    def test_each_chokepoint_reaches_the_solver_at_its_own_time(self, case):
+        prepare, edit, check, change_at = CHOKEPOINTS[case]
+        sim = Simulator()
+        # EDF, so admission verdicts (rejection, shedding) take part.
+        engine = SchedulingEngine(sim, EdfScheduler())
+        engine.add_interface(Interface(sim, "wifi", 1_000_000.0))
+        engine.add_interface(Interface(sim, "cell", 1_000_000.0))
+        engine.add_flow(Flow("old", nominal_rate_bps=500_000.0))
+        engine.add_flow(Flow("young", nominal_rate_bps=500_000.0))
+        auditor = FairnessAuditor(sim, engine, period=1.0)
+        auditor.start()
+        engine.start()
+        if prepare is not None:
+            sim.schedule(0.5, prepare, engine)
+        sim.schedule(1.3, edit, engine)
+        # Past the tick at 2.0, which must not restamp the change.
+        sim.run(until=2.5)
+        assert check(auditor.solver)
+        state = auditor.snapshot_state()
+        assert state["last_change_at"] == change_at
+        assert state["cursor"] == len(engine.regimes)
+        # Shed flows leave the instance but stay known, at rate 0.
+        assert set(state["masked"]) == set(engine.shed_flows)
+
+    def test_construction_replays_the_journal(self):
+        _, late = audited_run(steady_scenario(duration=2.0))
+        sim, engine = late._sim, late._engine
+        fresh = FairnessAuditor(sim, engine, period=0.5)
+        assert fresh.snapshot_state()["cursor"] == len(engine.regimes)
+        assert fresh.solver.allocation.rates == late.solver.allocation.rates
+        # The replayed past is setup, not churn.
+        assert fresh.solver.deltas_total == 0
+        assert fresh.snapshot_state()["last_change_at"] == sim.now
 
 
 def auditor_extras(run):

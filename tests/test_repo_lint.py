@@ -76,6 +76,48 @@ def test_source_parses_at_supported_floor():
     assert not offenders, f"bisect key= needs Python 3.10: {offenders}"
 
 
+def test_preference_edits_pass_the_engine_chokepoint():
+    """Every function in ``src/`` that writes a flow's φ (``x.weight =``)
+    or Π (``x.restrict_to(...)``) also calls
+    ``notify_preferences_changed``: the engine journals an edit only
+    there, and the fairness auditor learns of edits only from the
+    journal. ``net/flow.py`` itself (construction, restore) is exempt,
+    as is an object setting its own ``self.weight``."""
+    import ast
+
+    exempt = os.path.join(SRC, "repro", "net", "flow.py")
+    offenders = []
+    for directory, _, names in os.walk(SRC):
+        for name in sorted(names):
+            path = os.path.join(directory, name)
+            if not name.endswith(".py") or path == exempt:
+                continue
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                edits, notifies = False, False
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Attribute) and node.attr == "weight":
+                        edits |= isinstance(node.ctx, ast.Store) and not (
+                            isinstance(node.value, ast.Name)
+                            and node.value.id == "self"
+                        )
+                    elif isinstance(node, ast.Call):
+                        called = getattr(
+                            node.func, "attr", getattr(node.func, "id", "")
+                        )
+                        edits |= called == "restrict_to"
+                        notifies |= called == "notify_preferences_changed"
+                if edits and not notifies:
+                    offenders.append(f"{path}:{function.lineno} {function.name}")
+    assert not offenders, (
+        "φ/Π edits without notify_preferences_changed (the fairness "
+        f"auditor would never see them): {offenders}"
+    )
+
+
 def test_bench_smoke_regression_gate():
     """``bench smoke --check-regression`` holds against the committed
     baseline: a >20% like-for-like packets/s loss at the gated cell

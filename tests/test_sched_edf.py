@@ -186,10 +186,8 @@ class TestEngineIntegration:
         engine.add_flow(Flow("old", nominal_rate_bps=500_000.0))
         engine.add_flow(Flow("young", nominal_rate_bps=500_000.0))
         engine.interfaces["if1"].set_rate(500_000.0)
-        verdicts = []
-        engine.on_admission_verdict(verdicts.append)
         engine.add_flow(Flow("elastic"))
-        assert verdicts and verdicts[-1].shed == ("young",)
+        assert engine.regimes[-1][1:] == ("flow", "young", (1.0, None, True))
         assert "young" in engine.shed_flows
         assert not scheduler.has_flow("young")
         assert engine.admission_shed_total == 1

@@ -254,6 +254,29 @@ class TestAggregateFifo:
         # All early service goes to whichever flow enqueued first.
         assert first_40.count("burst") == 40
 
+    def test_resumed_flow_records_each_arrival_once(self):
+        # Quarantine resume re-adds the flow to the scheduler; the FIFO
+        # must keep following its arrivals through one listener, not one
+        # per resume.
+        from repro.core.engine import SchedulingEngine
+        from repro.net.flow import Flow
+        from repro.net.interface import Interface
+        from repro.net.packet import Packet
+        from repro.sim.simulator import Simulator
+
+        sim = Simulator()
+        scheduler = PerInterfaceScheduler.fifo()
+        engine = SchedulingEngine(sim, scheduler)
+        interface = Interface(sim, "if1", 1_000_000.0)
+        engine.add_interface(interface)
+        flow = Flow("a")
+        engine.add_flow(flow)
+        for _ in range(3):
+            interface.bring_down()
+            interface.bring_up()
+        flow.offer(Packet(flow_id="a", size_bytes=1000))
+        assert list(scheduler._inner["if1"]._arrival_order) == ["a"]
+
     def test_conformance_flags_rate_failure(self):
         from repro.fairness.conformance import run_conformance
 
