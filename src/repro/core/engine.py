@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import CheckpointError, ConfigurationError, SchedulingError
 from ..net.flow import Flow
 from ..net.interface import Interface
 from ..net.packet import Packet
@@ -71,16 +71,13 @@ class SchedulingEngine:
         self._deadline_listeners: List[
             Callable[[Flow, Packet, float], None]
         ] = []
-        # Willing-interface index: flow_id -> ((prefs_version,
-        # topology_version), willing Interface objects in registration
-        # order). Mirrors the scheduler-side index so every hot kick /
-        # quarantine check walks |Π_i| interfaces instead of all of
-        # them; revalidated lazily so direct Flow.restrict_to() calls
-        # cannot leave it stale.
-        self._topology_version = 0
-        self._willing_cache: Dict[
-            str, Tuple[Tuple[int, int], Tuple[Interface, ...]]
-        ] = {}
+        # Willing-interface index: flow_id -> willing Interface objects
+        # in registration order. Mirrors the scheduler-side index so
+        # every hot kick / quarantine check walks |Π_i| interfaces
+        # instead of all of them. A row is dropped on every Π edit
+        # (notify_preferences_changed) and the whole index on every
+        # add_interface.
+        self._willing_cache: Dict[str, Tuple[Interface, ...]] = {}
         self._completion_listeners: List[Callable[[Flow], None]] = []
         self._quarantine_listeners: List[Callable[[Flow, bool], None]] = []
         #: The regime journal: append-only, time-ordered
@@ -180,7 +177,7 @@ class SchedulingEngine:
         # not of event-creation history. Events outside the chain keep
         # priority 0 and fire first at a tied instant.
         interface.tx_priority = len(self._interfaces)
-        self._topology_version += 1
+        self._willing_cache.clear()
         self._scheduler.register_interface(interface.interface_id)
         interface.attach_source(self._supply_packet)
         interface.on_sent(self._packet_sent)
@@ -194,6 +191,10 @@ class SchedulingEngine:
         observe = getattr(self._scheduler, "observe_interface", None)
         if observe is not None:
             observe(interface)
+        # Quarantined flows whose Π row names the new interface have a
+        # path again.
+        if interface.up:
+            self._resume_willing(interface)
 
     def add_flow(self, flow: Flow, source: Optional[object] = None) -> None:
         """Register a flow; *source* (if any) drives auto-completion.
@@ -208,6 +209,13 @@ class SchedulingEngine:
         """
         if flow.flow_id in self._flows:
             raise ConfigurationError(f"flow {flow.flow_id!r} already registered")
+        # Refused before any state changes: the flow's listeners, once
+        # hooked, could not be taken back.
+        if not any(map(flow.willing_to_use, self._interfaces)):
+            raise SchedulingError(
+                f"flow {flow.flow_id!r} is unwilling to use every registered "
+                "interface; it could never be served"
+            )
         self._flows[flow.flow_id] = flow
         if source is not None and hasattr(source, "exhausted"):
             # Open-loop sources (CBR, Poisson, on/off, trace) never run
@@ -219,8 +227,7 @@ class SchedulingEngine:
         # instance holds every flow the engine knows about, parked ones
         # at rate 0 included.
         self._journal_flow(flow)
-        willing = self._willing_interfaces(flow)
-        if willing and not any(interface.up for interface in willing):
+        if not self._any_willing_interface_up(flow):
             # The whole Π-set is dark right now: park the flow instead
             # of handing the scheduler a flow it can never serve.
             self._enter_quarantine(flow)
@@ -308,16 +315,13 @@ class SchedulingEngine:
     # ------------------------------------------------------------------
     def _willing_interfaces(self, flow: Flow) -> Tuple[Interface, ...]:
         """Cached ``Π_i`` row as Interface objects (registration order)."""
-        version = (flow.prefs_version, self._topology_version)
-        cached = self._willing_cache.get(flow.flow_id)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        willing = tuple(
-            interface
-            for interface in self._interfaces.values()
-            if flow.willing_to_use(interface.interface_id)
-        )
-        self._willing_cache[flow.flow_id] = (version, willing)
+        willing = self._willing_cache.get(flow.flow_id)
+        if willing is None:
+            willing = self._willing_cache[flow.flow_id] = tuple(
+                interface
+                for interface in self._interfaces.values()
+                if flow.willing_to_use(interface.interface_id)
+            )
         return willing
 
     def _any_willing_interface_up(self, flow: Flow) -> bool:
@@ -345,20 +349,30 @@ class SchedulingEngine:
         for listener in self._quarantine_listeners:
             listener(flow, False)
 
+    def _resume_willing(self, interface: Interface) -> None:
+        """Resume every quarantined flow willing to use *interface*."""
+        for flow in list(self._quarantined.values()):
+            if flow.willing_to_use(interface.interface_id):
+                self._resume_from_quarantine(flow)
+
     def notify_preferences_changed(self, flow_id: str) -> None:
         """Re-evaluate a flow after a live Π/φ edit (preference churn).
 
         Every φ/Π edit of a registered flow must pass through here: a
         write to :class:`~repro.net.flow.Flow` has no listener of its
-        own, and this is where the edit enters the regime journal.
-        Quarantines the flow if its new Π-set is entirely down, resumes
-        it if the edit re-opened a path, and otherwise wakes the
-        interfaces that just became usable.
+        own, and this is the one path that refreshes what is derived
+        from Π (the engine's and the scheduler's willing-interface
+        rows, the scheduler's per-interface membership) and where the
+        edit enters the regime journal. Quarantines the flow if its new
+        Π-set is entirely down, resumes it if the edit re-opened a
+        path, and otherwise wakes the interfaces that just became
+        usable.
         """
         flow = self._flows.get(flow_id)
         if flow is None:
             return
         self._journal_flow(flow)
+        self._willing_cache.pop(flow_id, None)
         if flow_id in self._shed:
             return
         alive = self._any_willing_interface_up(flow)
@@ -366,18 +380,20 @@ class SchedulingEngine:
             if alive:
                 self._resume_from_quarantine(flow)
             return
-        if not alive and self._interfaces:
+        if not alive:
             self._enter_quarantine(flow)
             return
+        # Only a flow the scheduler keeps needs its Π-derived state
+        # refreshed: a quarantined or shed one is rebuilt afresh when
+        # it is added back.
+        self._scheduler.notify_preferences_changed(flow)
         self._scheduler.notify_backlogged(flow)
         self._kick_willing(flow)
 
     def _interface_state_changed(self, interface: Interface, is_up: bool) -> None:
         self._journal_capacity(interface)
         if is_up:
-            for flow in list(self._quarantined.values()):
-                if flow.willing_to_use(interface.interface_id):
-                    self._resume_from_quarantine(flow)
+            self._resume_willing(interface)
             return
         for flow in list(self._flows.values()):
             if flow.flow_id in self._quarantined or flow.flow_id in self._shed:

@@ -25,7 +25,6 @@ class Flow:
         "flow_id",
         "weight",
         "allowed_interfaces",
-        "prefs_version",
         "deadline_budget",
         "nominal_rate_bps",
         "queue",
@@ -59,7 +58,8 @@ class Flow:
         self.weight = float(weight)
         # The interface-preference set, or ``None`` meaning "any".
         # Read-only for everyone else: change it through restrict_to(),
-        # which bumps prefs_version for the willing-interface caches.
+        # then tell the engine (notify_preferences_changed), which
+        # refreshes every willing-interface cache derived from it.
         self.allowed_interfaces: Optional[FrozenSet[str]] = (
             frozenset(allowed_interfaces) if allowed_interfaces is not None else None
         )
@@ -68,10 +68,6 @@ class Flow:
                 f"flow {flow_id!r}: empty interface preference set — the flow "
                 "could never be served"
             )
-        # Bumped on every preference change so schedulers/engines can
-        # cache derived willing-interface lists and invalidate lazily
-        # instead of re-testing willing_to_use() per decision.
-        self.prefs_version = 0
         if deadline_budget is not None and deadline_budget <= 0:
             raise ConfigurationError(
                 f"flow {flow_id!r}: deadline_budget must be positive, "
@@ -116,16 +112,16 @@ class Flow:
                 f"flow {self.flow_id!r}: cannot restrict to an empty set"
             )
         self.allowed_interfaces = frozenset(interfaces)
-        self.prefs_version += 1
         for listener in self._prefs_listeners:
             listener(self)
 
     def on_prefs_change(self, listener: Callable[["Flow"], None]) -> None:
         """Register a callback fired after :meth:`restrict_to`.
 
-        Schedulers that keep per-interface copies of the flow (the
-        per-interface baselines) use this to resync it after its Π-set
-        changes.
+        For observers only (e.g. a benchmark's Π-respect history): no
+        scheduler or engine cache listens here. Those are refreshed by
+        :meth:`~repro.core.engine.SchedulingEngine.notify_preferences_changed`,
+        the call every Π edit of a registered flow must be followed by.
         """
         self._prefs_listeners.append(listener)
 
@@ -245,7 +241,6 @@ class Flow:
                 if self.allowed_interfaces is not None
                 else None
             ),
-            "prefs_version": self.prefs_version,
             "deadline_budget": self.deadline_budget,
             "nominal_rate_bps": self.nominal_rate_bps,
             "bytes_sent": self.bytes_sent,
@@ -268,7 +263,6 @@ class Flow:
         self.allowed_interfaces = (
             frozenset(state["allowed"]) if state["allowed"] is not None else None
         )
-        self.prefs_version = state["prefs_version"]
         self.deadline_budget = state.get("deadline_budget")
         self.nominal_rate_bps = state.get("nominal_rate_bps")
         self.bytes_sent = state["bytes_sent"]

@@ -143,12 +143,11 @@ class MultiInterfaceScheduler(ABC):
     def __init__(self) -> None:
         self._flows: Dict[str, Flow] = {}
         self._interface_ids: List[str] = []
-        # Willing-interface index: flow_id -> ((prefs_version,
-        # topology_version), willing tuple in registration order).
-        # Validated lazily so a direct Flow.restrict_to() — with no
-        # notification — can never serve a stale set.
-        self._topology_version = 0
-        self._willing_cache: Dict[str, Tuple[Tuple[int, int], Tuple[str, ...]]] = {}
+        # Willing-interface index: flow_id -> willing tuple in
+        # registration order. A row is dropped on every Π edit
+        # (notify_preferences_changed) and the whole index on every
+        # registration, so a cached row is always current.
+        self._willing_cache: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -158,7 +157,7 @@ class MultiInterfaceScheduler(ABC):
         if interface_id in self._interface_ids:
             raise SchedulingError(f"interface {interface_id!r} already registered")
         self._interface_ids.append(interface_id)
-        self._topology_version += 1
+        self._willing_cache.clear()
         self._on_interface_added(interface_id)
 
     def interface_ids(self) -> List[str]:
@@ -170,21 +169,17 @@ class MultiInterfaceScheduler(ABC):
 
         This is the precomputed ``Π_i`` row every hot-path loop iterates
         instead of testing ``willing_to_use`` against each registered
-        interface. The tuple is cached per flow and revalidated against
-        ``Flow.prefs_version`` and the scheduler's topology version, so
-        preference edits and late interface registration invalidate it
-        without any explicit notification.
+        interface. The tuple is cached per flow until the next
+        :meth:`notify_preferences_changed` for the flow or the next
+        :meth:`register_interface`.
         """
-        version = (flow.prefs_version, self._topology_version)
-        cached = self._willing_cache.get(flow.flow_id)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        willing = tuple(
-            interface_id
-            for interface_id in self._interface_ids
-            if flow.willing_to_use(interface_id)
-        )
-        self._willing_cache[flow.flow_id] = (version, willing)
+        willing = self._willing_cache.get(flow.flow_id)
+        if willing is None:
+            willing = self._willing_cache[flow.flow_id] = tuple(
+                interface_id
+                for interface_id in self._interface_ids
+                if flow.willing_to_use(interface_id)
+            )
         return willing
 
     # ------------------------------------------------------------------
@@ -237,6 +232,20 @@ class MultiInterfaceScheduler(ABC):
         if flow.flow_id in self._flows:
             self._on_backlogged(flow)
 
+    def notify_preferences_changed(self, flow: Flow) -> None:
+        """Tell the scheduler *flow*'s Π row (or φ) was just edited.
+
+        The one refresh path for state derived from Π: it drops the
+        flow's cached :meth:`willing_interfaces` row and, for a
+        registered flow, rebuilds the subclass's derived membership.
+        Every ``Flow.restrict_to`` must be followed by this call (the
+        engine makes it from its own ``notify_preferences_changed``);
+        until then the scheduler serves from the old row.
+        """
+        self._willing_cache.pop(flow.flow_id, None)
+        if self._flows.get(flow.flow_id) is flow:
+            self._on_prefs_changed(flow)
+
     # Subclass hooks ----------------------------------------------------
     def _on_interface_added(self, interface_id: str) -> None:
         """Per-scheduler bookkeeping for a new interface."""
@@ -250,6 +259,9 @@ class MultiInterfaceScheduler(ABC):
     def _on_backlogged(self, flow: Flow) -> None:
         """Per-scheduler bookkeeping for an empty→backlogged transition."""
 
+    def _on_prefs_changed(self, flow: Flow) -> None:
+        """Per-scheduler bookkeeping for a Π/φ edit of a registered flow."""
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -258,7 +270,7 @@ class MultiInterfaceScheduler(ABC):
 
         Flows are recorded by id and resolved at restore time; the
         willing-interface cache is deliberately absent (it is a pure
-        cache, rebuilt lazily from ``prefs_version``/topology).
+        cache, rebuilt from the restored flows).
         """
         return {
             "kind": type(self).__name__,

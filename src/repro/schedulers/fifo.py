@@ -38,6 +38,14 @@ class FifoScheduler(SingleInterfaceScheduler):
             self._following[flow.flow_id] = flow
             flow.on_arrival(self._record_arrival)
 
+    def _on_flow_removed(self, flow: Flow) -> None:
+        # Re-adding the flow seeds one entry per queued packet, so
+        # entries left here would give it extra turns.
+        flow_id = flow.flow_id
+        self._arrival_order = deque(
+            entry for entry in self._arrival_order if entry != flow_id
+        )
+
     def _record_arrival(self, flow: Flow, packet: Packet) -> None:
         if self.has_flow(flow.flow_id):
             self._arrival_order.append(flow.flow_id)

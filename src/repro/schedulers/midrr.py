@@ -38,9 +38,10 @@ Implementation notes
   counter ``DC_ij`` and its round membership. A flow's record keeps
   its slots in interface registration order (one per interface it
   has been willing to use) and the tuple of its *willing* slots (the
-  ``Π_i`` row), revalidated against ``Flow.prefs_version`` and reset
-  when an interface registers, like
-  :meth:`~MultiInterfaceScheduler.willing_interfaces`. Each slot
+  ``Π_i`` row), rebuilt when the flow is added, on
+  :meth:`~MultiInterfaceScheduler.notify_preferences_changed` (the one
+  path a Π edit takes into the scheduler), when an interface it is
+  willing to use registers, and on restore. Each slot
   spends the deficit of its *account*: the slot itself, or, with
   ``deficit_scope="flow"``, one account that all the flow's slots
   share, so the two scopes run the same code. Nothing refers back from
@@ -67,15 +68,14 @@ Implementation notes
   ``append`` and one flag read: no dict lookup and no Python-level
   call. The open turn keeps its slot, so a resumed turn needs no
   lookup either. Granting a turn inlines ``Q_i = quantum_base × φ_i``
-  and rule 1, which walks the flow's willing slots; only a
-  revalidation of that tuple, a drain and an unknown interface leave
-  the function. On ``perfbench``'s ``bulk-f1000-i8`` cell (2-vCPU
-  host, best of five) a packet costs 7.0 µs with this ``select`` and
-  4.8 µs when the same decisions are replayed by a ``select`` that only
-  pulls the chosen flow's head; with per-interface dicts it cost 10.2
-  against 5.4 µs. The per-packet call budget cell of
-  ``tests/test_perf_bench.py`` reads 14.0 Python-level calls per
-  packet (15.5 with the dicts).
+  and rule 1, which walks the flow's willing slots; only a drain and
+  an unknown interface leave the function. On ``perfbench``'s
+  ``bulk-f1000-i8`` cell (2-vCPU host, best of five) a packet costs
+  7.0 µs with this ``select`` and 4.8 µs when the same decisions are
+  replayed by a ``select`` that only pulls the chosen flow's head; with
+  per-interface dicts it cost 10.2 against 5.4 µs. The per-packet call
+  budget cell of ``tests/test_perf_bench.py`` reads 14.0 Python-level
+  calls per packet (15.5 with the dicts).
 * Work conservation: the skip loop clears flags as it passes, so within
   one decision a second visit to the same flow finds the flag clear —
   an interface never idles while any willing flow is backlogged. The
@@ -199,9 +199,9 @@ class _Account:
 
 
 class _FlowSlots:
-    """A registered flow's slots and its cached willing slots."""
+    """A registered flow's slots and its willing slots."""
 
-    __slots__ = ("flow", "slots", "willing", "version", "account")
+    __slots__ = ("flow", "slots", "willing", "account")
 
     def __init__(self, flow: Flow, account: Optional[_Account]) -> None:
         self.flow = flow
@@ -209,11 +209,9 @@ class _FlowSlots:
         # per interface it has been willing to use. The same tuple as
         # `willing` while those are all still willing.
         self.slots: "Tuple[_Slot, ...]" = ()
-        # The slots of the willing interfaces (the Π_i row), valid
-        # while `version` equals the flow's prefs_version; -1 forces a
-        # rebuild (new record, new interface, restore).
+        # The slots of the willing interfaces (the Π_i row), set by
+        # MiDrrScheduler._refresh_willing.
         self.willing: "Tuple[_Slot, ...]" = ()
-        self.version = -1
         # The flow's shared account with deficit_scope="flow", else None.
         self.account = account
 
@@ -467,43 +465,39 @@ class MiDrrScheduler(MultiInterfaceScheduler):
         entry.slots = tuple(sorted(entry.slots + (slot,), key=_interface_index))
         return slot
 
-    def _willing_slots(self, entry: _FlowSlots) -> Tuple[_Slot, ...]:
-        """The flow's slots at its willing interfaces, in registration order.
-
-        Rebuilt from :meth:`willing_interfaces` when the cached tuple
-        is stale, creating the slots of newly willing interfaces.
-        """
-        flow = entry.flow
-        if entry.version != flow.prefs_version:
-            states = self._states
-            willing = tuple(
-                self._slot_at(entry, states[interface_id])
-                for interface_id in self.willing_interfaces(flow)
-            )
-            if willing == entry.slots:
-                entry.slots = willing  # one tuple, not two equal ones
-            entry.willing = willing
-            entry.version = flow.prefs_version
-        return entry.willing
+    def _refresh_willing(self, entry: _FlowSlots) -> None:
+        """Rebuild the flow's willing slots from :meth:`willing_interfaces`,
+        in registration order, creating those of newly willing
+        interfaces."""
+        states = self._states
+        willing = tuple(
+            self._slot_at(entry, states[interface_id])
+            for interface_id in self.willing_interfaces(entry.flow)
+        )
+        if willing == entry.slots:
+            willing = entry.slots  # one tuple, not two equal ones
+        entry.willing = willing
 
     def _on_interface_added(self, interface_id: str) -> None:
         state = self._states[interface_id] = _InterfaceState(len(self._by_index))
         self._by_index.append(state)
         for entry in self._entries.values():
-            entry.version = -1
             flow = entry.flow
-            if flow.willing_to_use(interface_id) and flow.backlogged:
-                state.enter(self._slot_at(entry, state))
+            if flow.willing_to_use(interface_id):
+                self._refresh_willing(entry)
+                if flow.backlogged:
+                    state.enter(self._slot_at(entry, state))
 
     def _on_flow_added(self, flow: Flow) -> None:
         flow_id = flow.flow_id
         self.turns_taken.setdefault(flow_id, 0)
         entry = self._entries[flow_id] = self._new_entry(flow)
+        self._refresh_willing(entry)
         # "Service flags for new flows are initiated at zero" (Table 1).
         # Only willing interfaces get an entry: a flag at an unwilling
         # interface is never set by rule 1 nor read by rule 2, and the
         # getters read a missing entry as zero.
-        for slot in self._willing_slots(entry):
+        for slot in entry.willing:
             slot.flag = 0
         if flow.backlogged:
             self._activate(flow)
@@ -524,16 +518,13 @@ class MiDrrScheduler(MultiInterfaceScheduler):
             # need not keep the flow alive until the cursor reaches it.
             slot.flow = None
 
+    def _on_prefs_changed(self, flow: Flow) -> None:
+        self._refresh_willing(self._entries[flow.flow_id])
+
     def _activate(self, flow: Flow) -> None:
         """Join the round at every willing interface — O(|Π_i|)."""
-        entry = self._entries[flow.flow_id]
-        willing = (
-            entry.willing
-            if entry.version == flow.prefs_version
-            else self._willing_slots(entry)
-        )
         by_index = self._by_index
-        for slot in willing:
+        for slot in self._entries[flow.flow_id].willing:
             if not slot.in_round:
                 # _InterfaceState.enter inlined: this runs per
                 # empty -> backlogged arrival at each willing interface.
@@ -694,12 +685,7 @@ class MiDrrScheduler(MultiInterfaceScheduler):
                 # future skip, up to COUNTER_CAP. Per packet it runs
                 # just before the pull; nothing the pull runs (source
                 # refills, arrival notifications) reads flags.
-                entry = self._entries[flow.flow_id]
-                peers = (
-                    entry.willing
-                    if entry.version == flow.prefs_version
-                    else self._willing_slots(entry)
-                )
+                peers = self._entries[flow.flow_id].willing
                 raised = 0  # flags that go from clear to pending
                 if counter:
                     for peer in peers:
@@ -823,6 +809,8 @@ class MiDrrScheduler(MultiInterfaceScheduler):
                 entry.account.deficit = value
             else:
                 slot_of(flow_id, interface_id, "deficits").deficit = value
+        for entry in self._entries.values():
+            self._refresh_willing(entry)
         self.decision_flows_examined = []
         self.turns_taken = dict(state["turns_taken"])
         self.flags_set_total = state["flags_set_total"]

@@ -14,17 +14,17 @@ These reproduce the schedulers the paper shows are *insufficient*:
   bandwidth across interfaces.
 
 Both schedulers derive inner-scheduler membership from Π, so a live
-preference edit (``Flow.restrict_to``) must revalidate it: membership
-is re-synced lazily against ``Flow.prefs_version`` (the same contract
-``base.willing_interfaces`` uses), driven by a per-flow dirty mark set
-from the flow's preference-change listener. A flow restricted away
-from an interface leaves that inner scheduler before the next decision
-(Π respect); a flow widened onto a new interface joins it.
+preference edit (``Flow.restrict_to``) must reach them: the follow-up
+:meth:`~repro.schedulers.base.MultiInterfaceScheduler.notify_preferences_changed`
+(which the engine makes from its own) re-syncs the flow's membership
+at once. A flow restricted away from an interface leaves that inner
+scheduler before the next decision (Π respect); a flow widened onto a
+new interface joins it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from ..errors import SchedulingError
 from ..net.flow import Flow
@@ -37,62 +37,7 @@ from .wfq import WfqScheduler
 SchedulerFactory = Callable[[], SingleInterfaceScheduler]
 
 
-class _ChurnSyncMixin:
-    """Lazy membership revalidation against ``Flow.prefs_version``.
-
-    Subclasses call :meth:`_hook_prefs` when a flow is added,
-    :meth:`_drop_sync_state` when it is removed, :meth:`_sync_dirty`
-    at the top of every decision, and implement :meth:`_sync_flow` to
-    reconcile their derived membership with the flow's current Π row.
-    The dirty registry is an insertion-ordered dict so multi-flow sync
-    order never depends on string hashing.
-    """
-
-    def _init_churn_sync(self) -> None:
-        self._applied_prefs: Dict[str, int] = {}
-        self._dirty: Dict[str, None] = {}
-
-    def _hook_prefs(self, flow: Flow) -> None:
-        if flow.flow_id in self._applied_prefs:
-            # Re-added (e.g. quarantine resume): listener already wired.
-            self._applied_prefs[flow.flow_id] = flow.prefs_version
-            return
-        self._applied_prefs[flow.flow_id] = flow.prefs_version
-        flow.on_prefs_change(self._prefs_edited)
-
-    def _prefs_edited(self, flow: Flow) -> None:
-        # Listeners outlive membership (Flow offers no unregister), so
-        # only currently-registered flows get marked.
-        if flow.flow_id in self._flows:
-            self._dirty[flow.flow_id] = None
-
-    def _drop_sync_state(self, flow_id: str) -> None:
-        self._dirty.pop(flow_id, None)
-
-    def _sync_dirty(self) -> None:
-        while self._dirty:
-            flow_id = next(iter(self._dirty))
-            del self._dirty[flow_id]
-            flow = self._flows.get(flow_id)
-            if flow is None:
-                continue
-            if self._applied_prefs.get(flow_id) == flow.prefs_version:
-                continue
-            self._sync_flow(flow)
-            self._applied_prefs[flow_id] = flow.prefs_version
-
-    def _sync_flow(self, flow: Flow) -> None:
-        raise NotImplementedError
-
-    def _reset_sync_state(self) -> None:
-        """Post-restore: snapshots are taken synced (see subclasses)."""
-        self._dirty.clear()
-        self._applied_prefs = {
-            flow_id: flow.prefs_version for flow_id, flow in self._flows.items()
-        }
-
-
-class PerInterfaceScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
+class PerInterfaceScheduler(MultiInterfaceScheduler):
     """Independent single-interface schedulers over shared backlogs."""
 
     def __init__(self, factory: SchedulerFactory) -> None:
@@ -101,7 +46,6 @@ class PerInterfaceScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
         self._inner: Dict[str, SingleInterfaceScheduler] = {}
         # Applied membership per flow: which inners currently hold it.
         self._member: Dict[str, Set[str]] = {}
-        self._init_churn_sync()
 
     @classmethod
     def wfq(cls) -> "PerInterfaceScheduler":
@@ -141,18 +85,16 @@ class PerInterfaceScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
             self._inner[interface_id].add_flow(flow)
             member.add(interface_id)
         self._member[flow.flow_id] = member
-        self._hook_prefs(flow)
 
     def _on_flow_removed(self, flow: Flow) -> None:
         for inner in self._inner.values():
             inner.remove_flow(flow.flow_id)
         self._member.pop(flow.flow_id, None)
-        self._drop_sync_state(flow.flow_id)
 
-    def _sync_flow(self, flow: Flow) -> None:
+    def _on_prefs_changed(self, flow: Flow) -> None:
         """Reconcile inner membership with the flow's current Π row."""
         willing = set(self.willing_interfaces(flow))
-        member = self._member.setdefault(flow.flow_id, set())
+        member = self._member[flow.flow_id]
         for interface_id in member - willing:
             self._inner[interface_id].remove_flow(flow.flow_id)
         for interface_id in willing - member:
@@ -163,14 +105,10 @@ class PerInterfaceScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
         self._member[flow.flow_id] = willing
 
     def _on_backlogged(self, flow: Flow) -> None:
-        if self._dirty:
-            self._sync_dirty()
         for interface_id in self._member.get(flow.flow_id, ()):
             self._inner[interface_id].notify_backlogged(flow)
 
     def select(self, interface_id: str) -> Optional[Packet]:
-        if self._dirty:
-            self._sync_dirty()
         inner = self._inner.get(interface_id)
         if inner is None:
             raise SchedulingError(f"unknown interface {interface_id!r}")
@@ -180,10 +118,6 @@ class PerInterfaceScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
     # Checkpointing
     # ------------------------------------------------------------------
     def _snapshot_state(self) -> Dict[str, object]:
-        # Sync first so the snapshot's inner membership matches every
-        # flow's current prefs_version — restore then rebuilds the
-        # applied-version table from the flows themselves.
-        self._sync_dirty()
         return {
             "inner": {
                 interface_id: inner.snapshot_state()
@@ -207,10 +141,9 @@ class PerInterfaceScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
             }
             for flow_id in self._flows
         }
-        self._reset_sync_state()
 
 
-class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
+class StaticSplitScheduler(MultiInterfaceScheduler):
     """Pin each flow to one willing interface; DRR per interface.
 
     Assignment picks the willing interface with the smallest total
@@ -235,7 +168,9 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
         self._inner: Dict[str, DrrScheduler] = {}
         self._pinned_weight: Dict[str, float] = {}
         self._assignment: Dict[str, str] = {}
-        self._init_churn_sync()
+        # The weight each flow was pinned with: unpinning releases
+        # exactly that, whatever φ edits came since.
+        self._pinned_with: Dict[str, float] = {}
 
     @property
     def assignment(self) -> Dict[str, str]:
@@ -254,6 +189,7 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
         willing = self.willing_interfaces(flow)
         target = min(willing, key=lambda j: self._pinned_weight[j])
         self._assignment[flow.flow_id] = target
+        self._pinned_with[flow.flow_id] = flow.weight
         self._pinned_weight[target] += flow.weight
         self._inner[target].add_flow(flow)
         if flow.backlogged:
@@ -262,18 +198,16 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
     def _unpin(self, flow: Flow) -> None:
         target = self._assignment.pop(flow.flow_id, None)
         if target is not None:
-            self._pinned_weight[target] -= flow.weight
+            self._pinned_weight[target] -= self._pinned_with.pop(flow.flow_id)
             self._inner[target].remove_flow(flow.flow_id)
 
     def _on_flow_added(self, flow: Flow) -> None:
         self._pin(flow)
-        self._hook_prefs(flow)
 
     def _on_flow_removed(self, flow: Flow) -> None:
         self._unpin(flow)
-        self._drop_sync_state(flow.flow_id)
 
-    def _sync_flow(self, flow: Flow) -> None:
+    def _on_prefs_changed(self, flow: Flow) -> None:
         """Re-pin only when the pinned interface left the flow's Π row."""
         target = self._assignment.get(flow.flow_id)
         if target is not None and flow.willing_to_use(target):
@@ -282,15 +216,11 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
         self._pin(flow)
 
     def _on_backlogged(self, flow: Flow) -> None:
-        if self._dirty:
-            self._sync_dirty()
         target = self._assignment.get(flow.flow_id)
         if target is not None:
             self._inner[target].notify_backlogged(flow)
 
     def select(self, interface_id: str) -> Optional[Packet]:
-        if self._dirty:
-            self._sync_dirty()
         inner = self._inner.get(interface_id)
         if inner is None:
             raise SchedulingError(f"unknown interface {interface_id!r}")
@@ -300,11 +230,10 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
     # Checkpointing
     # ------------------------------------------------------------------
     def _snapshot_state(self) -> Dict[str, object]:
-        # Sync first: see PerInterfaceScheduler._snapshot_state.
-        self._sync_dirty()
         return {
             "pinned_weight": dict(self._pinned_weight),
             "assignment": dict(self._assignment),
+            "pinned_with": dict(self._pinned_with),
             "inner": {
                 interface_id: inner.snapshot_state()
                 for interface_id, inner in self._inner.items()
@@ -314,6 +243,7 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
     def _restore_state(self, state: Dict[str, object]) -> None:
         self._pinned_weight = dict(state["pinned_weight"])
         self._assignment = dict(state["assignment"])
+        self._pinned_with = dict(state["pinned_with"])
         for interface_id, snapshot in state["inner"].items():
             inner = self._inner.get(interface_id)
             if inner is None:
@@ -321,4 +251,3 @@ class StaticSplitScheduler(_ChurnSyncMixin, MultiInterfaceScheduler):
                     f"snapshot references unknown interface {interface_id!r}"
                 )
             inner.restore_state(snapshot, self._flows)
-        self._reset_sync_state()

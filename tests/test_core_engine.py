@@ -7,7 +7,7 @@ import pytest
 from tests.helpers import make_flow
 
 from repro.core.engine import SchedulingEngine
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.faults.processes import PacketLossInjector
 from repro.net.flow import Flow
 from repro.net.interface import Interface
@@ -194,6 +194,53 @@ class TestMultiInterface:
         sim.run(until=10.0)
         assert engine.stats.interface_bytes("if1") > 0
         assert engine.stats.interface_bytes("if2") == 0
+
+
+class TestTopologyChokepoints:
+    """Flows and interfaces enter the engine whole, or not at all."""
+
+    def test_new_interface_resumes_flow_quarantined_for_it(self, sim):
+        engine = SchedulingEngine(sim, MiDrrScheduler())
+        engine.add_interface(Interface(sim, "wifi", 1e6))
+        flow = make_flow("a")
+        engine.add_flow(flow)
+        engine.start()
+        flow.restrict_to({"sat"})
+        engine.notify_preferences_changed("a")
+        assert "a" in engine.quarantined_flows
+        engine.add_interface(Interface(sim, "sat", 1e6))
+        for _ in range(5):
+            flow.offer(Packet(flow_id="a", size_bytes=1500))
+        sim.run(until=2.0)
+        assert "a" not in engine.quarantined_flows
+        assert flow.bytes_sent == 5 * 1500
+
+    def test_down_new_interface_leaves_flow_parked(self, sim):
+        engine = SchedulingEngine(sim, MiDrrScheduler())
+        engine.add_interface(Interface(sim, "wifi", 1e6))
+        flow = make_flow("a", backlog_packets=3)
+        engine.add_flow(flow)
+        flow.restrict_to({"sat"})
+        engine.notify_preferences_changed("a")
+        sat = Interface(sim, "sat", 1e6)
+        sat.bring_down()
+        engine.add_interface(sat)
+        assert "a" in engine.quarantined_flows
+        sat.bring_up()
+        assert "a" not in engine.quarantined_flows
+
+    def test_refused_flow_leaves_no_trace(self, sim):
+        engine = SchedulingEngine(sim, MiDrrScheduler())
+        engine.add_interface(Interface(sim, "wifi", 1e6))
+        flow = Flow("b", allowed_interfaces={"sat"})
+        with pytest.raises(SchedulingError):
+            engine.add_flow(flow)
+        assert "b" not in engine.flows
+        assert all(entry[2] != "b" for entry in engine.regimes)
+        engine.add_interface(Interface(sim, "sat", 1e6))
+        engine.add_flow(flow)
+        assert "b" in engine.flows
+        assert engine.scheduler.has_flow("b")
 
 
 class TestDeadlineAccounting:

@@ -145,7 +145,12 @@ class TestLivePreferenceChanges:
         BulkSource(sim, flow)
         engine.add_flow(flow)
         engine.start()
-        sim.schedule(10.0, flow.restrict_to, {"if1"})
+
+        def wifi_only():
+            flow.restrict_to({"if1"})
+            engine.notify_preferences_changed("a")
+
+        sim.schedule(10.0, wifi_only)
         sim.run(until=20.0)
         # After the change, if2 must not serve flow a...
         late_if2 = engine.stats.service_in_window("a", 11, 20, interface_id="if2")

@@ -80,9 +80,11 @@ def test_preference_edits_pass_the_engine_chokepoint():
     """Every function in ``src/`` that writes a flow's φ (``x.weight =``)
     or Π (``x.restrict_to(...)``) also calls
     ``notify_preferences_changed``: the engine journals an edit only
-    there, and the fairness auditor learns of edits only from the
-    journal. ``net/flow.py`` itself (construction, restore) is exempt,
-    as is an object setting its own ``self.weight``."""
+    there, the fairness auditor learns of edits only from the journal,
+    and the willing-interface caches are refreshed only there. Nothing
+    assigns ``x.allowed_interfaces`` directly. ``net/flow.py`` itself
+    (construction, restore) is exempt, as is an object setting its own
+    ``self.weight``."""
     import ast
 
     exempt = os.path.join(SRC, "repro", "net", "flow.py")
@@ -94,6 +96,13 @@ def test_preference_edits_pass_the_engine_chokepoint():
                 continue
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "allowed_interfaces"
+                    and isinstance(node.ctx, ast.Store)
+                ):
+                    offenders.append(f"{path}:{node.lineno} allowed_interfaces =")
             for function in ast.walk(tree):
                 if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
@@ -113,8 +122,9 @@ def test_preference_edits_pass_the_engine_chokepoint():
                 if edits and not notifies:
                     offenders.append(f"{path}:{function.lineno} {function.name}")
     assert not offenders, (
-        "φ/Π edits without notify_preferences_changed (the fairness "
-        f"auditor would never see them): {offenders}"
+        "φ/Π edits that bypass notify_preferences_changed (the fairness "
+        f"auditor and the willing-interface caches would never see them): "
+        f"{offenders}"
     )
 
 

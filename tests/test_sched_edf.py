@@ -86,6 +86,7 @@ class TestDeadlineOrdering:
         scheduler.add_flow(flow)
         assert scheduler.select("if1").flow_id == "m"
         flow.restrict_to({"if2"})
+        scheduler.notify_preferences_changed(flow)
         # The active entry on if1 is stale now: never served there.
         assert scheduler.select("if1") is None
         assert scheduler.select("if2").flow_id == "m"

@@ -5,13 +5,15 @@ A hypothesis state machine drives :class:`MiDrrScheduler` and
 algorithm over per-interface dicts) through the same operations, each
 on its own copies of the flows: flows join, leave and come back as new
 :class:`Flow` objects under the same id, packets arrive, preferences
-change directly through :meth:`Flow.restrict_to` (with or without the
-engine's follow-up notification), backlogs drain behind the
+change through :meth:`Flow.restrict_to` and the scheduler's
+``notify_preferences_changed`` (with or without the engine's
+``notify_backlogged`` follow-up), backlogs drain behind the
 scheduler's back, interfaces register late, and both schedulers are
 snapshotted and restored mid-sequence. After every step the two must
 agree on the packet chosen, the flows examined and every piece of
-bookkeeping the scheduler exposes. Each of the eight option
-combinations runs as its own test.
+bookkeeping the scheduler exposes, and each must hold every flow's
+current Π row. Each of the eight option combinations runs as its own
+test.
 """
 
 from __future__ import annotations
@@ -146,16 +148,19 @@ class MiDrrDifferential(RuleBasedStateMachine):
 
     @rule(flow_id=flow_ids, indexes=rows, notify=st.booleans())
     def restrict(self, flow_id, indexes, notify):
-        """A direct Π edit; *notify* adds the engine's follow-up
-        (``notify_preferences_changed`` re-notifies the flow whether or
+        """A Π edit and the scheduler's preference hook; *notify* adds
+        the rest of the engine's follow-up (its
+        ``notify_preferences_changed`` re-notifies the flow whether or
         not it is backlogged)."""
         if flow_id not in self.flows[0]:
             return
         row = self.row(indexes)
         for scheduler, flows in self.both():
-            flows[flow_id].restrict_to(row)
+            flow = flows[flow_id]
+            flow.restrict_to(row)
+            scheduler.notify_preferences_changed(flow)
             if notify:
-                scheduler.notify_backlogged(flows[flow_id])
+                scheduler.notify_backlogged(flow)
 
     @rule(flow_id=flow_ids, count=st.integers(1, 3))
     def drain_by_pull(self, flow_id, count):
@@ -237,6 +242,25 @@ class MiDrrDifferential(RuleBasedStateMachine):
         assert subject.deficit_backlog() == sum(
             value for _, value in subject.deficit_items()
         )
+
+    @invariant()
+    def willing_rows_are_current(self):
+        """Each side's cached Π rows (and the subject's willing slots)
+        equal a from-scratch computation."""
+        subject = self.schedulers[0]
+        for scheduler, flows in self.both():
+            for flow in flows.values():
+                row = tuple(
+                    interface_id
+                    for interface_id in self.interface_ids
+                    if flow.willing_to_use(interface_id)
+                )
+                assert scheduler.willing_interfaces(flow) == row
+                if scheduler is subject:
+                    slots = subject._entries[flow.flow_id].willing
+                    assert tuple(
+                        self.interface_ids[slot.index] for slot in slots
+                    ) == row
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,7 @@ class TestStateLayout:
         scheduler.add_flow(flow)
         assert scheduler.select("if0").flow_id == "a"
         flow.restrict_to({"if1"})
+        scheduler.notify_preferences_changed(flow)
         # The counter granted at if0 survives until the flow drains.
         assert scheduler.deficit("a", "if0") == 1500.0
         assert scheduler.deficit("a") == 1500.0
@@ -193,6 +194,7 @@ class TestStateLayout:
         assert scheduler.open_turns() == {"if0": "a"}
         assert scheduler.round_size("if0") == 2
         a.restrict_to({"if1"})
+        scheduler.notify_preferences_changed(a)
         # The resumed turn is closed and a leaves if0's round at once.
         assert scheduler.select("if0").flow_id == "b"
         assert scheduler.open_turns() == {"if0": "b"}
@@ -312,17 +314,29 @@ class TestActivationContract:
 
 
 class TestWillingIndex:
-    """The cached Π_i row self-heals on preference/topology changes."""
+    """The cached Π_i row is refreshed by the preference hook and by
+    interface registration."""
 
-    def test_direct_restrict_to_invalidates(self):
+    def test_preference_hook_refreshes(self):
         scheduler = MiDrrScheduler()
         scheduler.register_interface("if0")
         scheduler.register_interface("if1")
-        flow = make_flow("a")
+        flow = make_flow("a", backlog_packets=2)
         scheduler.add_flow(flow)
         assert scheduler.willing_interfaces(flow) == ("if0", "if1")
-        flow.restrict_to({"if1"})  # no notification on purpose
+        flow.restrict_to({"if1"})
+        scheduler.notify_preferences_changed(flow)
         assert scheduler.willing_interfaces(flow) == ("if1",)
+        # Rule 1 now walks the new row: serving at if1 flags no peer.
+        assert scheduler.select("if1").flow_id == "a"
+        assert scheduler.pending_flags() == 0
+
+    def test_preference_hook_ignores_unregistered_flow(self):
+        scheduler = MiDrrScheduler()
+        scheduler.register_interface("if0")
+        flow = make_flow("a")
+        scheduler.notify_preferences_changed(flow)
+        assert not scheduler.has_flow("a")
 
     def test_late_interface_registration_invalidates(self):
         scheduler = MiDrrScheduler()

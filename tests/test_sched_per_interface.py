@@ -122,6 +122,19 @@ class TestStaticSplitScheduler:
         # With a's weight released, b goes to if1 again (least loaded).
         assert scheduler.assignment["b"] == "if1"
 
+    def test_removal_releases_the_weight_pinned_with(self):
+        # A φ edit after pinning must not make removal release a
+        # different weight than was pinned.
+        scheduler = StaticSplitScheduler()
+        scheduler.register_interface("if1")
+        scheduler.register_interface("if2")
+        flow = make_flow("a", weight=1.0, backlog_packets=5)
+        scheduler.add_flow(flow)
+        flow.weight = 3.0
+        scheduler.notify_preferences_changed(flow)
+        scheduler.remove_flow("a")
+        assert scheduler._pinned_weight == {"if1": 0.0, "if2": 0.0}
+
     def test_unknown_interface_raises(self):
         scheduler = StaticSplitScheduler()
         with pytest.raises(SchedulingError):
@@ -141,6 +154,7 @@ class TestPreferenceChurn:
         scheduler.add_flow(flow)
         assert scheduler.select("if1") is not None
         flow.restrict_to({"if2"})
+        scheduler.notify_preferences_changed(flow)
         # Π violation before the fix: if1 kept serving from its stale
         # inner membership.
         assert scheduler.select("if1") is None
@@ -154,6 +168,7 @@ class TestPreferenceChurn:
         scheduler.add_flow(flow)
         assert scheduler.select("if2") is None
         flow.restrict_to({"if1", "if2"})
+        scheduler.notify_preferences_changed(flow)
         # The newly-willing interface picks the flow up without a
         # remove/re-add cycle.
         assert scheduler.select("if2").flow_id == "m"
@@ -171,6 +186,7 @@ class TestPreferenceChurn:
         flow = make_flow("m", backlog_packets=50)
         source.add_flow(flow)
         flow.restrict_to({"if2"})
+        source.notify_preferences_changed(flow)
         snapshot = json.loads(json.dumps(source.snapshot_state()))
 
         target = build()
@@ -189,6 +205,7 @@ class TestPreferenceChurn:
         scheduler.add_flow(flow)
         assert scheduler.assignment["m"] == "if1"
         flow.restrict_to({"if2"})
+        scheduler.notify_preferences_changed(flow)
         # Serving on if1 would violate Π: the flow is re-pinned.
         assert scheduler.select("if1") is None
         assert scheduler.select("if2").flow_id == "m"
@@ -204,6 +221,7 @@ class TestPreferenceChurn:
         # A Π edit that keeps the pinned interface does NOT re-pin:
         # static splitting is assignment-stable by contract.
         flow.restrict_to({"if1", "if2"})
+        scheduler.notify_preferences_changed(flow)
         scheduler.select("if1")
         scheduler.select("if2")
         assert scheduler.assignment["m"] == pinned
@@ -276,6 +294,26 @@ class TestAggregateFifo:
             interface.bring_up()
         flow.offer(Packet(flow_id="a", size_bytes=1000))
         assert list(scheduler._inner["if1"]._arrival_order) == ["a"]
+
+    def test_resumed_flow_drops_its_old_arrival_entries(self):
+        # Quarantine removes the flow and the resume seeds one entry
+        # per queued packet, so the entries from before must go.
+        from repro.core.engine import SchedulingEngine
+        from repro.net.interface import Interface
+        from repro.sim.simulator import Simulator
+
+        sim = Simulator()
+        scheduler = PerInterfaceScheduler.fifo()
+        engine = SchedulingEngine(sim, scheduler)
+        interface = Interface(sim, "if1", 1_000_000.0)
+        engine.add_interface(interface)
+        flow = make_flow("c", backlog_packets=2)
+        engine.add_flow(flow)
+        engine.start()  # one packet goes out, one stays queued
+        interface.bring_down()
+        interface.bring_up()
+        assert len(flow.queue) == 1
+        assert list(scheduler._inner["if1"]._arrival_order) == ["c"]
 
     def test_conformance_flags_rate_failure(self):
         from repro.fairness.conformance import run_conformance

@@ -100,6 +100,7 @@ class TestServiceAndStealing:
         scheduler.add_flow(flow)
         owner = scheduler.assignment()["m"]
         flow.restrict_to({"if2" if owner == "if1" else "if1"})
+        scheduler.notify_preferences_changed(flow)
         # The old owner must not serve it; the select re-steers it.
         assert scheduler.select(owner) is None
         new_owner = scheduler.assignment()["m"]
