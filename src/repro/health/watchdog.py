@@ -7,11 +7,14 @@ sample. Two pathologies are detected:
 
 * **flow starvation** — a backlogged flow with at least one willing,
   up interface that has received no service for ``starvation_timeout``
-  seconds. Quarantined flows are exempt: they *cannot* be served and
-  the degradation layer already accounts for them.
+  seconds. Quarantined and admission-shed flows are exempt: they
+  *cannot* be served, and the degradation layer or admission control
+  already accounts for them. A flow that has left the engine is
+  forgotten at the next tick, sample and alert series alike.
 * **interface stall** — an up, idle interface that transmitted nothing
-  for ``stall_timeout`` seconds while some backlogged flow was willing
-  to use it (a work-conservation breach).
+  for ``stall_timeout`` seconds while some backlogged flow that is
+  neither quarantined nor shed was willing to use it (a
+  work-conservation breach).
 
 An optional :class:`~repro.health.invariants.MiDrrInvariantChecker` is
 run on every tick, converting invariant breaks into alerts. In
@@ -199,21 +202,27 @@ class Watchdog:
 
     def _check_flows(self, now: float) -> None:
         engine = self._engine
-        quarantined = engine.quarantined_flows
+        flows = engine.flows
+        samples = self._flow_samples
+        for flow_id in [flow_id for flow_id in samples if flow_id not in flows]:
+            del samples[flow_id]
+            self._clear_series(ALERT_FLOW_STARVATION, flow_id)
+        exempt = engine.quarantined_flows.keys() | engine.shed_flows.keys()
         interfaces = engine.interfaces
-        for flow_id, flow in engine.flows.items():
-            sample = self._flow_samples.get(flow_id)
+        for flow_id, flow in flows.items():
+            sample = samples.get(flow_id)
             if sample is None:
                 sample = _FlowSample(last_progress=now)
-                self._flow_samples[flow_id] = sample
+                samples[flow_id] = sample
             sent = engine.stats.bytes_sent(flow_id)
             if sent != sample.bytes_sent or not flow.backlogged:
                 sample.bytes_sent = sent
                 sample.last_progress = now
                 self._clear_series(ALERT_FLOW_STARVATION, flow_id)
                 continue
-            if flow_id in quarantined:
-                # Cannot be served by design; the degradation layer owns it.
+            if flow_id in exempt:
+                # Cannot be served by design; the degradation layer or
+                # admission control owns it.
                 sample.last_progress = now
                 self._clear_series(ALERT_FLOW_STARVATION, flow_id)
                 continue
@@ -243,7 +252,7 @@ class Watchdog:
     def _check_interfaces(self, now: float) -> None:
         engine = self._engine
         flows = engine.flows
-        quarantined = engine.quarantined_flows
+        exempt = engine.quarantined_flows.keys() | engine.shed_flows.keys()
         for interface_id, interface in engine.interfaces.items():
             sample = self._interface_samples.get(interface_id)
             if sample is None:
@@ -261,7 +270,7 @@ class Watchdog:
             offered = any(
                 flow.backlogged and flow.willing_to_use(interface_id)
                 for flow_id, flow in flows.items()
-                if flow_id not in quarantined
+                if flow_id not in exempt
             )
             if not offered:
                 sample.last_progress = now

@@ -162,7 +162,7 @@ class DownlinkChannel:
         if self._transferring:
             head = self._transfers[0]
             if head.finish_event is not None:
-                self._sim.cancel(head.finish_event)
+                head.finish_event.cancel()
                 head.finish_event = None
             self._abort_pending_start()
             self._transferring = False
@@ -238,7 +238,7 @@ class DownlinkChannel:
 
     def _abort_pending_start(self) -> None:
         if self._start_event is not None:
-            self._sim.cancel(self._start_event)
+            self._start_event.cancel()
             self._start_event = None
 
     def _start_transfer(self) -> None:
@@ -252,7 +252,7 @@ class DownlinkChannel:
         transfer = self._transfers.popleft()
         transfer.finish_event = None
         if transfer.deadline_event is not None:
-            self._sim.cancel(transfer.deadline_event)
+            transfer.deadline_event.cancel()
             transfer.deadline_event = None
         self._transferring = False
         self.bytes_delivered += len(transfer.response.body)
@@ -273,7 +273,7 @@ class DownlinkChannel:
         self.timeouts += 1
         serializing = self._transferring and self._transfers[0] is transfer
         if transfer.finish_event is not None:
-            self._sim.cancel(transfer.finish_event)
+            transfer.finish_event.cancel()
             transfer.finish_event = None
         self._transfers.remove(transfer)
         if serializing:

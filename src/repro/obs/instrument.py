@@ -137,9 +137,8 @@ class EngineInstrumentation:
             "Packets discarded by flow backlogs (queue overflow)",
             fn=lambda: sum(stats.drops_by_flow().values()),
         )
-        # Event-engine telemetry: queue depth and lazy-cancel
-        # compactions. Callback gauges over counters the hot path
-        # already maintains.
+        # Event-engine telemetry: dispatch count and queue depth.
+        # Callback gauges over counters the hot path already maintains.
         sim = engine.sim
         registry.gauge(
             "sim.events_processed_total",
@@ -150,11 +149,6 @@ class EngineInstrumentation:
             "sim.queue.heap.pending",
             "Events still queued (including lazily-cancelled ones)",
             fn=lambda: sim.pending_events,
-        )
-        registry.gauge(
-            "sim.queue.heap.compactions_total",
-            "Event-queue compaction passes (lazy-cancel GC)",
-            fn=lambda: sim.queue.compactions_total,
         )
         # Deadline-SLO and admission telemetry: counters the engine's
         # send-completion path already maintains, plus a miss-latency

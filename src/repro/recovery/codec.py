@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional
 from ..errors import CheckpointError
 from ..net.packet import Packet, decode_packet, encode_packet
 from ..sim.events import Event, EventQueue
-from ..sim.process import PeriodicProcess, Timer
+from ..sim.process import PeriodicProcess
 
 _SCALAR_TYPES = (type(None), bool, int, float, str)
 
@@ -130,8 +130,8 @@ def encode_event(event: Event, context: CheckpointContext) -> Dict[str, Any]:
 def decode_event(doc: Dict[str, Any], context: CheckpointContext) -> Event:
     """Rebuild one event against the restored object graph.
 
-    Timer and periodic-process owners additionally get their internal
-    event handle re-pointed at the rebuilt event, so ``cancel()`` and
+    Periodic-process owners additionally get their internal event
+    handle re-pointed at the rebuilt event, so ``stop()`` and
     rescheduling keep working after restore.
     """
     owner = context.object(doc["owner"])
@@ -150,8 +150,6 @@ def decode_event(doc: Dict[str, Any], context: CheckpointContext) -> Event:
     if isinstance(owner, PeriodicProcess) and doc["method"] == "_tick":
         owner._event = event
         owner._running = True
-    elif isinstance(owner, Timer) and doc["method"] == "_fire":
-        owner._event = event
     return event
 
 

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Simulator` — virtual clock + event loop
 * :class:`Event`, :class:`EventQueue` — scheduling primitives
-* :class:`Timer`, :class:`PeriodicProcess` — common patterns
+* :class:`PeriodicProcess` — periodic callbacks
 * :class:`RandomStreams` — named, seeded RNG streams
 """
 
@@ -17,13 +17,12 @@ __all__ = [
     "PeriodicProcess",
     "RandomStreams",
     "Simulator",
-    "Timer",
     "derive_seed",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".events": ("DEFAULT_PRIORITY", "Event", "EventQueue"),
-    ".process": ("PeriodicProcess", "Timer"),
+    ".process": ("PeriodicProcess",),
     ".randomness": ("RandomStreams", "derive_seed"),
     ".simulator": ("Simulator",),
 })

@@ -1,8 +1,7 @@
 """Higher-level scheduling helpers built on :class:`Simulator`.
 
-These wrap the raw event API with the two patterns model code actually
-needs: one-shot timers that can be rescheduled, and periodic processes
-(used by samplers, capacity changers and traffic sources).
+This wraps the raw event API with the periodic process that samplers,
+capacity changers and traffic sources need.
 """
 
 from __future__ import annotations
@@ -14,54 +13,17 @@ from .events import Event
 from .simulator import Simulator
 
 
-class Timer:
-    """A restartable one-shot timer.
-
-    ``start(delay)`` schedules the callback; starting an armed timer
-    re-arms it (the earlier expiry is cancelled). ``cancel()`` disarms.
-    """
-
-    __slots__ = ("_sim", "_callback", "_event")
-
-    def __init__(self, sim: Simulator, callback: Callable[[], Any]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        """``True`` while an expiry is pending."""
-        return self._event is not None and not self._event.cancelled
-
-    def start(self, delay: float) -> None:
-        """Arm (or re-arm) the timer to fire after *delay* seconds."""
-        self.cancel()
-        self._event = self._sim.call_later(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer if armed."""
-        if self._event is not None:
-            self._sim.cancel(self._event)
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._callback()
-
-
 class PeriodicProcess:
     """Invoke a callback every *period* seconds until stopped.
 
     The callback receives the current virtual time. The first invocation
-    happens at ``start_time + period`` unless ``fire_immediately`` is
-    set, in which case it also fires at ``start_time``.
+    happens at ``start_time + period``.
     """
 
     __slots__ = (
         "_sim",
         "_period",
         "_callback",
-        "_fire_immediately",
         "_event",
         "_running",
     )
@@ -71,14 +33,12 @@ class PeriodicProcess:
         sim: Simulator,
         period: float,
         callback: Callable[[float], Any],
-        fire_immediately: bool = False,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period!r}")
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._fire_immediately = fire_immediately
         self._event: Optional[Event] = None
         self._running = False
 
@@ -92,16 +52,13 @@ class PeriodicProcess:
         if self._running:
             return
         self._running = True
-        if self._fire_immediately:
-            self._event = self._sim.call_now(self._tick)
-        else:
-            self._event = self._sim.call_later(self._period, self._tick)
+        self._event = self._sim.call_later(self._period, self._tick)
 
     def stop(self) -> None:
         """Stop ticking. Idempotent."""
         self._running = False
         if self._event is not None:
-            self._sim.cancel(self._event)
+            self._event.cancel()
             self._event = None
 
     def _tick(self) -> None:

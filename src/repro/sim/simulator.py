@@ -20,9 +20,12 @@ Design notes
 * :meth:`Simulator.run` pops the queue's ``(time, priority, seq,
   event)`` heap entries itself and calls ``event.callback(*event.args)``:
   an event costs its callback's frame and nothing else.
-  :meth:`Simulator.step` keeps the :meth:`EventQueue.pop_ready
-  <repro.sim.events.EventQueue.pop_ready>` / :meth:`Event.fire
-  <repro.sim.events.Event.fire>` pair.
+  :meth:`Simulator.step` pops through :meth:`EventQueue.pop_ready
+  <repro.sim.events.EventQueue.pop_ready>` and calls the callback the
+  same way.
+* An event is cancelled by :meth:`Event.cancel
+  <repro.sim.events.Event.cancel>` on the handle that scheduling
+  returned; the run loop drops it when it reaches the head of the heap.
 * The simulator is deliberately single-threaded. Determinism — given a
   seed — is a core requirement for reproducing the paper's experiments.
 """
@@ -131,16 +134,6 @@ class Simulator:
         """
         return self._queue.push(self._now, callback, args, priority)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event through the queue.
-
-        Prefer this over ``event.cancel()``: the queue counts the
-        cancellation and compacts the heap once dead events
-        dominate, so cancel-heavy workloads (timeouts that rarely fire)
-        keep the queue — and every subsequent push/pop — small.
-        """
-        self._queue.cancel(event)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -151,7 +144,7 @@ class Simulator:
             return False
         self._now = event.time
         self._events_processed += 1
-        event.fire()
+        event.callback(*event.args)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -177,19 +170,18 @@ class Simulator:
         dispatched = 0
         # The dispatch loop is the hottest code in the repository: one
         # iteration per simulated event. It runs EventQueue.pop_ready()'s
-        # scan and Event.fire()'s call inline, so an event costs no
-        # Python frame beyond its callback's; change the three together.
-        # The heap list is never rebound, so it is bound once here even
-        # though a callback may compact or restore the queue.
-        queue = self._queue
-        heap = queue._heap
+        # scan inline, so an event costs no Python frame beyond its
+        # callback's; change the two together. The heap list is never
+        # rebound, so it is bound once here even though a callback may
+        # restore the queue.
+        heap = self._queue._heap
         heappop = heapq.heappop
         try:
             while heap and not self._stopped:
                 entry = heap[0]
                 event = entry[3]
                 if event.cancelled:
-                    queue._discard_head()
+                    heappop(heap)
                     continue
                 time = entry[0]
                 if until is not None and time > until:

@@ -13,7 +13,8 @@ from repro.health.watchdog import (
 )
 from repro.net.flow import Flow
 from repro.net.interface import Interface
-from repro.net.sources import BulkSource
+from repro.net.sources import BulkSource, CbrSource
+from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.midrr import MiDrrScheduler
 from repro.units import mbps
 
@@ -135,6 +136,38 @@ class TestStarvationAndStall:
         # Parked by design: never reported starved, and the downed
         # interface is never reported stalled.
         assert watchdog.alerts == []
+
+    def test_admission_shed_flow_is_exempt(self, sim):
+        # 0.9 Mb/s declared on a lone 1 Mb/s link is over EDF's 0.8
+        # admission threshold: the flow is rejected but stays backlogged.
+        engine = SchedulingEngine(sim, EdfScheduler())
+        engine.add_interface(Interface(sim, "if1", mbps(1)))
+        flow = Flow("cbr", nominal_rate_bps=900_000.0)
+        CbrSource(sim, flow, rate_bps=900_000.0)
+        engine.add_flow(flow)
+        watchdog = Watchdog(sim, engine)
+        watchdog.start()
+        engine.start()
+        sim.run(until=10.0)
+        assert "cbr" in engine.shed_flows and flow.backlogged
+        # Neither the flow nor the link it may not use is reported.
+        assert watchdog.alerts == []
+
+    def test_departed_flows_are_forgotten(self, sim):
+        engine = SchedulingEngine(sim, MiDrrScheduler())
+        for name in ("if1", "if2"):
+            engine.add_interface(Interface(sim, name, mbps(1)))
+        for index in range(50):
+            flow = Flow(f"f{index}")
+            source = BulkSource(sim, flow, total_bytes=30_000)
+            sim.schedule(0.2 * index, engine.add_flow, flow, source)
+        watchdog = Watchdog(sim, engine, period=0.5)
+        watchdog.start()
+        engine.start()
+        sim.run(until=20.0)
+        assert engine.flows == {}
+        assert watchdog.ticks == 40
+        assert watchdog.snapshot_state()["flow_samples"] == {}
 
     def test_repeats_collapse_into_escalating_series(self, sim):
         _, watchdog = self._starved_rig(sim)

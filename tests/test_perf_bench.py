@@ -369,7 +369,7 @@ class TestAuditorOverhead:
 #: handler and packet supply, ``select``, the pull, the bulk refill,
 #: the packet's construction, the offer and the completion's push. The
 #: run loop pops and dispatches events without ``pop_ready`` and
-#: ``Event.fire`` frames, the push builds its event without ``__init__``,
+#: ``fire`` frames, the push builds its event without ``__init__``,
 #: the offer inlines the unbounded enqueue, and a refill into a
 #: non-empty backlog calls no engine listener; with those five frames it
 #: read 14.00.

@@ -1,9 +1,12 @@
 """Unit tests for the event queue."""
 
-import pytest
+from repro.sim.events import EventQueue
 
-from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
+
+def fire_next(queue):
+    """Pop the next live event and run its callback, as the simulator does."""
+    event = queue.pop_ready()
+    return event.callback(*event.args)
 
 
 class TestEventOrdering:
@@ -14,7 +17,7 @@ class TestEventOrdering:
         queue.push(1.0, fired.append, ("a",))
         queue.push(2.0, fired.append, ("b",))
         while queue:
-            queue.pop().fire()
+            fire_next(queue)
         assert fired == ["a", "b", "c"]
 
     def test_fifo_for_equal_times(self):
@@ -23,7 +26,7 @@ class TestEventOrdering:
         for name in "abcde":
             queue.push(1.0, fired.append, (name,))
         while queue:
-            queue.pop().fire()
+            fire_next(queue)
         assert fired == list("abcde")
 
     def test_priority_breaks_time_ties(self):
@@ -31,7 +34,7 @@ class TestEventOrdering:
         fired = []
         queue.push(1.0, fired.append, ("low",), priority=5)
         queue.push(1.0, fired.append, ("high",), priority=-5)
-        assert queue.pop().fire() is None  # fires "high"
+        assert fire_next(queue) is None  # fires "high"
         assert fired == ["high"]
 
     def test_negative_and_fractional_times(self):
@@ -48,7 +51,7 @@ class TestCancellation:
         victim = queue.push(1.0, fired.append, ("victim",))
         queue.push(2.0, fired.append, ("survivor",))
         victim.cancel()
-        queue.pop().fire()
+        fire_next(queue)
         assert fired == ["survivor"]
 
     def test_peek_time_skips_cancelled(self):
@@ -61,15 +64,23 @@ class TestCancellation:
     def test_peek_time_empty(self):
         assert EventQueue().peek_time() is None
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_pop_all_cancelled_raises(self):
+    def test_cancel_is_idempotent(self):
         queue = EventQueue()
-        queue.push(1.0, lambda: None).cancel()
-        with pytest.raises(SimulationError):
-            queue.pop()
+        event = queue.push(1.0, lambda: None)
+        queue.push(2.0, lambda: None)
+        event.cancel()
+        event.cancel()
+        assert queue.pop_ready().time == 2.0
+        assert queue.pop_ready() is None
+
+    def test_cancelled_entry_leaves_at_its_time(self):
+        queue = EventQueue()
+        events = [queue.push(float(i), lambda: None) for i in range(200)]
+        for event in events[:150]:
+            event.cancel()
+        assert len(queue) == 200  # dead entries stay until they surface
+        assert queue.pop_ready().time == 150.0
+        assert len(queue) == 49
 
 
 class TestQueueBasics:
@@ -80,17 +91,11 @@ class TestQueueBasics:
         assert queue
         assert len(queue) == 1
 
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert not queue
-
     def test_event_callback_args(self):
         queue = EventQueue()
         result = []
         queue.push(0.0, lambda a, b: result.append(a + b), (2, 3))
-        queue.pop().fire()
+        fire_next(queue)
         assert result == [5]
 
 
@@ -111,38 +116,8 @@ class TestPopReady:
         queue.push(2.0, lambda: None)
         assert queue.pop_ready().time == 2.0
 
-
-class TestCompaction:
-    def test_queue_cancel_compacts_when_mostly_dead(self):
+    def test_all_cancelled_returns_none(self):
         queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(200)]
-        for event in events[:150]:
-            queue.cancel(event)
-        # Once the queue-cancelled entries outnumbered the live ones
-        # (and passed the minimum threshold) the heap was swept; the
-        # cancellations after that sweep sit below the threshold again.
-        assert len(queue) < 150
-        assert [queue.pop().time for _ in range(3)] == [150.0, 151.0, 152.0]
-
-    def test_direct_event_cancel_does_not_compact(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(200)]
-        for event in events[:150]:
-            event.cancel()  # bypasses the queue's bookkeeping
-        assert len(queue) == 200  # still lazily discarded on pop
-        assert queue.pop().time == 150.0
-
-    def test_cancel_is_idempotent(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.cancel(event)
-        queue.cancel(event)  # must not double-count
-        assert queue._cancelled_count == 1
-
-    def test_compact_returns_removed_count(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.compact() == 1
-        assert len(queue) == 1
+        queue.push(1.0, lambda: None).cancel()
+        assert queue.pop_ready() is None
+        assert len(queue) == 0

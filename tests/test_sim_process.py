@@ -1,48 +1,9 @@
-"""Unit tests for timers and periodic processes."""
+"""Unit tests for periodic processes."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.process import PeriodicProcess, Timer
-
-
-class TestTimer:
-    def test_fires_after_delay(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.5)
-        sim.run()
-        assert fired == [2.5]
-
-    def test_cancel_prevents_firing(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        timer.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_restart_rearms(self, sim):
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        timer.start(5.0)  # re-arm; only the later one fires
-        sim.run()
-        assert fired == [5.0]
-
-    def test_armed_property(self, sim):
-        timer = Timer(sim, lambda: None)
-        assert not timer.armed
-        timer.start(1.0)
-        assert timer.armed
-        timer.cancel()
-        assert not timer.armed
-
-    def test_timer_not_armed_after_fire(self, sim):
-        timer = Timer(sim, lambda: None)
-        timer.start(1.0)
-        sim.run()
-        assert not timer.armed
+from repro.sim.process import PeriodicProcess
 
 
 class TestPeriodicProcess:
@@ -52,13 +13,6 @@ class TestPeriodicProcess:
         process.start()
         sim.run(until=3.5)
         assert ticks == [1.0, 2.0, 3.0]
-
-    def test_fire_immediately(self, sim):
-        ticks = []
-        process = PeriodicProcess(sim, 1.0, ticks.append, fire_immediately=True)
-        process.start()
-        sim.run(until=2.5)
-        assert ticks == [0.0, 1.0, 2.0]
 
     def test_stop_ends_ticking(self, sim):
         ticks = []

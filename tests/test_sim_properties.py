@@ -20,7 +20,7 @@ def test_event_queue_pops_sorted(times):
         queue.push(time, lambda: None)
     popped = []
     while queue:
-        popped.append(queue.pop().time)
+        popped.append(queue.pop_ready().time)
     assert popped == sorted(times)
 
 
@@ -45,9 +45,12 @@ def test_cancellation_property(times, cancel_mask):
         else:
             survivors.append(event.time)
     popped = []
-    while queue.peek_time() is not None:
-        popped.append(queue.pop().time)
+    event = queue.pop_ready()
+    while event is not None:
+        popped.append(event.time)
+        event = queue.pop_ready()
     assert popped == sorted(survivors)
+    assert len(queue) == 0
 
 
 @given(
