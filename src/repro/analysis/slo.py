@@ -27,21 +27,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..faults.chaos import CHAOS_BULK_FLOWS, WIRE_FLOW, ChaosRun
-from ..schedulers.edf import EdfScheduler
-from ..schedulers.midrr import MiDrrScheduler
-from ..schedulers.per_interface import PerInterfaceScheduler, StaticSplitScheduler
-from ..schedulers.qaware import QAwareScheduler
-
-#: The family the report sweeps, in report order: label → factory.
-SCHEDULER_FAMILY: "Dict[str, Callable[[], object]]" = {
-    "fifo": PerInterfaceScheduler.fifo,
-    "wfq": PerInterfaceScheduler.wfq,
-    "drr": PerInterfaceScheduler.drr,
-    "static": StaticSplitScheduler,
-    "midrr": MiDrrScheduler,
-    "edf": EdfScheduler,
-    "qaware": QAwareScheduler,
-}
+from ..schedulers import SCHEDULER_FAMILY
 
 #: Per-flow packet latency budgets (seconds) for the chaos workload.
 #: Tight enough that outages and fairness differences show up as

@@ -37,56 +37,20 @@ import locale  # noqa: F401
 import sys
 from typing import Dict, Optional, Sequence
 
+# Only the figure commands' modules load with the CLI, so `midrr all`
+# starts without compiling the rest; every other command imports its
+# own subsystem when it is dispatched (docs/architecture.md, "Import
+# graph").
 from .analysis.report import render_comparison, render_rate_table, render_table
-from .analysis.slo import SCHEDULER_FAMILY, run_latency_slo
-from .core.runner import run_scenario
+from .core.runner import DEFAULT_TARGET_PACKETS, EXECUTORS, run_scenario
 from .core.scenario import Scenario
 from .errors import ReproError
-from .experiments import fct, fig1, fig6, fig7, fig9, fig10, inbound_ideal
-from .faults.chaos import ChaosRun, run_chaos
-from .fleet import EXECUTORS, run_fleet
-from .health.watchdog import Watchdog
-from .obs import (
-    MetricsRegistry,
-    SnapshotProcess,
-    instrument_engine,
-    instrument_watchdog,
-    render_final_report,
-)
-from .obs.selftest import run_selftest
-from .perf import (
-    CORE_ATTEMPTS,
-    CORE_FLOWS,
-    CORE_INTERFACES,
-    DEFAULT_TARGET_PACKETS,
-    FLEET_ATTEMPTS,
-    FLEET_REGRESSION_THRESHOLD,
-    OVERHEAD_NOISE_CEILING,
-    REGRESSION_THRESHOLD,
-    build_core_scenario,
-    check_regression,
-    render_bench_table,
-    render_overhead_table,
-    run_auditor_overhead,
-    run_bracketed,
-    run_cell,
-    run_core_bench,
-    run_fleet_cell,
-    run_metrics_overhead,
-    validate_bench_document,
-    write_bench_document,
-)
-from .trace import WORKLOAD_KINDS, DeviceWorkload
-from .recovery import (
-    RecoverableScenarioRun,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .schedulers.edf import EdfScheduler
+from .experiments import fig1, fig6, fig7, fig9, fig10
+from .fairness.waterfill import weighted_maxmin
+from .schedulers import SCHEDULER_FAMILY
 from .schedulers.midrr import MiDrrScheduler
 from .schedulers.per_interface import PerInterfaceScheduler, StaticSplitScheduler
-from .schedulers.qaware import QAwareScheduler
-from .fairness.waterfill import weighted_maxmin
+from .trace import WORKLOAD_KINDS
 from .units import format_rate
 
 
@@ -278,6 +242,8 @@ def cmd_fig10(args: argparse.Namespace) -> None:
 
 def cmd_ideal(args: argparse.Namespace) -> None:
     """E9 extension: ideal in-network proxy vs the HTTP proxy."""
+    from .experiments import inbound_ideal
+
     result = inbound_ideal.run(seed=args.seed)
     rows = []
     for window in result.fluid:
@@ -307,6 +273,8 @@ def cmd_ideal(args: argparse.Namespace) -> None:
 
 def cmd_fct(args: argparse.Namespace) -> None:
     """E13 extension: flow completion times under smartphone churn."""
+    from .experiments import fct
+
     results = fct.run(seed=args.seed, with_elephant=not args.light)
     rows = [
         [
@@ -333,6 +301,8 @@ def cmd_chaos(args: argparse.Namespace) -> None:
     Exits with status 2 if the invariant checker recorded any violation
     during the run — the signal CI watches for.
     """
+    from .faults.chaos import run_chaos
+
     report = run_chaos(
         seed=args.seed, duration=args.duration, with_churn=not args.no_churn
     )
@@ -355,6 +325,8 @@ def cmd_audit(args: argparse.Namespace) -> None:
     was raised. Everything printed is derived from the simulated
     clock, so the output is byte-identical for a given seed.
     """
+    from .faults.chaos import ChaosRun
+
     run = ChaosRun(
         seed=args.seed,
         duration=args.duration,
@@ -412,6 +384,7 @@ def cmd_slo(args: argparse.Namespace) -> None:
     seed and the command exits 2 unless both hashes are byte-identical
     — the family-wide decision-determinism gate.
     """
+    from .analysis.slo import run_latency_slo
 
     def report():
         return run_latency_slo(
@@ -441,6 +414,8 @@ def cmd_bench_core(args: argparse.Namespace) -> None:
     report hash) is deterministic per seed; only wall-clock rates and
     the host-speed probe readings vary between machines.
     """
+    from .perf import render_bench_table, run_core_bench, write_bench_document
+
     document = run_core_bench(
         seed=args.seed,
         progress=lambda message: print(message, file=sys.stderr),
@@ -465,6 +440,22 @@ def cmd_bench_smoke(args: argparse.Namespace) -> None:
     can opt out without editing the test suite).
     """
     import os
+
+    from .analysis.slo import run_latency_slo
+    from .perf import (
+        CORE_ATTEMPTS,
+        FLEET_ATTEMPTS,
+        FLEET_REGRESSION_THRESHOLD,
+        REGRESSION_THRESHOLD,
+        check_regression,
+        run_auditor_overhead,
+        run_bracketed,
+        run_cell,
+        run_core_bench,
+        run_fleet_cell,
+        validate_bench_document,
+    )
+    from .trace import DeviceWorkload
 
     document = run_core_bench(seed=args.seed, target_packets=400, fleet_devices=2)
     problems = validate_bench_document(document)
@@ -605,6 +596,14 @@ def cmd_bench_obs(args: argparse.Namespace) -> None:
     the same seed is on disk, and — with ``--strict`` — exits 2 if the
     overhead exceeds the 5% budget.
     """
+    from .perf import (
+        CORE_FLOWS,
+        CORE_INTERFACES,
+        OVERHEAD_NOISE_CEILING,
+        render_overhead_table,
+        run_metrics_overhead,
+    )
+
     print(
         f"bench obs: F={CORE_FLOWS} I={CORE_INTERFACES} "
         f"x{args.repeats} repeat(s) per variant ...",
@@ -654,6 +653,8 @@ def cmd_obs(args: argparse.Namespace) -> None:
     mode.
     """
     if args.selftest:
+        from .obs.selftest import run_selftest
+
         problems = run_selftest(args.out or "")
         if problems:
             for problem in problems:
@@ -661,6 +662,16 @@ def cmd_obs(args: argparse.Namespace) -> None:
             raise SystemExit(2)
         print("obs selftest: ok")
         return
+    from .health.watchdog import Watchdog
+    from .obs import (
+        MetricsRegistry,
+        SnapshotProcess,
+        instrument_engine,
+        instrument_watchdog,
+        render_final_report,
+    )
+    from .perf import build_core_scenario
+
     if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as handle:
             scenario = Scenario.from_dict(json.load(handle))
@@ -715,6 +726,9 @@ def cmd_fleet(args: argparse.Namespace) -> None:
     prints as a table and optionally lands in ``--report`` (JSON) and
     ``--shard-log`` (per-shard JSONL payloads).
     """
+    from .fleet import run_fleet
+    from .trace import DeviceWorkload
+
     workload = DeviceWorkload(
         kind=args.workload,
         duration=args.duration,
@@ -779,15 +793,11 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         print(f"wrote shard payloads to {args.shard_log}")
 
 
+#: ``--scheduler`` choices of ``run``, ``checkpoint``, ``resume`` and
+#: ``obs``: the family plus miDRR with counter exclusion.
 SCHEDULER_CHOICES = {
-    "midrr": MiDrrScheduler,
+    **SCHEDULER_FAMILY,
     "midrr-counter": lambda: MiDrrScheduler(exclusion="counter"),
-    "fifo": PerInterfaceScheduler.fifo,
-    "wfq": PerInterfaceScheduler.wfq,
-    "drr": PerInterfaceScheduler.drr,
-    "static": StaticSplitScheduler,
-    "edf": EdfScheduler,
-    "qaware": QAwareScheduler,
 }
 
 
@@ -822,6 +832,8 @@ def cmd_run(args: argparse.Namespace) -> None:
 
 def cmd_checkpoint(args: argparse.Namespace) -> None:
     """Run a scenario partway and save a versioned checkpoint file."""
+    from .recovery import RecoverableScenarioRun, save_checkpoint
+
     with open(args.scenario, "r", encoding="utf-8") as handle:
         scenario = Scenario.from_dict(json.load(handle))
     if args.until <= 0 or args.until > scenario.duration:
@@ -848,6 +860,8 @@ def cmd_resume(args: argparse.Namespace) -> None:
     restore refuses a kind mismatch, just like it refuses a corrupted
     or version-skewed file.
     """
+    from .recovery import RecoverableScenarioRun, load_checkpoint
+
     state = load_checkpoint(args.checkpoint)
     factory = SCHEDULER_CHOICES[args.scheduler]
     run = RecoverableScenarioRun.restore(state, factory)

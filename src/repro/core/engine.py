@@ -283,6 +283,18 @@ class SchedulingEngine:
         """
         self._deadline_listeners.append(listener)
 
+    def clear_listeners(self) -> None:
+        """Drop every callback registered on the engine and the
+        decision probe (see :meth:`Flow.clear_listeners
+        <repro.net.flow.Flow.clear_listeners>`)."""
+        self._decision_probe = None
+        for listeners in (
+            self._completion_listeners,
+            self._quarantine_listeners,
+            self._deadline_listeners,
+        ):
+            listeners.clear()
+
     def _apply_shed(self, flow_id: str) -> None:
         """Evict an admitted flow on the scheduler's shed verdict."""
         flow = self._flows.get(flow_id)

@@ -32,6 +32,17 @@ from .scenario import FlowSpec, Scenario
 #: Factory type: builds a fresh scheduler per run.
 SchedulerFactory = Callable[[], MultiInterfaceScheduler]
 
+#: How a batch of independent runs is spread: ``"serial"`` runs them
+#: one after another in this process, ``"process"`` on a pool of worker
+#: processes. The fleet coordinator runs its shards (one
+#: :func:`run_scenario` per device) on one of these.
+EXECUTORS = ("serial", "process")
+
+#: Packets a seeded bench cell transmits (sets its virtual duration).
+#: Long enough that the run averages over sub-second host load swings
+#: and that ``bench obs``'s fixed 20 snapshots cost well under 1%.
+DEFAULT_TARGET_PACKETS = 24000
+
 
 @dataclass
 class ExperimentResult:
@@ -257,6 +268,24 @@ class ScenarioRun:
         """Run every event within the scenario horizon, then set the
         clock to exactly ``scenario.duration``."""
         self.sim.run(until=self.scenario.duration, max_events=max_events)
+
+    def close(self) -> None:
+        """Unwire the run so that reference counting alone frees it.
+
+        Pending events and registered listeners tie the simulator,
+        engine, interfaces, flows and sources into reference cycles,
+        which otherwise only the cycle collector frees. This drops
+        them. What the run measured (``engine.stats``, ``flows``,
+        ``completions``) stays readable, but the run cannot go on.
+        """
+        queue = self.sim.queue
+        queue.restore([], queue.next_seq)
+        engine = self.engine
+        engine.clear_listeners()
+        for interface in engine.interfaces.values():
+            interface.clear_listeners()
+        for flow in self.flows.values():
+            flow.clear_listeners()
 
 
 def run_scenario(

@@ -13,15 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import SchedulingEngine
 from ..errors import FaultError, HeaderError
-from ..net.headers import (
-    ETHERTYPE_IPV4,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-    EthernetHeader,
-    Ipv4Header,
-    TcpHeader,
-    UdpHeader,
-)
 from ..net.interface import Interface
 from ..net.packet import Packet
 from ..sim.simulator import Simulator
@@ -265,6 +256,8 @@ class PacketCorruptionInjector:
             return True
         if self._rng.random() >= self._probability:
             return True
+        from ..net.headers import EthernetHeader
+
         data = bytearray(packet.wire_bytes)
         if len(data) <= EthernetHeader.LENGTH:
             return True
@@ -290,6 +283,18 @@ def verify_wire_packet(data: bytes) -> None:
     pseudo-header checksum. Non-IPv4 ethertypes pass vacuously.
     Raises :class:`~repro.errors.HeaderError` on any mismatch.
     """
+    # Imported here: only runs that carry wire bytes load the header
+    # codec.
+    from ..net.headers import (
+        ETHERTYPE_IPV4,
+        IPPROTO_TCP,
+        IPPROTO_UDP,
+        EthernetHeader,
+        Ipv4Header,
+        TcpHeader,
+        UdpHeader,
+    )
+
     ethernet = EthernetHeader.unpack(data)
     if ethernet.ethertype != ETHERTYPE_IPV4:
         return

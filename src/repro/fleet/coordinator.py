@@ -29,6 +29,7 @@ import json
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
+from ..core.runner import EXECUTORS
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry, QuantileSketch
 from ..trace.fleet_workloads import DeviceWorkload
@@ -53,9 +54,6 @@ from .worker import run_shard
 
 #: Version of the fleet report document.
 FLEET_REPORT_SCHEMA_VERSION = 2
-
-#: Executor kinds understood by :func:`run_fleet`.
-EXECUTORS = ("serial", "process")
 
 #: Fields of the report covered by ``report_hash`` — the deterministic
 #: subset. ``run`` (wall clock, workers, executor) is deliberately

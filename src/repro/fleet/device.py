@@ -27,7 +27,7 @@ import json
 from itertools import islice
 from typing import Callable, Dict, Optional
 
-from ..core.runner import run_scenario
+from ..core.runner import ScenarioRun
 from ..obs.metrics import MetricsRegistry
 from ..schedulers.base import MultiInterfaceScheduler
 from ..schedulers.midrr import MiDrrScheduler
@@ -98,11 +98,15 @@ def run_device(
 ) -> Dict[str, object]:
     """Simulate one device; return its summary + registry payload."""
     scenario = build_device_scenario(workload, device_id, seed)
-    result = run_scenario(
+    run = ScenarioRun(
         scenario,
         scheduler_factory if scheduler_factory is not None else MiDrrScheduler,
     )
-    stats = result.stats
+    run.run_to_completion()
+    # Freed by reference counting when this call returns: a fleet
+    # worker runs device after device.
+    run.close()
+    stats = run.engine.stats
     samples = stats.samples
     packets = len(samples)
     drops = sum(stats.drops_by_flow().values())
@@ -119,10 +123,10 @@ def run_device(
     registry.counter(DEVICES_TOTAL).inc(1)
     registry.counter(PACKETS_TOTAL).inc(packets)
     registry.counter(BYTES_TOTAL).inc(bytes_total)
-    registry.counter(EVENTS_TOTAL).inc(result.sim.events_processed)
+    registry.counter(EVENTS_TOTAL).inc(run.sim.events_processed)
     registry.counter(DROPS_TOTAL).inc(drops)
     registry.counter(FLOWS_TOTAL).inc(len(scenario.flows))
-    registry.counter(FLOWS_COMPLETED_TOTAL).inc(len(result.completions))
+    registry.counter(FLOWS_COMPLETED_TOTAL).inc(len(run.completions))
     registry.sketch(DELAY_SKETCH).observe_many(delays)
 
     for spec in scenario.interfaces:
@@ -153,10 +157,10 @@ def run_device(
         "device_id": device_id,
         "seed": seed,
         "flows": len(scenario.flows),
-        "flows_completed": len(result.completions),
+        "flows_completed": len(run.completions),
         "packets": packets,
         "bytes": bytes_total,
-        "events": result.sim.events_processed,
+        "events": run.sim.events_processed,
         "drops": drops,
         # Plain row tuples off the columns encode as the samples do
         # and skip building a named tuple per row.

@@ -202,6 +202,25 @@ class Flow:
         for listener in self._drop_listeners:
             listener(self, packet)
 
+    def clear_listeners(self) -> None:
+        """Drop every registered callback and the backlog's drop hook.
+
+        Most listeners are bound methods of objects that hold this flow
+        (the engine, a refilling source), so they tie it into reference
+        cycles; a finished run drops them (:meth:`ScenarioRun.close
+        <repro.core.runner.ScenarioRun.close>`) so that reference
+        counting alone frees it.
+        """
+        self.queue.set_drop_listener(None)
+        for listeners in (
+            self._arrival_listeners,
+            self._backlogged_listeners,
+            self._dequeue_listeners,
+            self._drop_listeners,
+            self._prefs_listeners,
+        ):
+            listeners.clear()
+
     def on_dequeue(self, listener: Callable[["Flow", Packet], None]) -> None:
         """Register a callback fired when a packet leaves the backlog.
 

@@ -163,6 +163,20 @@ class Interface:
         """
         self._egress_filters.append(egress_filter)
 
+    def clear_listeners(self) -> None:
+        """Drop the packet source, the egress filters and every
+        registered callback (see :meth:`Flow.clear_listeners
+        <repro.net.flow.Flow.clear_listeners>`)."""
+        self._source = None
+        for listeners in (
+            self._sent_listeners,
+            self._state_listeners,
+            self._rate_listeners,
+            self._egress_filters,
+            self._consumed_listeners,
+        ):
+            listeners.clear()
+
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------

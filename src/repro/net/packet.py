@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigurationError
-from .addresses import Ipv4Address
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .addresses import Ipv4Address
 
 _packet_counter = itertools.count()
 
@@ -181,6 +183,8 @@ def decode_packet(doc: dict) -> Packet:
     """
     five_tuple = None
     if doc["five_tuple"] is not None:
+        from .addresses import Ipv4Address
+
         src, dst, src_port, dst_port, protocol = doc["five_tuple"]
         five_tuple = FiveTuple(
             src=Ipv4Address(src),

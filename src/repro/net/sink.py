@@ -241,7 +241,6 @@ class StatsCollector:
         self.pending: List[object] = []
         self._drops_by_flow: Dict[str, int] = defaultdict(int)
         self._drop_bytes_by_flow: Dict[str, int] = defaultdict(int)
-        self._log = ServiceLog(self)
         self._reset()
 
     def _reset(self) -> None:
@@ -399,7 +398,7 @@ class StatsCollector:
         the restored log by the first query that needs it.
         """
         return {
-            "samples": list(map(list, zip(*self._log.columns()))),
+            "samples": list(map(list, zip(*self.samples.columns()))),
             "drops_by_flow": dict(self._drops_by_flow),
             "drop_bytes_by_flow": dict(self._drop_bytes_by_flow),
         }
@@ -426,8 +425,12 @@ class StatsCollector:
     # ------------------------------------------------------------------
     @property
     def samples(self) -> ServiceLog:
-        """Every recorded transmission, in time (and ingestion) order."""
-        return self._log
+        """Every recorded transmission, in time (and ingestion) order.
+
+        A new view on each access: a view kept here would hold the
+        collector in a reference cycle.
+        """
+        return ServiceLog(self)
 
     def bytes_sent(self, flow_id: str) -> int:
         """Total bytes served to *flow_id* so far."""

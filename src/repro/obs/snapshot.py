@@ -22,7 +22,6 @@ import json
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from ..analysis.report import render_table
 from ..errors import ConfigurationError
 from ..sim.process import PeriodicProcess
 from ..sim.simulator import Simulator
@@ -181,6 +180,8 @@ def render_final_report(
     registry: MetricsRegistry, title: str = "== observability report =="
 ) -> str:
     """An ASCII summary of every registered metric (CLI output)."""
+    from ..analysis.report import render_table
+
     rows = []
     described = registry.describe()
     collected = registry.collect()

@@ -34,7 +34,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional
 
-from ..core.runner import run_scenario
+from ..core.runner import DEFAULT_TARGET_PACKETS, run_scenario
 from ..core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from ..errors import ConfigurationError
 from ..schedulers.midrr import MiDrrScheduler
@@ -57,11 +57,6 @@ REGRESSION_THRESHOLD = 0.20
 #: attempt clears its floor, so ``bench core`` records the fastest of
 #: as many runs: both sides read the best of the same number of tries.
 CORE_ATTEMPTS = 3
-
-#: Packets transmitted per core cell (sets the virtual duration). Long
-#: enough that the run averages over sub-second host load swings and
-#: that ``bench obs``'s fixed 20 snapshots cost well under 1%.
-DEFAULT_TARGET_PACKETS = 24000
 
 #: Interface capacities cycle through these (Mb/s).
 _CAPACITY_CYCLE = (5, 10, 20, 40)

@@ -1,6 +1,8 @@
 """Packet schedulers: classic single-interface algorithms, naive
 multi-interface baselines, and the paper's miDRR."""
 
+from typing import Callable, Dict
+
 from .base import MultiInterfaceScheduler, SingleInterfaceScheduler
 from .drr import DEFAULT_QUANTUM, DrrScheduler
 from .edf import AdmissionVerdict, EdfScheduler
@@ -20,6 +22,18 @@ from .per_interface import (
 from .qaware import QAwareScheduler
 from .wfq import WfqScheduler
 
+#: The scheduler family, in report order: label → factory. The
+#: latency-SLO report sweeps it and the CLI offers its labels.
+SCHEDULER_FAMILY: Dict[str, Callable[[], MultiInterfaceScheduler]] = {
+    "fifo": PerInterfaceScheduler.fifo,
+    "wfq": PerInterfaceScheduler.wfq,
+    "drr": PerInterfaceScheduler.drr,
+    "static": StaticSplitScheduler,
+    "midrr": MiDrrScheduler,
+    "edf": EdfScheduler,
+    "qaware": QAwareScheduler,
+}
+
 __all__ = [
     "AdmissionVerdict",
     "COUNTER_CAP",
@@ -35,6 +49,7 @@ __all__ = [
     "PerInterfaceScheduler",
     "QAwareScheduler",
     "RoundRobinScheduler",
+    "SCHEDULER_FAMILY",
     "SchedulerFactory",
     "SingleInterfaceScheduler",
     "StaticSplitScheduler",

@@ -2,6 +2,10 @@
 
 from .._lazy import lazy_exports
 
+#: Workload kinds understood by
+#: :func:`~repro.trace.fleet_workloads.build_device_scenario`.
+WORKLOAD_KINDS = ("smartphone", "bulk")
+
 __all__ = [
     "AppProfile",
     "ConcurrencyStats",
@@ -18,11 +22,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".concurrency": ("ConcurrencyStats", "concurrency_stats"),
-    ".fleet_workloads": (
-        "WORKLOAD_KINDS",
-        "DeviceWorkload",
-        "build_device_scenario",
-    ),
+    ".fleet_workloads": ("DeviceWorkload", "build_device_scenario"),
     ".smartphone": (
         "DEFAULT_APPS",
         "WEEK_SECONDS",

@@ -37,10 +37,8 @@ from typing import Dict, Optional, Tuple
 from ..core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from ..errors import ConfigurationError
 from ..sim.randomness import derive_seed
+from . import WORKLOAD_KINDS
 from .smartphone import DeviceTraceConfig, SmartphoneTraceGenerator
-
-#: Workload kinds understood by :func:`build_device_scenario`.
-WORKLOAD_KINDS = ("smartphone", "bulk")
 
 #: Apps whose flows the user is actively waiting on get a heavier φ —
 #: mirroring the paper's premise that preferences differ across flows.

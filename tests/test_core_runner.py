@@ -1,8 +1,11 @@
 """Integration tests for the scenario runner."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.runner import run_scenario
+from repro.core.runner import ScenarioRun, run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from repro.net.interface import CapacityStep
 from repro.schedulers.midrr import MiDrrScheduler
@@ -155,3 +158,68 @@ class TestDynamicScenarios:
 
         assert run(1) != run(2)
         assert run(1) == run(1)
+
+
+class TestClose:
+    def scenario(self):
+        # A completed bulk transfer, one still running, one not yet
+        # started and a capacity step still pending at the horizon.
+        return Scenario(
+            interfaces=(
+                InterfaceSpec("if1", mbps(1), capacity_steps=(CapacityStep(30.0, mbps(2)),)),
+                InterfaceSpec("if2", mbps(1)),
+            ),
+            flows=(
+                FlowSpec("done", traffic=TrafficSpec("bulk", total_bytes=30_000)),
+                FlowSpec("b", interfaces=("if2",)),
+                FlowSpec("late", start_time=20.0),
+            ),
+            duration=10.0,
+        )
+
+    def test_measurements_stay_readable(self):
+        run = ScenarioRun(self.scenario(), MiDrrScheduler)
+        run.run_to_completion()
+        before = (
+            run.engine.stats.snapshot_state(),
+            dict(run.completions),
+            run.sim.now,
+            run.sim.events_processed,
+        )
+        assert run.sim.pending_events > 0
+        run.close()
+        assert run.sim.pending_events == 0
+        assert (
+            run.engine.stats.snapshot_state(),
+            dict(run.completions),
+            run.sim.now,
+            run.sim.events_processed,
+        ) == before
+        assert "done" in run.completions
+
+    def test_freed_without_the_cycle_collector(self):
+        run = ScenarioRun(self.scenario(), MiDrrScheduler)
+        run.run_to_completion()
+        # Simulator and Flow take no weak references (their slots
+        # leave none); the collection below covers them.
+        refs = [
+            weakref.ref(obj)
+            for obj in (
+                run,
+                run.engine,
+                run.engine.stats,
+                *run.sources.values(),
+                *run.engine.interfaces.values(),
+            )
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            run.close()
+            del run
+            alive = [ref for ref in refs if ref() is not None]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert alive == []
+        assert unreachable == 0

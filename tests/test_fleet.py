@@ -135,6 +135,37 @@ class TestRunDevice:
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == expected
 
 
+class TestDeviceTeardown:
+    def test_finished_device_freed_without_the_cycle_collector(self, monkeypatch):
+        """A finished device's whole object graph is freed by reference
+        counting: with the cycle collector off, no device's
+        ``StatsCollector`` outlives ``run_device`` and a collection
+        afterwards finds nothing unreachable."""
+        import gc
+        import weakref
+
+        collectors = []
+        real_init = StatsCollector.__init__
+
+        def init(collector, *args, **kwargs):
+            real_init(collector, *args, **kwargs)
+            collectors.append(weakref.ref(collector))
+
+        monkeypatch.setattr(StatsCollector, "__init__", init)
+        gc.collect()
+        gc.disable()
+        try:
+            for device_id in ("d0", "d1", "d2"):
+                run_device(device_id, 1, PHONE)
+            alive = [ref for ref in collectors if ref() is not None]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert len(collectors) == 3
+        assert alive == []
+        assert unreachable == 0
+
+
 def reference_fingerprint(samples) -> str:
     """The fingerprint's defining formulation: a list of
     ``[time, flow_id, interface_id, size_bytes, delay]`` lists,

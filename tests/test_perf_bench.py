@@ -230,11 +230,44 @@ class TestCli:
             "obs": ["--baseline", "--repeats", "--seed", "--strict"],
         }
 
+    def test_choices_are_the_registries(self):
+        """Each choice list and default the parser shows equals the
+        registry or constant the command runs against."""
+        from repro.analysis.slo import SCHEDULER_FAMILY
+        from repro.fleet import EXECUTORS
+        from repro.trace.fleet_workloads import WORKLOAD_KINDS
+
+        commands = next(
+            action.choices
+            for action in build_parser()._actions
+            if getattr(action, "choices", None) and "fleet" in action.choices
+        )
+
+        def option(command, flag):
+            return next(
+                action
+                for action in commands[command]._actions
+                if flag in action.option_strings
+            )
+
+        assert option("slo", "--scheduler").choices == sorted(SCHEDULER_FAMILY)
+        assert option("fleet", "--executor").choices == list(EXECUTORS)
+        assert option("fleet", "--workload").choices == list(WORKLOAD_KINDS)
+        assert option("obs", "--target-packets").default == DEFAULT_TARGET_PACKETS
+        assert cli.SCHEDULER_CHOICES == {
+            **SCHEDULER_FAMILY,
+            "midrr-counter": cli.SCHEDULER_CHOICES["midrr-counter"],
+        }
+        for command in ("run", "checkpoint", "resume", "obs"):
+            assert option(command, "--scheduler").choices == sorted(
+                cli.SCHEDULER_CHOICES
+            )
+
     def test_bench_core_writes_document(
         self, document, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr(
-            cli, "run_core_bench", lambda seed, progress: document
+            "repro.perf.run_core_bench", lambda seed, progress: document
         )
         out = tmp_path / "BENCH_core.json"
         assert main(["bench", "core", "--out", str(out)]) == 0
@@ -248,11 +281,10 @@ class TestCli:
         skipping the fleet floor."""
         monkeypatch.delenv("MIDRR_SKIP_BENCH_REGRESSION", raising=False)
         monkeypatch.setattr(
-            cli, "run_core_bench", lambda seed, **kwargs: document
+            "repro.perf.run_core_bench", lambda seed, **kwargs: document
         )
         monkeypatch.setattr(
-            cli,
-            "run_latency_slo",
+            "repro.analysis.slo.run_latency_slo",
             lambda seed, duration: SimpleNamespace(report_hash=lambda: "same"),
         )
         baseline = copy.deepcopy(document)
@@ -303,7 +335,7 @@ class TestMetricsOverhead:
                 seed=seed, repeats=repeats,
             )
 
-        monkeypatch.setattr(cli, "run_metrics_overhead", small_overhead)
+        monkeypatch.setattr("repro.perf.run_metrics_overhead", small_overhead)
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(document))
         assert main(["bench", "obs", "--repeats", "1", "--baseline", str(path)]) == 0
@@ -700,7 +732,7 @@ def test_ingest_call_budget():
 
 
 #: Python-level calls per served sample in a fleet device's digest,
-#: from :func:`~repro.core.runner.run_scenario`'s return to
+#: from :meth:`~repro.core.runner.ScenarioRun.close`'s return to
 #: :func:`~repro.fleet.run_device`'s return (deterministic for a given
 #: code path). A per-sample generator, method call or copy in the
 #: digest shows as a jump of a whole call per sample; the one-pass
@@ -712,13 +744,15 @@ def _digest_calls_per_sample() -> float:
     """Python-level ``call`` events per sample in one device's digest.
 
     Device ``d3``, seed 7, the default smartphone workload over 10 s.
-    Counting starts as ``run_scenario`` returns into ``run_device``
-    and stops when ``run_device`` returns, so it covers the stats
-    flush, the registry, the sketch feed and the trace fingerprint.
+    Counting starts as the finished run's ``close`` returns into
+    ``run_device`` and stops when ``run_device`` returns, so it covers
+    the stats flush, the registry, the sketch feed and the trace
+    fingerprint.
     """
     import gc
     import sys
 
+    from repro.core.runner import ScenarioRun
     from repro.fleet import device as fleet_device
     from repro.trace import DeviceWorkload
 
@@ -728,17 +762,16 @@ def _digest_calls_per_sample() -> float:
         if event == "call":
             calls[0] += 1
 
-    real_run_scenario = fleet_device.run_scenario
+    real_close = ScenarioRun.close
 
-    def counted_run_scenario(*args, **kwargs):
-        result = real_run_scenario(*args, **kwargs)
+    def counted_close(run):
+        real_close(run)
         gc.collect()
         gc.disable()
         sys.setprofile(profile)
-        return result
 
     previous = sys.getprofile()
-    fleet_device.run_scenario = counted_run_scenario
+    ScenarioRun.close = counted_close
     try:
         payload = fleet_device.run_device(
             "d3", 7, DeviceWorkload(kind="smartphone", duration=10.0)
@@ -746,7 +779,7 @@ def _digest_calls_per_sample() -> float:
     finally:
         sys.setprofile(previous)
         gc.enable()
-        fleet_device.run_scenario = real_run_scenario
+        ScenarioRun.close = real_close
     assert payload["packets"] > 500
     return calls[0] / payload["packets"]
 
@@ -827,8 +860,10 @@ def test_fleet_call_budget():
 #: scheduler class registers on import): 9 of the engine's 25.
 IMPORT_BUDGETS = {
     "import repro": 2,
-    "import repro.core.engine": 25,
-    "from repro.fleet import run_fleet": 45,
+    "import repro.core.engine": 24,
+    "from repro.fleet import run_fleet": 44,
+    "import repro.cli": 53,
+    "from repro.faults.processes import GilbertElliottFlapper, PreferenceChurner": 27,
 }
 
 _IMPORT_PROBE = """
@@ -865,6 +900,34 @@ def test_import_graph_budget(statement):
         f"{statement!r} loaded {len(loaded)} repro modules, budget "
         f"{IMPORT_BUDGETS[statement]}: {loaded}"
     )
+
+
+#: Subsystems only the non-figure commands use: ``import repro.cli``
+#: (paper-figures' whole set-up) and building its parser load none.
+CLI_DEFERRED = (
+    "repro.analysis.slo",
+    "repro.faults",
+    "repro.fleet",
+    "repro.health",
+    "repro.obs",
+    "repro.perf",
+    "repro.recovery",
+)
+
+
+def test_cli_defers_other_commands_subsystems():
+    """The CLI loads the figure chain; every other command imports its
+    own subsystem when it runs."""
+    output = _fresh_interpreter(
+        _IMPORT_PROBE, "import repro.cli; repro.cli.build_parser()"
+    )
+    loaded = json.loads(output.strip().splitlines()[-1])
+    assert [
+        module
+        for module in loaded
+        if any(module == deferred or module.startswith(deferred + ".")
+               for deferred in CLI_DEFERRED)
+    ] == []
 
 
 _POOL_PROBE = """
