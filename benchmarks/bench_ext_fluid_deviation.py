@@ -6,10 +6,11 @@ how far it can deviate, we check the performance of miDRR in a
 simulation..." — Figure 6 then shows steady rates plus a transient.
 
 This bench measures the deviation *continuously*: the exact fluid
-trajectory (``repro.fairness.fluid``) is integrated over the Figure 6
-setup, and miDRR's cumulative service is compared against it at
-half-second checkpoints. The worst gap, in bytes, is the system-level
-counterpart of the paper's Lemma 5/6 per-pair bounds.
+trajectory (``repro.fairness.fluid``) is integrated from each run's own
+regime journal over the Figure 6 setup, and miDRR's cumulative service
+is compared against it at half-second checkpoints. The worst gap, in
+bytes, is the system-level counterpart of the paper's Lemma 5/6
+per-pair bounds.
 
 Run: pytest benchmarks/bench_ext_fluid_deviation.py --benchmark-only
 """
@@ -21,26 +22,22 @@ from conftest import banner, emit
 from repro.analysis.report import render_table
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario
-from repro.fairness.fluid import FluidFlow, FluidSimulator, max_service_lag
+from repro.fairness.fluid import FluidSimulator, max_service_lag
 from repro.schedulers.midrr import MiDrrScheduler
 from repro.schedulers.per_interface import PerInterfaceScheduler
 from repro.units import mbps
 
 DURATION = 30.0
-FLOWS = (
-    ("a", 1.0, ("if1",)),
-    ("b", 2.0, None),
-    ("c", 1.0, ("if2",)),
-)
 
 
 def _scenario() -> Scenario:
     return Scenario(
         name="fluid-deviation",
         interfaces=(InterfaceSpec("if1", mbps(3)), InterfaceSpec("if2", mbps(10))),
-        flows=tuple(
-            FlowSpec(flow_id, weight=weight, interfaces=willing)
-            for flow_id, weight, willing in FLOWS
+        flows=(
+            FlowSpec("a", weight=1.0, interfaces=("if1",)),
+            FlowSpec("b", weight=2.0),
+            FlowSpec("c", weight=1.0, interfaces=("if2",)),
         ),
         duration=DURATION,
     )
@@ -49,18 +46,12 @@ def _scenario() -> Scenario:
 def _deviation(scheduler_factory):
     scenario = _scenario()
     packet_result = run_scenario(scenario, scheduler_factory)
-    fluid = FluidSimulator(
-        scenario.capacities(),
-        [
-            FluidFlow(flow_id, weight=weight, interfaces=willing)
-            for flow_id, weight, willing in FLOWS
-        ],
-    ).run(DURATION)
+    fluid = FluidSimulator(packet_result.engine.regimes)
     checkpoints = [0.5 * k for k in range(1, int(DURATION * 2) + 1)]
     measured = {
         t: {
-            flow_id: packet_result.stats.service_in_window(flow_id, 0.0, t)
-            for flow_id, _, _ in FLOWS
+            spec.flow_id: packet_result.stats.service_in_window(spec.flow_id, 0.0, t)
+            for spec in scenario.flows
         }
         for t in checkpoints
     }

@@ -802,7 +802,13 @@ SCHEDULER_CHOICES = {
 
 
 def cmd_run(args: argparse.Namespace) -> None:
-    """Run a scenario JSON document under a chosen scheduler."""
+    """Run a scenario JSON document under a chosen scheduler.
+
+    The reference is the fluid optimum of the run's own regime journal,
+    averaged over the same window as the measured rates.
+    """
+    from .fairness.fluid import FluidSimulator
+
     with open(args.scenario, "r", encoding="utf-8") as handle:
         scenario = Scenario.from_dict(json.load(handle))
     factory = SCHEDULER_CHOICES[args.scheduler]
@@ -810,8 +816,11 @@ def cmd_run(args: argparse.Namespace) -> None:
     start = args.warmup
     end = scenario.duration
     rates = result.rates(start, end)
-    reference = result.reference_allocation()
-    expected = {spec.flow_id: reference.rate(spec.flow_id) for spec in scenario.flows}
+    service = FluidSimulator(result.engine.regimes).run(start, end)
+    expected = {
+        spec.flow_id: float(service.get(spec.flow_id, 0)) / (end - start)
+        for spec in scenario.flows
+    }
     _print(
         render_comparison(
             rates,

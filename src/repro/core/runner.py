@@ -6,18 +6,18 @@ it is the one builder, which the checkpointable run in
 :mod:`repro.recovery.runner` extends. :func:`run_scenario` builds one,
 runs it to completion and returns an :class:`ExperimentResult` with the
 raw service samples plus the derived quantities the paper's figures
-need: per-flow rate time series, per-phase average rates, measured rate
-clusters, and comparisons against the fluid max-min reference.
+need: per-flow rate time series, windowed average rates and measured
+rate clusters. The engine's regime journal stays on the result, the
+input of the fluid max-min reference (:mod:`repro.fairness.fluid`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..fairness.clusters import EmpiricalCluster, extract_clusters
-from ..fairness.waterfill import Allocation, weighted_maxmin
 from ..net.flow import Flow
 from ..net.interface import Interface
 from ..net.sink import StatsCollector
@@ -85,58 +85,6 @@ class ExperimentResult:
         return extract_clusters(
             matrix, self.scenario.weights(), window=end - start
         )
-
-    # ------------------------------------------------------------------
-    # Fluid reference
-    # ------------------------------------------------------------------
-    def reference_allocation(
-        self,
-        active_flows: Optional[Sequence[str]] = None,
-        capacities: Optional[Mapping[str, float]] = None,
-    ) -> Allocation:
-        """The exact weighted max-min allocation for a flow subset.
-
-        Defaults to all scenario flows and initial capacities; pass the
-        set of flows alive in a phase to get per-phase references.
-        """
-        chosen = (
-            set(active_flows)
-            if active_flows is not None
-            else {spec.flow_id for spec in self.scenario.flows}
-        )
-        flows = {
-            spec.flow_id: (spec.weight, spec.interfaces)
-            for spec in self.scenario.flows
-            if spec.flow_id in chosen
-        }
-        caps = dict(capacities) if capacities is not None else self.scenario.capacities()
-        return weighted_maxmin(flows, caps)
-
-    def phases(self) -> List[Tuple[float, float, List[str]]]:
-        """Time intervals delimited by flow starts/completions.
-
-        Returns ``[(start, end, alive_flow_ids), ...]`` covering
-        ``[0, duration]`` — the natural windows for checking per-phase
-        allocations (the paper's Figure 6/8 phase structure).
-        """
-        marks = {0.0, self.scenario.duration}
-        for spec in self.scenario.flows:
-            marks.add(min(spec.start_time, self.scenario.duration))
-        for when in self.completions.values():
-            marks.add(min(when, self.scenario.duration))
-        ordered = sorted(marks)
-        phases: List[Tuple[float, float, List[str]]] = []
-        for start, end in zip(ordered, ordered[1:]):
-            if end - start <= 1e-12:
-                continue
-            alive = [
-                spec.flow_id
-                for spec in self.scenario.flows
-                if spec.start_time <= start + 1e-12
-                and self.completions.get(spec.flow_id, float("inf")) >= end - 1e-12
-            ]
-            phases.append((start, end, alive))
-        return phases
 
 
 def build_traffic(
@@ -300,6 +248,10 @@ def run_scenario(
     topology and flows are wired but before the first kick — the hook
     observability and health layers use to attach instrumentation or
     watchdogs to a scenario run without rebuilding the harness.
+
+    The run is closed before this returns (see :meth:`ScenarioRun.close`),
+    so reference counting alone frees it once the result is dropped; the
+    result's stats, engine, clock and regime journal stay readable.
     """
     run = ScenarioRun(
         scenario,
@@ -308,6 +260,7 @@ def run_scenario(
         else lambda run: on_engine(run.sim, run.engine),
     )
     run.run_to_completion(max_events=max_events)
+    run.close()
     return ExperimentResult(
         scenario=scenario,
         stats=run.engine.stats,

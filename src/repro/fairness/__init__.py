@@ -3,8 +3,10 @@
 One exact solver (combinatorial water-filling in ``Fraction``
 arithmetic, certified against Theorem 2 by the test suite) with a
 front end that holds a live instance under deltas and solves it on
-read, rate-cluster extraction/validation (Definition 2, Theorem 2),
-and the paper's directional fairness metric.
+read; the fluid reference, which replays an engine's regime journal
+into that front end and integrates the optimum over time;
+rate-cluster extraction/validation (Definition 2, Theorem 2); and the
+paper's directional fairness metric.
 """
 
 from .._lazy import lazy_exports
@@ -16,9 +18,6 @@ __all__ = [
     "MAX_RELATIVE_ERROR",
     "ZERO_RATE_ATOL",
     "ConformanceReport",
-    "FluidCapacityStep",
-    "FluidFlow",
-    "FluidResult",
     "FluidSimulator",
     "PropertyResult",
     "run_conformance",
@@ -43,13 +42,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".conformance": ("ConformanceReport", "PropertyResult", "run_conformance"),
-    ".fluid": (
-        "FluidCapacityStep",
-        "FluidFlow",
-        "FluidResult",
-        "FluidSimulator",
-        "max_service_lag",
-    ),
+    ".fluid": ("FluidSimulator", "max_service_lag"),
     ".theory": (
         "fate_sharing_holds",
         "lemma_bounds",

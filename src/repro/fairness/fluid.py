@@ -1,253 +1,174 @@
-"""Fluid (ideal bit-by-bit) max-min reference simulator.
+"""Fluid (ideal bit-by-bit) max-min reference, replayed from a regime journal.
 
 The paper evaluates miDRR by how far it "can deviate from an ideal
 bit-by-bit max-min fair scheduler" (§6.2). This module *is* that ideal
-scheduler: it serves flows as infinitely divisible fluid, re-solving
-the exact weighted max-min allocation (via
-:mod:`repro.fairness.waterfill`) at every event — flow arrival, flow
-completion, scheduled capacity change — and integrating service
-piecewise between events.
+scheduler. Its only input is a regime journal
+(:attr:`~repro.core.engine.SchedulingEngine.regimes`): the time-ordered
+``(time, kind, subject, value)`` entries the engine writes at every
+edit of the weighted max-min instance. :class:`FluidSimulator` decodes
+each entry into deltas on an
+:class:`~repro.fairness.incremental.IncrementalMaxMinSolver`; it is the
+one place that mapping lives.
 
-Because everything is piecewise linear, the simulation is exact: it
-advances directly from event to event, finding completion times by
-division, with no time-stepping error. The result doubles as a
-time-domain reference for the packetized engine: compare
-:meth:`FluidResult.cumulative_service` against a
-:class:`~repro.net.sink.StatsCollector` to bound a real scheduler's
-service lag at *every instant*, not just in steady-state windows.
+An entry at time ``t`` applies from ``t``: over a window ``(start,
+end]`` an entry stamped ``start`` is in force for the whole window and
+one stamped ``end`` for none of it. Between entries the optimal rates
+are constant, so :meth:`FluidSimulator.run` integrates them exactly,
+with one solve per regime and durations taken as ``Fraction(t)``.
+Compare its service against a :class:`~repro.net.sink.StatsCollector`
+to bound a real scheduler's service lag at *every instant*, not just
+in steady-state windows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigurationError, FairnessError
-from .waterfill import weighted_maxmin
+from ..errors import ConfigurationError
+from .incremental import IncrementalMaxMinSolver
+from .waterfill import _as_fraction
 
-#: Numerical slop for event coincidence, seconds.
-EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class FluidFlow:
-    """One fluid flow: weight, willing set, arrival, optional size."""
-
-    flow_id: str
-    weight: float = 1.0
-    interfaces: Optional[Tuple[str, ...]] = None
-    start_time: float = 0.0
-    total_bytes: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ConfigurationError(
-                f"flow {self.flow_id!r}: weight must be positive"
-            )
-        if self.total_bytes is not None and self.total_bytes <= 0:
-            raise ConfigurationError(
-                f"flow {self.flow_id!r}: total_bytes must be positive"
-            )
-
-
-@dataclass(frozen=True)
-class FluidCapacityStep:
-    """A scheduled capacity change for one interface.
-
-    A ``rate_bps`` of exactly 0 models an outage: flows confined to
-    dead interfaces receive fluid rate 0 (the quarantine semantics of
-    :func:`~repro.fairness.waterfill.weighted_maxmin`).
-    """
-
-    time: float
-    interface_id: str
-    rate_bps: float
-
-    def __post_init__(self) -> None:
-        if self.rate_bps < 0:
-            raise ConfigurationError("capacity must stay >= 0")
-
-
-@dataclass
-class FluidSegment:
-    """A maximal interval with constant rates."""
-
-    start: float
-    end: float
-    rates: Dict[str, float]  # bits/s per active flow
-
-
-@dataclass
-class FluidResult:
-    """The full piecewise-linear service trajectory."""
-
-    segments: List[FluidSegment]
-    completions: Dict[str, float]
-
-    def rate_at(self, flow_id: str, time: float) -> float:
-        """Instantaneous rate of *flow_id* at *time* (bits/s).
-
-        Right-continuous: at an exact segment boundary the *incoming*
-        segment's rate is returned, and at exactly ``duration`` (the
-        last segment's end, ± :data:`EPSILON`) the final segment's
-        rate — so ``cumulative_service`` is the exact integral of
-        ``rate_at`` over ``[0, duration]``. Outside the simulated
-        window the rate is 0. (The previous lookup compared against
-        ``end - EPSILON``, shifting times within EPSILON of a boundary
-        into the *next* segment — an off-by-one-segment error the
-        byte-conservation property test pins.)
-        """
-        if not self.segments:
-            return 0.0
-        starts = [segment.start for segment in self.segments]
-        index = bisect_right(starts, time) - 1
-        if index < 0:
-            return 0.0
-        segment = self.segments[index]
-        if time < segment.end:
-            return segment.rates.get(flow_id, 0.0)
-        if index == len(self.segments) - 1 and time <= segment.end + EPSILON:
-            return segment.rates.get(flow_id, 0.0)
-        return 0.0
-
-    def cumulative_service(self, flow_id: str, time: float) -> float:
-        """Bytes of ideal service delivered to *flow_id* by *time*."""
-        total_bits = 0.0
-        for segment in self.segments:
-            if segment.start >= time:
-                break
-            span = min(segment.end, time) - segment.start
-            if span > 0:
-                total_bits += segment.rates.get(flow_id, 0.0) * span
-        return total_bits / 8
-
-    def average_rate(self, flow_id: str, start: float, end: float) -> float:
-        """Mean rate over ``(start, end]`` in bits/s."""
-        if end <= start:
-            return 0.0
-        served = self.cumulative_service(flow_id, end) - self.cumulative_service(
-            flow_id, start
-        )
-        return served * 8 / (end - start)
+#: One regime-journal entry: ``(time, kind, subject, value)``.
+Entry = Tuple[float, str, str, Any]
 
 
 class FluidSimulator:
-    """Piecewise-exact ideal max-min service over time."""
+    """The exact fluid max-min optimum of a regime journal.
 
-    def __init__(
-        self,
-        capacities: Mapping[str, float],
-        flows: Sequence[FluidFlow],
-        capacity_steps: Sequence[FluidCapacityStep] = (),
-    ) -> None:
-        if not capacities:
-            raise ConfigurationError("need at least one interface")
-        flow_ids = [flow.flow_id for flow in flows]
-        if len(set(flow_ids)) != len(flow_ids):
-            raise ConfigurationError("duplicate flow ids")
-        self._capacities = dict(capacities)
-        self._flows = list(flows)
-        self._steps = sorted(capacity_steps, key=lambda step: step.time)
-        for step in self._steps:
-            if step.interface_id not in self._capacities:
-                raise ConfigurationError(
-                    f"capacity step for unknown interface {step.interface_id!r}"
-                )
+    Holds one solver and a cursor into *journal*, which may still be
+    growing: :meth:`advance` applies the entries appended since the
+    last call (the fairness auditor's live cursor), and :meth:`run`
+    replays the journal from its first entry and integrates the optimal
+    service over a window.
+    """
 
-    def run(self, duration: float) -> FluidResult:
-        """Integrate the ideal service from 0 to *duration*."""
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        capacities = dict(self._capacities)
-        remaining: Dict[str, Optional[float]] = {
-            flow.flow_id: (
-                flow.total_bytes * 8 if flow.total_bytes is not None else None
+    def __init__(self, journal: Sequence[Entry]) -> None:
+        self.journal = journal
+        self._reset()
+
+    def _reset(self) -> None:
+        self.solver = IncrementalMaxMinSolver()
+        #: Flows the journal names but the instance excludes —
+        #: admission-shed, or willing to use no known interface. Their
+        #: optimal rate is exactly 0.
+        self.masked: Set[str] = set()
+        #: Entries applied so far.
+        self.cursor = 0
+
+    def advance(self, until: float = math.inf) -> Tuple[Optional[float], List[str]]:
+        """Apply the pending entries stamped at or before *until*.
+
+        Returns the time of the last entry that changed the instance
+        (``None`` if none did) and the subject of every ``"remove"``
+        entry applied, in journal order.
+        """
+        journal = self.journal
+        changed_at: Optional[float] = None
+        removed: List[str] = []
+        while self.cursor < len(journal) and journal[self.cursor][0] <= until:
+            time, kind, subject, value = journal[self.cursor]
+            self.cursor += 1
+            if kind == "remove":
+                removed.append(subject)
+            if self._apply(kind, subject, value):
+                changed_at = time
+        return changed_at, removed
+
+    def run(self, start: float, end: float) -> Dict[str, Fraction]:
+        """Each flow's optimal service over ``(start, end]``, in bits.
+
+        Restarts the replay from the journal's first entry. Flows that
+        the instance held at some point in the window are keys; masked
+        flows are not. Several entries at one instant cost one solve.
+        """
+        if end <= start:
+            raise ConfigurationError(
+                f"fluid window ({start:g}, {end:g}] is empty"
             )
-            for flow in self._flows
-        }
-        by_id = {flow.flow_id: flow for flow in self._flows}
-        completions: Dict[str, float] = {}
-        segments: List[FluidSegment] = []
-        now = 0.0
-        pending_steps = list(self._steps)
-
-        while now < duration - EPSILON:
-            active = [
-                flow
-                for flow in self._flows
-                if flow.start_time <= now + EPSILON
-                and flow.flow_id not in completions
-            ]
-            rates: Dict[str, float] = {}
-            if active:
-                allocation = weighted_maxmin(
-                    {
-                        flow.flow_id: (flow.weight, flow.interfaces)
-                        for flow in active
-                    },
-                    capacities,
-                )
-                rates = {
-                    flow.flow_id: allocation.rate(flow.flow_id) for flow in active
-                }
-
-            # Next boundary: duration, a capacity step, a future flow
-            # arrival, or the earliest fluid completion at these rates.
-            boundary = duration
-            for step in pending_steps:
-                if step.time > now + EPSILON:
-                    boundary = min(boundary, step.time)
-                    break
-            for flow in self._flows:
-                if flow.start_time > now + EPSILON:
-                    boundary = min(boundary, flow.start_time)
-            for flow in active:
-                bits_left = remaining[flow.flow_id]
-                rate = rates.get(flow.flow_id, 0.0)
-                if bits_left is not None and rate > 0:
-                    boundary = min(boundary, now + bits_left / rate)
-
-            if boundary <= now + EPSILON:
-                boundary = now + EPSILON  # numerical floor; cannot stall
-
-            segments.append(FluidSegment(start=now, end=boundary, rates=rates))
-            span = boundary - now
-            for flow in active:
-                bits_left = remaining[flow.flow_id]
-                if bits_left is None:
-                    continue
-                bits_left -= rates.get(flow.flow_id, 0.0) * span
-                remaining[flow.flow_id] = bits_left
-                if bits_left <= EPSILON * max(1.0, rates.get(flow.flow_id, 1.0)):
-                    completions[flow.flow_id] = boundary
-            # Apply capacity steps landing exactly at the boundary.
-            while pending_steps and pending_steps[0].time <= boundary + EPSILON:
-                step = pending_steps.pop(0)
-                capacities[step.interface_id] = step.rate_bps
+        self._reset()
+        self.advance(start)
+        journal = self.journal
+        service: Dict[str, Fraction] = {}
+        now = start
+        while now < end:
+            boundary = end
+            if self.cursor < len(journal):
+                boundary = min(end, journal[self.cursor][0])
+            span = Fraction(boundary) - Fraction(now)
+            for flow_id, rate in self.solver.allocation.rates.items():
+                service[flow_id] = service.get(flow_id, 0) + rate * span
             now = boundary
+            if now < end:
+                self.advance(now)
+        return service
 
-        return FluidResult(segments=segments, completions=completions)
+    def _apply(self, kind: str, subject: str, value: Any) -> bool:
+        """Edit the solver by one journal entry; ``True`` if it changed."""
+        solver = self.solver
+        if kind == "capacity":
+            capacity = _as_fraction(value)
+            new = not solver.has_interface(subject)
+            if not new and solver.capacity(subject) == capacity:
+                return False
+            solver.set_capacity(subject, capacity)
+            if new and self.masked:
+                # A new interface may make masked flows servable: replay
+                # each one's latest entry.
+                past = self.journal[: self.cursor]
+                latest = {name: flow for _, k, name, flow in past if k == "flow"}
+                for flow_id in sorted(self.masked):
+                    self._apply("flow", flow_id, latest[flow_id])
+            return True
+        # A masked flow is never in the solver, and vice versa.
+        was_masked = subject in self.masked
+        self.masked.discard(subject)
+        in_solver = solver.has_flow(subject)
+        if kind == "remove":
+            if in_solver:
+                solver.remove_flow(subject)
+            return was_masked or in_solver
+        weight, row, shed = value
+        row = frozenset(row) if row is not None else None
+        # Servability is judged against the solver's interface set,
+        # which rejects rows it cannot resolve.
+        known = set(solver.interface_ids)
+        if shed or not known or (row is not None and not row & known):
+            self.masked.add(subject)
+            if in_solver:
+                solver.remove_flow(subject)
+            return in_solver or not was_masked
+        if not in_solver:
+            solver.add_flow(subject, weight, row)
+            return True
+        changed = False
+        if solver.weight_of(subject) != _as_fraction(weight):
+            solver.set_weight(subject, weight)
+            changed = True
+        if solver.row_of(subject) != row:
+            solver.restrict_flow(subject, row)
+            changed = True
+        return changed
 
 
 def max_service_lag(
-    fluid: FluidResult,
+    fluid: FluidSimulator,
     measured_cumulative: Mapping[float, Mapping[str, float]],
 ) -> Dict[str, float]:
     """Worst |ideal − measured| cumulative service per flow, in bytes.
 
-    *measured_cumulative* maps sample times to per-flow cumulative byte
-    counts (build it from a :class:`StatsCollector`). This is the
-    system-level analogue of the paper's Lemma 5/6 bounds: a correct
-    packetized scheduler's lag stays within a few packets plus a
-    quantum at every instant.
+    *measured_cumulative* maps sample times to per-flow byte counts
+    served over ``(0, time]`` (build it from a :class:`StatsCollector`).
+    This is the system-level analogue of the paper's Lemma 5/6 bounds:
+    a correct packetized scheduler's lag stays within a few packets
+    plus a quantum at every instant.
     """
     worst: Dict[str, float] = {}
     for time, by_flow in measured_cumulative.items():
+        ideal = fluid.run(0.0, time)
         for flow_id, measured in by_flow.items():
-            ideal = fluid.cumulative_service(flow_id, time)
-            gap = abs(ideal - measured)
+            gap = abs(float(ideal.get(flow_id, 0)) / 8 - measured)
             if gap > worst.get(flow_id, 0.0):
                 worst[flow_id] = gap
     return worst

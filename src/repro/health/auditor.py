@@ -7,10 +7,12 @@ edit of that instance once, in its regime journal
 admission shedding, interface capacity steps and up/down transitions,
 and φ/Π edits, which must pass through
 :meth:`~repro.core.engine.SchedulingEngine.notify_preferences_changed`.
-The auditor replays the journal from a cursor, at each tick and on each
-read of :attr:`FairnessAuditor.solver`, feeding every entry as a delta
-into an :class:`~repro.fairness.incremental.IncrementalMaxMinSolver`,
-which solves the fluid optimum only when something reads it. On a periodic
+The auditor keeps a live cursor into the journal through a
+:class:`~repro.fairness.fluid.FluidSimulator`, the one decoder of
+journal entries, and advances it at each tick and on each read of
+:attr:`FairnessAuditor.solver`. The replay's
+:class:`~repro.fairness.incremental.IncrementalMaxMinSolver` solves the
+fluid optimum only when something reads it. On a periodic
 stride it then compares each flow's *measured* service rate (from the
 engine's :class:`~repro.net.sink.StatsCollector` over a trailing window)
 against its fluid-optimal rate and raises a structured
@@ -41,13 +43,13 @@ byte-identical).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Set
+from typing import Callable, List, Optional
 
 from ..core.engine import SchedulingEngine
 from ..errors import WatchdogError
+from ..fairness.fluid import FluidSimulator
 from ..fairness.incremental import IncrementalMaxMinSolver
 from ..fairness.metrics import service_lag_bound
-from ..fairness.waterfill import _as_fraction
 from ..schedulers.drr import DEFAULT_QUANTUM
 from ..sim.process import PeriodicProcess
 from ..sim.simulator import Simulator
@@ -141,15 +143,10 @@ class FairnessAuditor:
         self.drift_last = 0.0
         #: Max normalized drift seen across the whole run.
         self.drift_peak = 0.0
-        # Flows known to the engine but excluded from the fluid
-        # instance — admission-shed, or willing to use no registered
-        # interface. Their expected rate is exactly 0.
-        self._masked: Set[str] = set()
-        self._solver = IncrementalMaxMinSolver()
-        self._cursor = 0
+        self._fluid = FluidSimulator(engine.regimes)
         self._catch_up()
         # Replaying the journal's past is setup, not live churn.
-        self._solver.deltas_total = 0
+        self._fluid.solver.deltas_total = 0
         self._last_change_at = sim.now
 
     # ------------------------------------------------------------------
@@ -189,64 +186,15 @@ class FairnessAuditor:
     def solver(self) -> IncrementalMaxMinSolver:
         """The live fluid instance, caught up with the engine's journal."""
         self._catch_up()
-        return self._solver
+        return self._fluid.solver
 
     def _catch_up(self) -> None:
         """Apply the journal entries appended since the last call."""
-        regimes = self._engine.regimes
-        while self._cursor < len(regimes):
-            time, kind, subject, value = regimes[self._cursor]
-            self._cursor += 1
-            if self._apply(kind, subject, value):
-                self._last_change_at = time
-
-    def _apply(self, kind: str, subject: str, value: Any) -> bool:
-        """Edit the solver by one journal entry; ``True`` if it changed."""
-        solver = self._solver
-        if kind == "capacity":
-            capacity = _as_fraction(value)
-            new = not solver.has_interface(subject)
-            if not new and solver.capacity(subject) == capacity:
-                return False
-            solver.set_capacity(subject, capacity)
-            if new and self._masked:
-                # A new interface may make masked flows servable: replay
-                # each one's latest entry.
-                past = self._engine.regimes[: self._cursor]
-                latest = {name: flow for _, k, name, flow in past if k == "flow"}
-                for flow_id in sorted(self._masked):
-                    self._apply("flow", flow_id, latest[flow_id])
-            return True
-        # A masked flow is never in the solver, and vice versa.
-        was_masked = subject in self._masked
-        self._masked.discard(subject)
-        in_solver = solver.has_flow(subject)
-        if kind == "remove":
-            if in_solver:
-                solver.remove_flow(subject)
-            self._deduper.clear(ALERT_FAIRNESS_DRIFT, subject)
-            return was_masked or in_solver
-        weight, row, shed = value
-        row = frozenset(row) if row is not None else None
-        # Servability is judged against the solver's interface set,
-        # which rejects rows it cannot resolve.
-        known = set(solver.interface_ids)
-        if shed or not known or (row is not None and not row & known):
-            self._masked.add(subject)
-            if in_solver:
-                solver.remove_flow(subject)
-            return in_solver or not was_masked
-        if not in_solver:
-            solver.add_flow(subject, weight, row)
-            return True
-        changed = False
-        if solver.weight_of(subject) != _as_fraction(weight):
-            solver.set_weight(subject, weight)
-            changed = True
-        if solver.row_of(subject) != row:
-            solver.restrict_flow(subject, row)
-            changed = True
-        return changed
+        changed_at, removed = self._fluid.advance()
+        for flow_id in removed:
+            self._deduper.clear(ALERT_FAIRNESS_DRIFT, flow_id)
+        if changed_at is not None:
+            self._last_change_at = changed_at
 
     # ------------------------------------------------------------------
     # Drift audit
@@ -260,7 +208,7 @@ class FairnessAuditor:
             # whole window, so a comparison would be noise.
             return
         self.audits_total += 1
-        allocation = self._solver.allocation
+        allocation = self._fluid.solver.allocation
         stats = self._engine.stats
         weights = [flow.weight for flow in self._engine.iter_flows()]
         max_quantum = self._quantum_bytes * max(weights, default=1.0)
@@ -325,15 +273,15 @@ class FairnessAuditor:
             "drift_last": self.drift_last,
             "drift_peak": self.drift_peak,
             "last_change_at": self._last_change_at,
-            "masked": sorted(self._masked),
+            "masked": sorted(self._fluid.masked),
             "alerts_suppressed": self.alerts_suppressed,
             "alerts": [
                 [alert.time, alert.kind, alert.subject, alert.detail]
                 for alert in self.alerts
             ],
             "series": self._deduper.snapshot_series(),
-            "solver": self._solver.snapshot_state(),
-            "cursor": self._cursor,
+            "solver": self._fluid.solver.snapshot_state(),
+            "cursor": self._fluid.cursor,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -343,12 +291,12 @@ class FairnessAuditor:
         self.drift_last = state["drift_last"]
         self.drift_peak = state["drift_peak"]
         self._last_change_at = state["last_change_at"]
-        self._cursor = state["cursor"]
-        self._masked = set(state["masked"])
+        self._fluid.cursor = state["cursor"]
+        self._fluid.masked = set(state["masked"])
         self._deduper.suppressed_total = state["alerts_suppressed"]
         self.alerts = [
             Alert(time=time, kind=kind, subject=subject, detail=detail)
             for time, kind, subject, detail in state["alerts"]
         ]
         self._deduper.restore_series(state["series"])
-        self._solver.restore_state(state["solver"])
+        self._fluid.solver.restore_state(state["solver"])

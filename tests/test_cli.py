@@ -144,6 +144,43 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "50.0%" in out  # the classical failure shows up
 
+    def test_run_reference_follows_the_journal(self, capsys, tmp_path):
+        """A late start and a capacity step change the fluid optimum
+        mid-run; the reference must average the optimum in force over
+        the window, not the initial instance's."""
+        import json
+        import re
+
+        from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario
+        from repro.net.interface import CapacityStep
+        from repro.units import mbps
+
+        scenario = Scenario(
+            name="stepped",
+            interfaces=(
+                InterfaceSpec(
+                    "if1", mbps(1), capacity_steps=(CapacityStep(8.0, mbps(4)),)
+                ),
+                InterfaceSpec("if2", mbps(1)),
+            ),
+            flows=(
+                FlowSpec("a"),
+                FlowSpec("b", interfaces=("if2",)),
+                FlowSpec("c", start_time=6.0),
+            ),
+            duration=15.0,
+        )
+        path = tmp_path / "stepped.json"
+        path.write_text(json.dumps(scenario.to_dict()))
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        errors = {
+            match.group(1): float(match.group(2))
+            for match in re.finditer(r"^([abc]) .* ([\d.]+)%", out, re.M)
+        }
+        assert set(errors) == {"a", "b", "c"}, out
+        assert max(errors.values()) < 1.0, out
+
     def test_unknown_scheduler_rejected(self, tmp_path):
         path = self._write_scenario(tmp_path)
         with pytest.raises(SystemExit):

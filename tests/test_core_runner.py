@@ -2,11 +2,13 @@
 
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from repro.core.runner import ScenarioRun, run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
+from repro.fairness.fluid import FluidSimulator
 from repro.net.interface import CapacityStep
 from repro.schedulers.midrr import MiDrrScheduler
 from repro.schedulers.per_interface import PerInterfaceScheduler
@@ -98,6 +100,8 @@ class TestDynamicScenarios:
         assert result.rate("a", 12, 20) == pytest.approx(mbps(2), rel=0.05)
 
     def test_phases_reflect_arrivals_and_completions(self):
+        """The run's regime journal, replayed as the fluid reference,
+        starts b at its arrival and ends a at its completion."""
         scenario = Scenario(
             interfaces=(InterfaceSpec("if1", mbps(1)),),
             flows=(
@@ -110,19 +114,19 @@ class TestDynamicScenarios:
             duration=20.0,
         )
         result = run_scenario(scenario, MiDrrScheduler)
-        phases = result.phases()
-        assert phases[0][2] == ["a"]
-        # After b starts, both alive; after a completes, only b.
-        alive_sets = [set(alive) for _, _, alive in phases]
-        assert {"a", "b"} in alive_sets
-        assert {"b"} in alive_sets
+        done = result.completions["a"]
+        fluid = FluidSimulator(result.engine.regimes)
+        assert set(fluid.run(0.0, 2.0)) == {"a"}
+        assert set(fluid.run(2.0, done)) == {"a", "b"}
+        assert set(fluid.run(done, 20.0)) == {"b"}
+        assert fluid.run(done, 20.0)["b"] == Fraction(mbps(1)) * (
+            Fraction(20) - Fraction(done)
+        )
 
-    def test_reference_allocation_defaults(self):
+    def test_fluid_reference_of_a_steady_run(self):
         result = run_scenario(fig1c_scenario(duration=5.0), MiDrrScheduler)
-        allocation = result.reference_allocation()
-        assert allocation.rate("a") == pytest.approx(mbps(1))
-        allocation_b_only = result.reference_allocation(active_flows=["b"])
-        assert allocation_b_only.rate("b") == pytest.approx(mbps(1))
+        service = FluidSimulator(result.engine.regimes).run(0.0, 5.0)
+        assert service == {"a": mbps(1) * 5, "b": mbps(1) * 5}
 
     def test_stochastic_traffic_kinds_run(self):
         scenario = Scenario(
@@ -217,6 +221,20 @@ class TestClose:
         try:
             run.close()
             del run
+            alive = [ref for ref in refs if ref() is not None]
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert alive == []
+        assert unreachable == 0
+
+        # run_scenario closes its run: dropping the result frees it all.
+        result = run_scenario(self.scenario(), MiDrrScheduler)
+        refs = [weakref.ref(result.engine), weakref.ref(result.stats)]
+        gc.collect()
+        gc.disable()
+        try:
+            del result
             alive = [ref for ref in refs if ref() is not None]
             unreachable = gc.collect()
         finally:

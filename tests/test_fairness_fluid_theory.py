@@ -1,15 +1,16 @@
-"""Tests for the fluid reference simulator and the theory artifacts."""
+"""Tests for the fluid reference simulator and the theory artifacts.
+
+The fluid reference reads nothing but a regime journal, so these tests
+hand-build journals in the engine's entry format.
+"""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, FairnessError
-from repro.fairness.fluid import (
-    FluidCapacityStep,
-    FluidFlow,
-    FluidSimulator,
-    max_service_lag,
-)
+from repro.fairness.fluid import FluidSimulator, max_service_lag
 from repro.fairness.theory import (
     fate_sharing_holds,
     lemma_bounds,
@@ -17,84 +18,103 @@ from repro.fairness.theory import (
 )
 from repro.units import mbps
 
+M = 10**6
+
+
+def cap(time, interface_id, rate_bps):
+    return (time, "capacity", interface_id, rate_bps)
+
+
+def flow(time, flow_id, weight=1.0, interfaces=None, shed=False):
+    row = sorted(interfaces) if interfaces is not None else None
+    return (time, "flow", flow_id, (weight, row, shed))
+
+
+def remove(time, flow_id):
+    return (time, "remove", flow_id, None)
+
+
+def rate(journal, flow_id, start, end):
+    """Exact mean optimal rate of *flow_id* over ``(start, end]``."""
+    service = FluidSimulator(journal).run(start, end)
+    return service.get(flow_id, 0) / (Fraction(end) - Fraction(start))
+
+
+FIGURE6 = [
+    cap(0.0, "if1", mbps(3)),
+    cap(0.0, "if2", mbps(10)),
+    flow(0.0, "a", interfaces=("if1",)),
+    flow(0.0, "b", weight=2.0),
+    flow(0.0, "c", interfaces=("if2",)),
+]
+
 
 class TestFluidSimulator:
     def test_static_allocation(self):
-        simulator = FluidSimulator(
-            {"if1": mbps(3), "if2": mbps(10)},
-            [
-                FluidFlow("a", interfaces=("if1",)),
-                FluidFlow("b", weight=2.0),
-                FluidFlow("c", interfaces=("if2",)),
-            ],
-        )
-        result = simulator.run(10.0)
-        assert result.rate_at("a", 5.0) == pytest.approx(mbps(3))
-        assert result.rate_at("b", 5.0) == pytest.approx(mbps(20 / 3))
-        assert result.cumulative_service("a", 10.0) == pytest.approx(
-            mbps(3) * 10 / 8
-        )
+        service = FluidSimulator(FIGURE6).run(0.0, 10.0)
+        assert service["a"] == 3 * M * 10
+        assert service["b"] == Fraction(20 * M, 3) * 10
+        assert service["c"] == Fraction(10 * M, 3) * 10
 
     def test_figure6_fluid_trajectory(self):
-        """The whole Figure 6 timeline, exactly, with zero packets."""
-        a_bytes = mbps(3) * 66 / 8
-        b_bytes = (mbps(20 / 3) * 66 + mbps(26 / 3) * 19) / 8
-        simulator = FluidSimulator(
-            {"if1": mbps(3), "if2": mbps(10)},
-            [
-                FluidFlow("a", interfaces=("if1",), total_bytes=a_bytes),
-                FluidFlow("b", weight=2.0, total_bytes=b_bytes),
-                FluidFlow("c", interfaces=("if2",)),
-            ],
-        )
-        result = simulator.run(100.0)
-        assert result.completions["a"] == pytest.approx(66.0, rel=1e-6)
-        assert result.completions["b"] == pytest.approx(85.0, rel=1e-6)
-        assert result.rate_at("b", 50.0) == pytest.approx(mbps(20 / 3))
-        assert result.rate_at("b", 70.0) == pytest.approx(mbps(26 / 3))
-        assert result.rate_at("c", 90.0) == pytest.approx(mbps(10))
+        """The whole Figure 6 timeline, exactly, with zero packets: a
+        leaves at 66 s and b at 85 s, having been served exactly the
+        bytes the paper's transfers hold."""
+        journal = FIGURE6 + [remove(66.0, "a"), remove(85.0, "b")]
+        service = FluidSimulator(journal).run(0.0, 100.0)
+        assert service["a"] == 3 * M * 66
+        assert service["b"] == Fraction(20 * M, 3) * 66 + Fraction(26 * M, 3) * 19
+        assert rate(journal, "b", 40.0, 60.0) == Fraction(20 * M, 3)
+        assert rate(journal, "b", 66.0, 85.0) == Fraction(26 * M, 3)
+        assert rate(journal, "c", 85.0, 100.0) == 10 * M
 
     def test_late_arrival(self):
-        simulator = FluidSimulator(
-            {"if1": mbps(2)},
-            [FluidFlow("early"), FluidFlow("late", start_time=5.0)],
-        )
-        result = simulator.run(10.0)
-        assert result.rate_at("early", 2.0) == pytest.approx(mbps(2))
-        assert result.rate_at("early", 7.0) == pytest.approx(mbps(1))
-        assert result.rate_at("late", 2.0) == 0.0
-        assert result.rate_at("late", 7.0) == pytest.approx(mbps(1))
+        journal = [cap(0.0, "if1", mbps(2)), flow(0.0, "early"), flow(5.0, "late")]
+        assert rate(journal, "early", 0.0, 5.0) == 2 * M
+        assert rate(journal, "early", 5.0, 10.0) == M
+        assert rate(journal, "late", 5.0, 10.0) == M
+        assert "late" not in FluidSimulator(journal).run(0.0, 5.0)
 
     def test_capacity_step(self):
-        simulator = FluidSimulator(
-            {"if1": mbps(1)},
-            [FluidFlow("a")],
-            capacity_steps=[FluidCapacityStep(5.0, "if1", mbps(4))],
-        )
-        result = simulator.run(10.0)
-        assert result.rate_at("a", 2.0) == pytest.approx(mbps(1))
-        assert result.rate_at("a", 7.0) == pytest.approx(mbps(4))
-        total = result.cumulative_service("a", 10.0)
-        assert total == pytest.approx((mbps(1) * 5 + mbps(4) * 5) / 8)
+        journal = [cap(0.0, "if1", mbps(1)), flow(0.0, "a"), cap(5.0, "if1", mbps(4))]
+        assert rate(journal, "a", 1.0, 5.0) == M
+        assert rate(journal, "a", 5.0, 9.0) == 4 * M
+        assert FluidSimulator(journal).run(0.0, 10.0)["a"] == M * 5 + 4 * M * 5
 
     def test_average_rate(self):
-        simulator = FluidSimulator({"if1": mbps(2)}, [FluidFlow("a")])
-        result = simulator.run(10.0)
-        assert result.average_rate("a", 2.0, 8.0) == pytest.approx(mbps(2))
+        journal = [cap(0.0, "if1", mbps(2)), flow(0.0, "a")]
+        assert rate(journal, "a", 2.0, 8.0) == 2 * M
+        # A float window: the exact span keeps the rate exact.
+        assert rate(journal, "a", 0.1, 0.3) == 2 * M
+
+    def test_masked_flows(self):
+        journal = [
+            cap(0.0, "if1", mbps(2)),
+            flow(0.0, "a"),
+            flow(0.0, "later", interfaces=("if2",)),
+            flow(0.0, "shed", shed=True),
+            cap(5.0, "if2", mbps(1)),
+        ]
+        early = FluidSimulator(journal).run(0.0, 5.0)
+        assert set(early) == {"a"}
+        # The new interface replays the masked flow's entry.
+        assert rate(journal, "later", 5.0, 10.0) == M
+        assert rate(journal, "a", 5.0, 10.0) == 2 * M
+        assert "shed" not in FluidSimulator(journal).run(0.0, 10.0)
+
+    def test_run_restarts_the_replay(self):
+        fluid = FluidSimulator(FIGURE6 + [remove(66.0, "a")])
+        first = fluid.run(60.0, 70.0)
+        fluid.advance()
+        assert fluid.run(60.0, 70.0) == first
+        assert fluid.run(0.0, 10.0) == FluidSimulator(FIGURE6).run(0.0, 10.0)
 
     def test_validation(self):
+        fluid = FluidSimulator(FIGURE6)
         with pytest.raises(ConfigurationError):
-            FluidSimulator({}, [])
+            fluid.run(5.0, 5.0)
         with pytest.raises(ConfigurationError):
-            FluidSimulator({"if1": 1e6}, [FluidFlow("a"), FluidFlow("a")])
-        with pytest.raises(ConfigurationError):
-            FluidSimulator(
-                {"if1": 1e6},
-                [FluidFlow("a")],
-                capacity_steps=[FluidCapacityStep(1.0, "nope", 2e6)],
-            )
-        with pytest.raises(ConfigurationError):
-            FluidSimulator({"if1": 1e6}, [FluidFlow("a")]).run(0.0)
+            fluid.run(5.0, 4.0)
 
 
 class TestPacketizedAgainstFluid:
@@ -115,14 +135,7 @@ class TestPacketizedAgainstFluid:
             duration=20.0,
         )
         packet_result = run_scenario(scenario, MiDrrScheduler)
-
-        fluid = FluidSimulator(
-            scenario.capacities(),
-            [
-                FluidFlow(spec.flow_id, weight=spec.weight, interfaces=spec.interfaces)
-                for spec in scenario.flows
-            ],
-        ).run(20.0)
+        fluid = FluidSimulator(packet_result.engine.regimes)
 
         measured = {}
         for checkpoint in (2.0, 5.0, 10.0, 15.0, 20.0):
@@ -187,8 +200,6 @@ class TestFluidProperties:
         """Backlogged fluid flows consume exactly the reachable capacity."""
         import random
 
-        from hypothesis import given, settings, strategies as st
-
         rng = random.Random(0)
         for trial in range(20):
             num_ifaces = rng.randint(1, 4)
@@ -196,156 +207,153 @@ class TestFluidProperties:
                 f"if{j}": mbps(rng.randint(1, 10)) for j in range(num_ifaces)
             }
             iface_ids = list(capacities)
-            flows = []
+            journal = [cap(0.0, j, c) for j, c in capacities.items()]
+            rows = {}
             for index in range(rng.randint(1, 5)):
                 count = rng.randint(1, num_ifaces)
-                willing = tuple(rng.sample(iface_ids, count))
-                flows.append(
-                    FluidFlow(
-                        f"f{index}",
-                        weight=rng.choice([1.0, 2.0]),
-                        interfaces=willing,
-                    )
+                rows[f"f{index}"] = rng.sample(iface_ids, count)
+                journal.append(
+                    flow(0.0, f"f{index}", rng.choice([1.0, 2.0]), rows[f"f{index}"])
                 )
-            result = FluidSimulator(capacities, flows).run(10.0)
+            service = FluidSimulator(journal).run(0.0, 10.0)
             reachable = sum(
                 capacity
                 for interface_id, capacity in capacities.items()
-                if any(interface_id in flow.interfaces for flow in flows)
+                if any(interface_id in row for row in rows.values())
             )
-            total_served_bits = sum(
-                result.cumulative_service(flow.flow_id, 10.0) * 8
-                for flow in flows
-            )
-            assert total_served_bits == pytest.approx(reachable * 10.0, rel=1e-9)
+            assert sum(service.values()) == Fraction(reachable) * 10
 
     def test_rate_at_boundaries(self):
-        simulator = FluidSimulator({"if1": mbps(2)}, [FluidFlow("a")])
-        result = simulator.run(10.0)
-        assert result.rate_at("a", 0.0) == pytest.approx(mbps(2))
-        assert result.rate_at("a", 10.0) == pytest.approx(mbps(2))
-        assert result.rate_at("a", 11.0) == 0.0
-        assert result.rate_at("ghost", 5.0) == 0.0
+        """An entry at time t applies from t: over ``(start, end]`` one
+        stamped ``start`` is in force for the whole window, one stamped
+        ``end`` for none of it."""
+        journal = [cap(0.0, "if1", mbps(1)), flow(0.0, "a"), cap(5.0, "if1", mbps(4))]
+        assert rate(journal, "a", 5.0, 10.0) == 4 * M
+        assert rate(journal, "a", 0.0, 5.0) == M
+        assert rate(journal, "ghost", 0.0, 10.0) == 0
 
     def test_cumulative_service_monotone(self):
-        simulator = FluidSimulator(
-            {"if1": mbps(3)},
-            [FluidFlow("a", total_bytes=mbps(3) * 4 / 8), FluidFlow("b")],
-        )
-        result = simulator.run(10.0)
-        previous = 0.0
-        for t in [0.5 * k for k in range(21)]:
-            current = result.cumulative_service("b", t)
-            assert current >= previous - 1e-9
-            previous = current
+        journal = [
+            cap(0.0, "if1", mbps(3)),
+            flow(0.0, "a"),
+            flow(0.0, "b"),
+            remove(4.0, "a"),
+        ]
+        fluid = FluidSimulator(journal)
+        served = [fluid.run(0.0, 0.5 * k)["b"] for k in range(1, 21)]
+        assert served == sorted(served)
+        assert served[-1] == Fraction(3 * M, 2) * 4 + 3 * M * 6
+
+    def test_entries_at_one_instant_cost_one_solve(self):
+        journal = [
+            cap(0.0, "if1", mbps(2)),
+            cap(0.0, "if2", mbps(1)),
+            flow(0.0, "a"),
+            flow(0.0, "b", interfaces=("if2",)),
+            cap(5.0, "if1", mbps(4)),
+            flow(5.0, "c"),
+            flow(5.0, "b", weight=3.0, interfaces=("if2",)),
+            flow(5.0, "a", interfaces=("if1",)),
+        ]
+        fluid = FluidSimulator(journal)
+        fluid.run(0.0, 10.0)
+        assert fluid.solver.full_solves == 2
+        fluid.run(5.0, 10.0)
+        assert fluid.solver.full_solves == 1
+        fluid.run(0.0, 5.0)
+        assert fluid.solver.full_solves == 1
+        assert rate(journal, "c", 5.0, 10.0) == 2 * M
 
 
 @st.composite
-def fluid_scenario(draw):
-    """A random piecewise scenario: staggered arrivals, finite flows,
-    capacity steps (including outages)."""
+def fluid_journal(draw):
+    """A random regime journal: staggered arrivals and departures,
+    φ/Π edits and capacity steps (including outages), several entries
+    often sharing one instant."""
     iface_count = draw(st.integers(min_value=1, max_value=3))
-    capacities = {
-        f"if{j}": mbps(draw(st.integers(min_value=1, max_value=10)))
-        for j in range(iface_count)
-    }
-    iface_ids = list(capacities)
-    flows = []
-    for index in range(draw(st.integers(min_value=1, max_value=4))):
-        willing = draw(
-            st.one_of(
-                st.none(),
-                st.lists(
-                    st.sampled_from(iface_ids),
-                    min_size=1,
-                    max_size=iface_count,
-                    unique=True,
-                ).map(tuple),
-            )
-        )
-        flows.append(
-            FluidFlow(
-                f"f{index}",
-                weight=draw(st.sampled_from([0.5, 1.0, 2.0])),
-                interfaces=willing,
-                start_time=draw(st.sampled_from([0.0, 1.5, 4.0])),
-                total_bytes=draw(
-                    st.one_of(st.none(), st.sampled_from([1e5, 1e6, 5e6]))
-                ),
-            )
-        )
-    steps = [
-        FluidCapacityStep(
-            time=draw(st.sampled_from([2.0, 3.5, 6.0, 8.0])),
-            interface_id=draw(st.sampled_from(iface_ids)),
-            rate_bps=mbps(draw(st.integers(min_value=0, max_value=8))),
-        )
-        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    iface_ids = [f"if{j}" for j in range(iface_count)]
+    entries = [
+        cap(0.0, j, mbps(draw(st.integers(min_value=1, max_value=10))))
+        for j in iface_ids
     ]
-    return capacities, flows, steps
+    rows = st.one_of(
+        st.none(),
+        st.lists(
+            st.sampled_from(iface_ids), min_size=1, max_size=iface_count, unique=True
+        ),
+    )
+    weights = st.sampled_from([0.5, 1.0, 2.0])
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        start = draw(st.sampled_from([0.0, 1.5, 4.0]))
+        entries.append(flow(start, f"f{index}", draw(weights), draw(rows)))
+        edit = draw(st.sampled_from([None, 2.0, 6.0]))
+        if edit is not None and edit > start:
+            entries.append(flow(edit, f"f{index}", draw(weights), draw(rows)))
+        stop = draw(st.sampled_from([None, 3.5, 8.0]))
+        if stop is not None and stop > start:
+            entries.append(remove(stop, f"f{index}"))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        entries.append(
+            cap(
+                draw(st.sampled_from([2.0, 3.5, 6.0, 8.0])),
+                draw(st.sampled_from(iface_ids)),
+                mbps(draw(st.integers(min_value=0, max_value=8))),
+            )
+        )
+    # Stable: entries sharing an instant keep their drawn order.
+    return sorted(entries, key=lambda entry: entry[0])
 
 
 class TestRateAtConservation:
-    """Byte conservation pins the rate_at boundary semantics.
+    """Byte conservation pins the boundary semantics of the journal.
 
-    ``cumulative_service`` integrates the segments directly; sampling
-    ``rate_at`` at every segment's *start* (an exact boundary) and
-    summing rate x span must reproduce it bit for bit. The pre-fix
-    lookup shifted boundary times into the following segment, so the
-    two disagreed on any scenario whose rates change over time.
+    The rate in force at time t is the optimum of every entry stamped
+    at or before t. Integrating it regime by regime must reproduce the
+    service over the whole window exactly, in ``Fraction`` arithmetic.
     """
 
     DURATION = 10.0
 
-    @settings(max_examples=60, deadline=None)
-    @given(scenario=fluid_scenario())
-    def test_rate_at_integrates_to_cumulative_service(self, scenario):
-        capacities, flows, steps = scenario
-        result = FluidSimulator(capacities, flows, steps).run(self.DURATION)
-        for flow in flows:
-            integral_bits = sum(
-                result.rate_at(flow.flow_id, segment.start)
-                * (segment.end - segment.start)
-                for segment in result.segments
-            )
-            served = result.cumulative_service(flow.flow_id, self.DURATION)
-            assert integral_bits / 8 == pytest.approx(
-                served, rel=1e-9, abs=1e-6
-            )
+    def boundaries(self, journal):
+        return sorted({entry[0] for entry in journal if entry[0] < self.DURATION})
 
     @settings(max_examples=60, deadline=None)
-    @given(scenario=fluid_scenario())
-    def test_rate_at_is_right_continuous_at_boundaries(self, scenario):
-        capacities, flows, steps = scenario
-        result = FluidSimulator(capacities, flows, steps).run(self.DURATION)
-        for segment in result.segments:
-            for flow in flows:
-                assert result.rate_at(flow.flow_id, segment.start) == (
-                    segment.rates.get(flow.flow_id, 0.0)
-                )
+    @given(journal=fluid_journal())
+    def test_rate_at_integrates_to_cumulative_service(self, journal):
+        fluid = FluidSimulator(journal)
+        total = fluid.run(0.0, self.DURATION)
+        marks = self.boundaries(journal) + [self.DURATION]
+        pieces = [fluid.run(start, end) for start, end in zip(marks, marks[1:])]
+        for flow_id, served in total.items():
+            assert sum(piece.get(flow_id, 0) for piece in pieces) == served
 
     @settings(max_examples=60, deadline=None)
-    @given(scenario=fluid_scenario())
-    def test_rate_at_final_end_and_beyond(self, scenario):
-        capacities, flows, steps = scenario
-        result = FluidSimulator(capacities, flows, steps).run(self.DURATION)
-        last = result.segments[-1]
-        for flow in flows:
-            # Exactly `duration` still reads the final segment ...
-            assert result.rate_at(flow.flow_id, last.end) == (
-                last.rates.get(flow.flow_id, 0.0)
-            )
-            # ... but anything meaningfully past it is outside the window.
-            assert result.rate_at(flow.flow_id, last.end + 1e-6) == 0.0
-            assert result.rate_at(flow.flow_id, -1.0) == 0.0
+    @given(journal=fluid_journal())
+    def test_rate_at_is_right_continuous_at_boundaries(self, journal):
+        marks = self.boundaries(journal) + [self.DURATION]
+        for start, end in zip(marks, marks[1:]):
+            replay = FluidSimulator(journal)
+            replay.advance(start)
+            expected = replay.solver.allocation.rates
+            service = FluidSimulator(journal).run(start, end)
+            span = Fraction(end) - Fraction(start)
+            assert {f: s / span for f, s in service.items()} == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(journal=fluid_journal())
+    def test_rate_at_final_end_and_beyond(self, journal):
+        fluid = FluidSimulator(journal)
+        for end in self.boundaries(journal)[1:]:
+            # An entry stamped at the window's end is in force for none of it.
+            before = FluidSimulator([e for e in journal if e[0] < end])
+            assert fluid.run(0.0, end) == before.run(0.0, end)
+        # Past the last entry the final regime holds for ever.
+        one = fluid.run(self.DURATION, self.DURATION + 1)
+        five = fluid.run(self.DURATION, self.DURATION + 5)
+        assert {f: s * 5 for f, s in one.items()} == five
 
     def test_rate_changes_at_an_exact_step_boundary(self):
-        # Regression for the off-by-one-segment bug in its simplest
-        # form: a capacity step at t=5 must be visible *at* t=5.
-        result = FluidSimulator(
-            {"if1": mbps(2)},
-            [FluidFlow("a")],
-            [FluidCapacityStep(time=5.0, interface_id="if1", rate_bps=mbps(6))],
-        ).run(10.0)
-        assert result.rate_at("a", 5.0 - 1e-3) == pytest.approx(mbps(2))
-        assert result.rate_at("a", 5.0) == pytest.approx(mbps(6))
+        # A capacity step at t=5 is in force from t=5 on, not after it.
+        journal = [cap(0.0, "if1", mbps(2)), flow(0.0, "a"), cap(5.0, "if1", mbps(6))]
+        assert rate(journal, "a", 5.0 - 1e-3, 5.0) == 2 * M
+        assert rate(journal, "a", 5.0, 5.0 + 1e-3) == 6 * M

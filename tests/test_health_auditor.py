@@ -1,6 +1,7 @@
 """Inline fairness auditor: alert dedup, tracking, drift, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.engine import SchedulingEngine
 from repro.core.runner import run_scenario
 from repro.core.scenario import FlowSpec, InterfaceSpec, Scenario, TrafficSpec
 from repro.errors import WatchdogError
+from repro.fairness.fluid import FluidSimulator
 from repro.faults.chaos import ChaosRun
 from repro.health import (
     ALERT_FAIRNESS_DRIFT,
@@ -361,6 +363,26 @@ class TestRegimeJournal:
         # The replayed past is setup, not churn.
         assert fresh.solver.deltas_total == 0
         assert fresh.snapshot_state()["last_change_at"] == sim.now
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_audits_match_the_fluid_replay(self, seed):
+        """At every audit the auditor's live optimum is exactly the
+        fluid reference's mean rate over the trailing window."""
+        run = ChaosRun(seed=seed, duration=30.0, with_auditor=True)
+        auditor, sim = run.auditor, run.sim
+        run.start()
+        audits = 0
+        while sim.queue.peek_time() is not None and sim.queue.peek_time() <= 30.0:
+            sim.step()
+            if auditor.audits_total == audits:
+                continue
+            audits = auditor.audits_total
+            start, end = sim.now - auditor.window, sim.now
+            service = FluidSimulator(run.engine.regimes).run(start, end)
+            span = Fraction(end) - Fraction(start)
+            rates = {flow_id: bits / span for flow_id, bits in service.items()}
+            assert rates == auditor.solver.allocation.rates, end
+        assert audits > 0
 
 
 def auditor_extras(run):

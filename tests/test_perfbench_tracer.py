@@ -4,8 +4,9 @@
 a name it cannot find, so deleting one fails only as a silent hole in a
 traced benchmark run. This test installs the tracer the way a traced
 run does and requires every wrapped entry point of the event queue,
-the run loop and the fleet to be there and a small miDRR run to record
-calls in the ``select`` group and the ``sim`` layer.
+the run loop, the fleet and the fluid reference to be there and a
+small miDRR run to record calls in the ``select`` group and the
+``sim`` layer.
 
 ``install()`` patches classes globally, so the run happens in a fresh
 interpreter.
@@ -71,6 +72,12 @@ WRAPPED = (
     "repro.net.flow.Flow.pull",
     "repro.fleet.coordinator.run_shard",
     "repro.fleet.device.build_device_scenario",
+    "repro.fairness.fluid.FluidSimulator.run",
+    "repro.fairness.incremental.IncrementalMaxMinSolver.add_flow",
+    "repro.fairness.incremental.IncrementalMaxMinSolver.remove_flow",
+    "repro.fairness.incremental.IncrementalMaxMinSolver.set_weight",
+    "repro.fairness.incremental.IncrementalMaxMinSolver.restrict_flow",
+    "repro.fairness.incremental.IncrementalMaxMinSolver.set_capacity",
 )
 
 
