@@ -622,7 +622,9 @@ class SchedulingEngine:
         self.deadline_packets_total = deadline.get("packets_total", 0)
         self.deadline_misses_total = deadline.get("misses_total", 0)
         self.deadline_misses_by_flow = dict(deadline.get("misses_by_flow", {}))
-        self.regimes = [tuple(entry) for entry in state["regimes"]]
+        # Refilled in place: readers (the fairness auditor's replay)
+        # hold the list itself.
+        self.regimes[:] = [tuple(entry) for entry in state["regimes"]]
         self._willing_cache.clear()
         self._scheduler.restore_state(state["scheduler"], restored)
         self.stats.restore_state(state["stats"])

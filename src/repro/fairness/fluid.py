@@ -39,16 +39,13 @@ class FluidSimulator:
 
     Holds one solver and a cursor into *journal*, which may still be
     growing: :meth:`advance` applies the entries appended since the
-    last call (the fairness auditor's live cursor), and :meth:`run`
-    replays the journal from its first entry and integrates the optimal
-    service over a window.
+    last call (the fairness auditor's live cursor). :meth:`run` leaves
+    both alone; it replays the journal into a fresh instance of its own
+    and integrates the optimal service over a window.
     """
 
     def __init__(self, journal: Sequence[Entry]) -> None:
         self.journal = journal
-        self._reset()
-
-    def _reset(self) -> None:
         self.solver = IncrementalMaxMinSolver()
         #: Flows the journal names but the instance excludes —
         #: admission-shed, or willing to use no known interface. Their
@@ -79,18 +76,29 @@ class FluidSimulator:
     def run(self, start: float, end: float) -> Dict[str, Fraction]:
         """Each flow's optimal service over ``(start, end]``, in bits.
 
-        Restarts the replay from the journal's first entry. Flows that
-        the instance held at some point in the window are keys; masked
-        flows are not. Several entries at one instant cost one solve.
+        Replays the journal from its first entry into a private
+        instance. Flows that the instance held at some point in the
+        window are keys; masked flows are not. Several entries at one
+        instant cost one solve.
         """
         if end <= start:
             raise ConfigurationError(
                 f"fluid window ({start:g}, {end:g}] is empty"
             )
-        self._reset()
+        service: Dict[str, Fraction] = {}
+        FluidSimulator(self.journal)._accrue(start, end, service)
+        return service
+
+    def _accrue(
+        self, start: float, end: float, service: Dict[str, Fraction]
+    ) -> None:
+        """Add the optimal service over ``(start, end]`` to *service*.
+
+        The cursor must not be past *start*; on return every entry
+        stamped before *end* is applied.
+        """
         self.advance(start)
         journal = self.journal
-        service: Dict[str, Fraction] = {}
         now = start
         while now < end:
             boundary = end
@@ -102,7 +110,6 @@ class FluidSimulator:
             now = boundary
             if now < end:
                 self.advance(now)
-        return service
 
     def _apply(self, kind: str, subject: str, value: Any) -> bool:
         """Edit the solver by one journal entry; ``True`` if it changed."""
@@ -159,15 +166,22 @@ def max_service_lag(
     """Worst |ideal − measured| cumulative service per flow, in bytes.
 
     *measured_cumulative* maps sample times to per-flow byte counts
-    served over ``(0, time]`` (build it from a :class:`StatsCollector`).
+    served over ``(0, time]`` (build it from a :class:`StatsCollector`);
+    the ideal service at a time ``<= 0`` is zero. One replay of
+    *fluid*'s journal integrates the ideal across all sample times.
     This is the system-level analogue of the paper's Lemma 5/6 bounds:
     a correct packetized scheduler's lag stays within a few packets
     plus a quantum at every instant.
     """
+    replay = FluidSimulator(fluid.journal)
+    ideal: Dict[str, Fraction] = {}
+    now = 0.0
     worst: Dict[str, float] = {}
-    for time, by_flow in measured_cumulative.items():
-        ideal = fluid.run(0.0, time)
-        for flow_id, measured in by_flow.items():
+    for time in sorted(measured_cumulative):
+        if time > now:
+            replay._accrue(now, time, ideal)
+            now = time
+        for flow_id, measured in measured_cumulative[time].items():
             gap = abs(float(ideal.get(flow_id, 0)) / 8 - measured)
             if gap > worst.get(flow_id, 0.0):
                 worst[flow_id] = gap

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, FairnessError
+from repro.fairness import fluid as fluid_module
 from repro.fairness.fluid import FluidSimulator, max_service_lag
 from repro.fairness.theory import (
     fate_sharing_holds,
@@ -103,9 +104,16 @@ class TestFluidSimulator:
         assert "shed" not in FluidSimulator(journal).run(0.0, 10.0)
 
     def test_run_restarts_the_replay(self):
+        """run replays from the first entry into an instance of its own:
+        the live cursor, solver and masked set are left as they were."""
         fluid = FluidSimulator(FIGURE6 + [remove(66.0, "a")])
+        fluid.advance(10.0)
+        solver, live = fluid.solver, fluid.solver.snapshot_state()
         first = fluid.run(60.0, 70.0)
-        fluid.advance()
+        assert fluid.solver is solver
+        assert solver.snapshot_state() == live
+        assert (fluid.cursor, fluid.masked) == (len(FIGURE6), set())
+        assert fluid.advance() == (66.0, ["a"])
         assert fluid.run(60.0, 70.0) == first
         assert fluid.run(0.0, 10.0) == FluidSimulator(FIGURE6).run(0.0, 10.0)
 
@@ -150,6 +158,23 @@ class TestPacketizedAgainstFluid:
         bound = 4 * (2 * 1500 + 1500)
         for flow_id, lag in lags.items():
             assert lag < bound, f"{flow_id} lag {lag} B exceeds {bound}"
+
+
+    def test_max_service_lag_integrates_across_checkpoints(self):
+        """One replay over unsorted checkpoints gives the gaps of a
+        separate ``run(0, t)`` per checkpoint; at t <= 0 the ideal is 0."""
+        fluid = FluidSimulator(FIGURE6 + [remove(4.0, "a"), cap(6.0, "if1", mbps(6))])
+        times = [7.5, 0.0, 2.0, 4.0, 6.0, 9.0]
+        measured = {t: {"a": 4e5 * t, "b": 8e5 * t, "c": 1e3} for t in times}
+        expected = {}
+        for time in times:
+            ideal = fluid.run(0.0, time) if time > 0 else {}
+            for flow_id, served in measured[time].items():
+                gap = abs(float(ideal.get(flow_id, 0)) / 8 - served)
+                if gap > expected.get(flow_id, 0.0):
+                    expected[flow_id] = gap
+        assert max_service_lag(fluid, measured) == expected
+        assert max_service_lag(fluid, {-1.0: {"a": 5.0}}) == {"a": 5.0}
 
 
 class TestTheorem1:
@@ -244,7 +269,7 @@ class TestFluidProperties:
         assert served == sorted(served)
         assert served[-1] == Fraction(3 * M, 2) * 4 + 3 * M * 6
 
-    def test_entries_at_one_instant_cost_one_solve(self):
+    def test_entries_at_one_instant_cost_one_solve(self, monkeypatch):
         journal = [
             cap(0.0, "if1", mbps(2)),
             cap(0.0, "if2", mbps(1)),
@@ -255,13 +280,20 @@ class TestFluidProperties:
             flow(5.0, "b", weight=3.0, interfaces=("if2",)),
             flow(5.0, "a", interfaces=("if1",)),
         ]
+        # run replays into a private instance: record each solver made.
+        solvers = []
+
+        class Recorded(fluid_module.IncrementalMaxMinSolver):
+            def __init__(self):
+                super().__init__()
+                solvers.append(self)
+
+        monkeypatch.setattr(fluid_module, "IncrementalMaxMinSolver", Recorded)
         fluid = FluidSimulator(journal)
-        fluid.run(0.0, 10.0)
-        assert fluid.solver.full_solves == 2
-        fluid.run(5.0, 10.0)
-        assert fluid.solver.full_solves == 1
-        fluid.run(0.0, 5.0)
-        assert fluid.solver.full_solves == 1
+        for start, end, solves in ((0.0, 10.0, 2), (5.0, 10.0, 1), (0.0, 5.0, 1)):
+            fluid.run(start, end)
+            assert solvers[-1].full_solves == solves
+        assert fluid.solver.full_solves == 0
         assert rate(journal, "c", 5.0, 10.0) == 2 * M
 
 

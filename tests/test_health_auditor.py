@@ -18,7 +18,7 @@ from repro.health import (
     FairnessAuditor,
 )
 from repro.net.flow import Flow
-from repro.net.interface import Interface
+from repro.net.interface import CapacityStep, Interface
 from repro.recovery import RecoverableScenarioRun
 from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.midrr import MiDrrScheduler
@@ -444,3 +444,49 @@ class TestCheckpointRestore:
                 auditor.solver.allocation.rates
                 == ref_auditor.solver.allocation.rates
             )
+
+    def test_auditor_follows_journal_entries_after_restore(self):
+        """A completion, a late arrival and a capacity step all land in
+        the journal after the checkpoint: the restored auditor must see
+        each of them, like the uninterrupted run's."""
+        scenario = Scenario(
+            name="audit-journal-after-checkpoint",
+            interfaces=(
+                InterfaceSpec(
+                    "if1", mbps(1), capacity_steps=(CapacityStep(5.0, mbps(4)),)
+                ),
+                InterfaceSpec("if2", mbps(1)),
+            ),
+            flows=(
+                FlowSpec("a", traffic=TrafficSpec("bulk")),
+                FlowSpec(
+                    "b",
+                    interfaces=("if2",),
+                    traffic=TrafficSpec("bulk", total_bytes=int(mbps(1) * 3 / 8)),
+                ),
+                FlowSpec("c", start_time=4.0, traffic=TrafficSpec("bulk")),
+            ),
+            duration=10.0,
+        )
+        reference = RecoverableScenarioRun(
+            scenario, MiDrrScheduler, extras=auditor_extras
+        )
+        reference.run_to_completion()
+        ref_auditor = reference._components["health:auditor"]
+        ref_state = ref_auditor.snapshot_state()
+
+        run = RecoverableScenarioRun(scenario, MiDrrScheduler, extras=auditor_extras)
+        while not run.finished and run.sim.now < 2.0:
+            run.step()
+        state = json.loads(json.dumps(run.checkpoint()))
+        checkpoint_entries = len(run.engine.regimes)
+        restored = RecoverableScenarioRun.restore(
+            state, MiDrrScheduler, extras=auditor_extras
+        )
+        restored.run_to_completion()
+        kinds = {kind for _, kind, _, _ in restored.engine.regimes[checkpoint_entries:]}
+        assert kinds == {"remove", "flow", "capacity"}
+        auditor = restored._components["health:auditor"]
+        assert auditor.snapshot_state() == ref_state
+        assert sorted(auditor.solver.flow_ids) == ["a", "c"]
+        assert auditor.solver.allocation.rates == ref_auditor.solver.allocation.rates
